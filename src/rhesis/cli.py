@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .cascade import cascade_segment, regroup
@@ -108,7 +108,7 @@ def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
         new_span = replace(
             cfg.span, max_chars=span, target_chars=min(cfg.span.target_chars, span)
         )
-        cfg = replace(cfg, span=new_span, cascade=replace(cfg.cascade, span=new_span))
+        cfg = replace(cfg, span=new_span)
     seed = getattr(args, "seed", None)
     generations = getattr(args, "generations", None)
     if args.command == "tune" and (seed is not None or generations is not None):
@@ -149,10 +149,11 @@ def _cmd_tune(args, cfg: EngineConfig) -> int:
     _, corpus = _load_corpus(args.conllu, args.gold)
     best, trace = evolve(corpus, cfg.evo, cfg.span)
     write_weights(args.out, best.decode())
+    view = effective_config(cfg)
     manifest = {
         "seed": cfg.evo.seed,
-        "config": effective_config(cfg)["evo"],
-        "span": effective_config(cfg)["span"],
+        "config": view["evo"],
+        "span": view["span"],
         "labels": list(best.labels),
         "trace": trace,
     }
@@ -186,7 +187,7 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
     sys.stdout.write(format_report(report))
     if args.report:
         payload = {
-            "per_doc": [_row_dict(row) for row in report.per_doc],
+            "per_doc": [asdict(row) for row in report.per_doc],
             "weighted_precision": report.weighted_precision,
         }
         Path(args.report).write_text(
@@ -194,19 +195,6 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
             encoding="utf-8",
         )
     return 0
-
-
-def _row_dict(row: PerDocRow) -> dict:
-    return {
-        "label": row.label,
-        "rhesis_count": row.rhesis_count,
-        "precision": row.precision,
-        "recall": row.recall,
-        "f1": row.f1,
-        "boundary_precision": row.boundary_precision,
-        "boundary_recall": row.boundary_recall,
-        "boundary_f1": row.boundary_f1,
-    }
 
 
 def _cmd_export(args, cfg: EngineConfig) -> int:

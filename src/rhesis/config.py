@@ -5,6 +5,10 @@ A config file has up to five sections — [span], [cascade], [tree],
 whitespace-separated; the punctuation list is whitespace-separated (so the
 comma can appear as an item).  Anything not set falls back to the built-in
 defaults, and unknown sections or keys are rejected rather than ignored.
+
+The config dataclasses are the only place a key, its type and its default
+are stated: the accepted keys, their parsing and the effective-config echo
+are all derived from ``dataclasses.fields``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import configparser
 import os
 import re
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .cascade import CascadeConfig
@@ -26,53 +31,60 @@ __all__ = ["EngineConfig", "load_config", "effective_config"]
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
+    """Everything a run needs.  ``span`` governs every method: the cascade's
+    own span is rebound to it."""
+
     span: SpanConfig = field(default_factory=SpanConfig)
     cascade: CascadeConfig = field(default_factory=CascadeConfig)
     weights: ScoringWeights = field(default_factory=ScoringWeights)
     evo: EvoConfig = field(default_factory=EvoConfig)
     score_epsilon: float = 0.01
 
-
-_SPAN_KEYS = {"max_chars", "target_chars", "count_mode"}
-_CASCADE_KEYS = {"priority_prepositions", "clause_deprels", "glue_deprels", "punctuation"}
-_TREE_SCALARS = {"w_dep", "w_count", "w_balance", "w_depth", "w_cross", "default_deprel_weight"}
-_TREE_KEYS = _TREE_SCALARS | {"score_epsilon"}
-_EVO_INT_KEYS = {"population", "generations", "tournament_k", "elitism", "seed"}
-_EVO_FLOAT_KEYS = {"crossover_rate", "mutation_sigma", "mutation_rate"}
-_EVO_KEYS = _EVO_INT_KEYS | _EVO_FLOAT_KEYS | {"fitness_metric"}
-_SECTIONS = {"span", "cascade", "tree", "tree.deprel_weights", "evo"}
+    def __post_init__(self) -> None:
+        if not 0.0 < self.score_epsilon < 1.0:
+            raise ValueError(f"score_epsilon must be in (0, 1), got {self.score_epsilon}")
+        if self.cascade.span != self.span:
+            object.__setattr__(self, "cascade", replace(self.cascade, span=self.span))
 
 
-def _check_keys(parser: configparser.ConfigParser, section: str, allowed: set[str]) -> None:
-    if not parser.has_section(section):
-        return
-    unknown = set(parser.options(section)) - allowed
-    if unknown:
-        raise FormatError(f"unknown keys in [{section}]: {sorted(unknown)}")
+# INI section -> the EngineConfig attribute it fills.  Every field of that
+# attribute's dataclass is a key of the section under its own name, except:
+# [cascade] punctuation fills cut_punctuation; [tree] score_epsilon belongs to
+# EngineConfig itself (attribute ""); CascadeConfig.span is not a key, and
+# ScoringWeights.deprel_weights is the [tree.deprel_weights] section.
+_SECTIONS = {
+    "span": ("span", SpanConfig),
+    "cascade": ("cascade", CascadeConfig),
+    "tree": ("weights", ScoringWeights),
+    "evo": ("evo", EvoConfig),
+}
+_RENAMED = {"cut_punctuation": "punctuation"}
+_NOT_KEYS = {"span", "deprel_weights"}
+_DEPREL_SECTION = "tree.deprel_weights"
+
+# section -> INI key -> (EngineConfig attribute, field name, type of the default)
+_KEYS = {
+    section: {
+        _RENAMED.get(f.name, f.name): (attr, f.name, type(f.default))
+        for f in fields(cls)
+        if f.name not in _NOT_KEYS
+    }
+    for section, (attr, cls) in _SECTIONS.items()
+}
+_KEYS["tree"]["score_epsilon"] = ("", "score_epsilon", float)
 
 
-def _get_int(parser, section: str, key: str, default: int) -> int:
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
+def _parse(section: str, key: str, raw: str, kind: type):
+    if kind is frozenset:
+        items = raw.split() if key == "punctuation" else re.split(r"[,\s]+", raw)
+        return frozenset(t for t in items if t)
+    if kind is str:
+        return raw
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise FormatError(f"[{section}] {key} must be an integer, got {raw!r}") from None
-
-
-def _get_float(parser, section: str, key: str, default: float) -> float:
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise FormatError(f"[{section}] {key} must be a number, got {raw!r}") from None
-
-
-def _word_list(raw: str) -> frozenset[str]:
-    return frozenset(t for t in re.split(r"[,\s]+", raw) if t)
+        what = "an integer" if kind is int else "a number"
+        raise FormatError(f"[{section}] {key} must be {what}, got {raw!r}") from None
 
 
 def load_config(path: str | os.PathLike | None = None) -> EngineConfig:
@@ -97,101 +109,38 @@ def load_config(path: str | os.PathLike | None = None) -> EngineConfig:
     except configparser.Error as exc:
         raise FormatError(f"config {path}: {exc}") from None
 
-    unknown = set(parser.sections()) - _SECTIONS
+    unknown = set(parser.sections()) - set(_KEYS) - {_DEPREL_SECTION}
     if unknown:
         raise FormatError(f"unknown config sections: {sorted(unknown)}")
-    _check_keys(parser, "span", _SPAN_KEYS)
-    _check_keys(parser, "cascade", _CASCADE_KEYS)
-    _check_keys(parser, "tree", _TREE_KEYS)
-    _check_keys(parser, "evo", _EVO_KEYS)
+    # keyword arguments per EngineConfig attribute: only the keys the file sets
+    given: dict[str, dict] = defaultdict(dict)
+    for section in filter(parser.has_section, _KEYS):
+        unknown = set(parser.options(section)) - set(_KEYS[section])
+        if unknown:
+            raise FormatError(f"unknown keys in [{section}]: {sorted(unknown)}")
+        for key, raw in parser.items(section):
+            attr, name, kind = _KEYS[section][key]
+            given[attr][name] = _parse(section, key, raw, kind)
+    if parser.has_section(_DEPREL_SECTION):
+        given["weights"]["deprel_weights"] = {
+            label: _parse(_DEPREL_SECTION, label, raw, float)
+            for label, raw in parser.items(_DEPREL_SECTION)
+        }
 
     try:
-        span = SpanConfig(
-            max_chars=_get_int(parser, "span", "max_chars", 45),
-            target_chars=_get_int(parser, "span", "target_chars", 32),
-            count_mode=parser.get("span", "count_mode", fallback="characters"),
-        )
-        base = CascadeConfig(span=span)
-        raw = parser.get("cascade", "punctuation", fallback=None)
-        cascade = CascadeConfig(
-            span=span,
-            priority_prepositions=_maybe_words(parser, "priority_prepositions")
-            or base.priority_prepositions,
-            clause_deprels=_maybe_words(parser, "clause_deprels") or base.clause_deprels,
-            glue_deprels=_maybe_words(parser, "glue_deprels") or base.glue_deprels,
-            cut_punctuation=frozenset(raw.split()) if raw is not None else base.cut_punctuation,
-        )
-        table = {}
-        if parser.has_section("tree.deprel_weights"):
-            for label in parser.options("tree.deprel_weights"):
-                table[label] = _get_float(parser, "tree.deprel_weights", label, 0.0)
-        weights = ScoringWeights(
-            w_dep=_get_float(parser, "tree", "w_dep", 1.0),
-            w_count=_get_float(parser, "tree", "w_count", 0.0),
-            w_balance=_get_float(parser, "tree", "w_balance", 0.0),
-            w_depth=_get_float(parser, "tree", "w_depth", 0.0),
-            w_cross=_get_float(parser, "tree", "w_cross", 0.0),
-            deprel_weights=table,
-            default_deprel_weight=_get_float(parser, "tree", "default_deprel_weight", 0.0),
-        )
-        evo = EvoConfig(
-            population=_get_int(parser, "evo", "population", 40),
-            generations=_get_int(parser, "evo", "generations", 60),
-            tournament_k=_get_int(parser, "evo", "tournament_k", 3),
-            crossover_rate=_get_float(parser, "evo", "crossover_rate", 0.7),
-            mutation_sigma=_get_float(parser, "evo", "mutation_sigma", 0.1),
-            mutation_rate=_get_float(parser, "evo", "mutation_rate", 0.2),
-            elitism=_get_int(parser, "evo", "elitism", 2),
-            seed=_get_int(parser, "evo", "seed", 0),
-            fitness_metric=parser.get("evo", "fitness_metric", fallback="precision"),
-        )
-        epsilon = _get_float(parser, "tree", "score_epsilon", 0.01)
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"score_epsilon must be in (0, 1), got {epsilon}")
+        parts = {attr: cls(**given[attr]) for attr, cls in _SECTIONS.values()}
+        return EngineConfig(**parts, **given[""])
     except ValueError as exc:
         raise FormatError(f"config {path}: {exc}") from None
-
-    return EngineConfig(span=span, cascade=cascade, weights=weights, evo=evo, score_epsilon=epsilon)
-
-
-def _maybe_words(parser, key: str) -> frozenset[str] | None:
-    raw = parser.get("cascade", key, fallback=None)
-    return _word_list(raw) if raw is not None else None
 
 
 def effective_config(cfg: EngineConfig) -> dict:
     """Plain-dict view of the configuration, for the CLI's echo header."""
-    return {
-        "span": {
-            "max_chars": cfg.span.max_chars,
-            "target_chars": cfg.span.target_chars,
-            "count_mode": cfg.span.count_mode,
-        },
-        "cascade": {
-            "priority_prepositions": sorted(cfg.cascade.priority_prepositions),
-            "clause_deprels": sorted(cfg.cascade.clause_deprels),
-            "glue_deprels": sorted(cfg.cascade.glue_deprels),
-            "punctuation": sorted(cfg.cascade.cut_punctuation),
-        },
-        "tree": {
-            "w_dep": cfg.weights.w_dep,
-            "w_count": cfg.weights.w_count,
-            "w_balance": cfg.weights.w_balance,
-            "w_depth": cfg.weights.w_depth,
-            "w_cross": cfg.weights.w_cross,
-            "default_deprel_weight": cfg.weights.default_deprel_weight,
-            "deprel_weights": dict(sorted(cfg.weights.deprel_weights.items())),
-            "score_epsilon": cfg.score_epsilon,
-        },
-        "evo": {
-            "population": cfg.evo.population,
-            "generations": cfg.evo.generations,
-            "tournament_k": cfg.evo.tournament_k,
-            "crossover_rate": cfg.evo.crossover_rate,
-            "mutation_sigma": cfg.evo.mutation_sigma,
-            "mutation_rate": cfg.evo.mutation_rate,
-            "elitism": cfg.evo.elitism,
-            "seed": cfg.evo.seed,
-            "fitness_metric": cfg.evo.fitness_metric,
-        },
-    }
+    view = {}
+    for section, keys in _KEYS.items():
+        view[section] = {}
+        for key, (attr, name, kind) in keys.items():
+            value = getattr(getattr(cfg, attr) if attr else cfg, name)
+            view[section][key] = sorted(value) if kind is frozenset else value
+    view["tree"]["deprel_weights"] = dict(sorted(cfg.weights.deprel_weights.items()))
+    return view

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlignmentError, FormatError, ParseError, StructuralError
+from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
 
 __all__ = [
     "Token",
@@ -201,26 +201,38 @@ def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> 
     return segmentation_from_spans(sentence, spans)
 
 
+def _decoded(data: str | bytes, error: type[RhesisError]) -> str:
+    """``data`` as text; bytes must be UTF-8, else ``error`` is raised."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not valid UTF-8: {exc}") from None
+
+
 def parse_conllu(data: str | bytes) -> list[Sentence]:
     """Parse a CoNLL-U stream into validated sentences.
 
     Multiword-token ranges (``3-4``) and empty nodes (``8.1``) are skipped;
     only syntactic words are kept.  CRLF input is accepted.  Sentences
     without a ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...
+    A sentence id that repeats an earlier one, given or ordinal, is an error.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}") from None
+    data = _decoded(data, ParseError)
     sentences: list[Sentence] = []
+    seen: set[str] = set()
     pending: list[Token] = []
     sent_id: str | None = None
+    id_line = 0  # the sent_id comment's line, else the sentence's first line
 
     def flush() -> None:
         nonlocal pending, sent_id
         if pending:
             name = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
+            if name in seen:
+                raise ParseError(f"duplicate sentence id {name!r}", line=id_line)
+            seen.add(name)
             sentences.append(Sentence.from_tokens(name, pending))
         pending = []
         sent_id = None
@@ -230,10 +242,13 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
         if not line.strip():
             flush()
             continue
+        if not pending and sent_id is None:
+            id_line = lineno
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("sent_id") and "=" in body:
                 sent_id = body.split("=", 1)[1].strip()
+                id_line = lineno
             continue
         cols = line.split("\t")
         if len(cols) != 10:
@@ -276,11 +291,7 @@ def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:
     the groups that follow; other ``#`` lines are comments.  A ``#doc`` line
     inside a sentence block is malformed.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not valid UTF-8: {exc}") from None
+    data = _decoded(data, FormatError)
     groups: list[tuple[str, list[str]]] = []
     label = ""
     current: list[str] | None = None

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from ._dp import best_cuts, scaled
-from .corpus import AlignedCorpus, Segmentation, Sentence, segmentation_from_cuts
+from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded, segmentation_from_cuts
 from .errors import FormatError
 from .scoring import _Structure, _warn_oversized
 from .span import SpanConfig, fits_span
@@ -170,11 +170,7 @@ def load_scores(data: str | bytes) -> ScoreTable:
     Blank lines are skipped.  Duplicate keys keep the last value and warn;
     malformed lines or out-of-range probabilities fail with the line number.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not valid UTF-8: {exc}") from None
+    data = _decoded(data, FormatError)
     table: dict[tuple[str, int, int], float] = {}
     for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.rstrip("\r")

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AlignedCorpus
-from .scoring import ScoringWeights, _optimal_cuts, _Structure
+from .evaluate import _f1
+from .scoring import _SCALAR_FIELDS as SCALAR_ORDER, ScoringWeights, _optimal_cuts, _Structure
 from .span import SpanConfig
 
 __all__ = ["Genome", "EvoConfig", "corpus_labels", "fitness", "evolve"]
-
-SCALAR_ORDER = ("w_dep", "w_count", "w_balance", "w_depth", "w_cross")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +116,7 @@ class _FitnessContext:
         if self.metric == "precision":
             return precision
         recall = matched / self.gold_total if self.gold_total else 0.0
-        if precision + recall == 0:
-            return 0.0
-        return 2 * precision * recall / (precision + recall)
+        return _f1(precision, recall)
 
 
 def fitness(

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 
 from ._dp import SCALE, best_cuts, scaled
 from .corpus import Segmentation, Sentence, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
-from .span import SpanConfig, fits_span
+from .span import SpanConfig, fits_span, text_measure
 
 __all__ = [
     "ScoringWeights",
@@ -35,8 +35,6 @@ __all__ = [
     "read_weights",
     "write_weights",
 ]
-
-_SCALAR_FIELDS = ("w_dep", "w_count", "w_balance", "w_depth", "w_cross")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +68,10 @@ class ScoringWeights:
 
     def lookup(self, deprel: str) -> float:
         return self.deprel_weights.get(deprel, self.default_deprel_weight)
+
+
+# The nonnegative scalar weights, in declaration order (the tuner's gene order).
+_SCALAR_FIELDS = tuple(f.name for f in fields(ScoringWeights) if f.name.startswith("w_"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,12 +126,15 @@ def cut_score(cand: CutCandidate, w: ScoringWeights) -> float:
 class _Structure:
     """Per-sentence precomputation shared by the DP and the tuner.
 
-    Surface lengths come from prefix sums over token forms and inter-token
-    spaces, so ``chars(a, b) == len(sentence.span_text(a, b))`` without
-    building the slice, and every boundary's CutCandidate is computed once.
+    ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
+    building the slice.  Characters come from the offsets of each token in
+    the surface text; words from a count of word starts over that text, so
+    a form that holds spaces counts as all of its words.  Every boundary's
+    CutCandidate is computed once.
     """
 
-    __slots__ = ("n", "max_units", "target", "words_mode", "candidates", "_flen", "_gaps")
+    __slots__ = ("n", "max_units", "target", "words_mode", "candidates", "_start", "_end",
+                 "_wstart", "_wend")
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
         tokens = sentence.tokens
@@ -137,22 +142,39 @@ class _Structure:
         self.max_units = span.max_chars
         self.target = span.target_chars
         self.words_mode = span.count_mode == "words"
-        flen = [0]
-        gaps = [0]
+        # token a covers offsets _start[a] .. _end[a] - 1 of the surface text
+        start, end = [0], [0]
+        offset = 0
         for tok in tokens:
-            flen.append(flen[-1] + len(tok.form))
-            gaps.append(gaps[-1] + (1 if tok.space_after else 0))
-        self._flen = flen
-        self._gaps = gaps
+            start.append(offset)
+            offset += len(tok.form)
+            end.append(offset)
+            offset += 1 if tok.space_after else 0
+        self._start = start
+        self._end = end
+        if self.words_mode:
+            self._count_words(sentence.span_text(1, self.n))
         self.candidates = tuple(crossing_edges(sentence, i) for i in range(1, self.n))
 
-    def chars(self, a: int, b: int) -> int:
-        return self._flen[b] - self._flen[a - 1] + self._gaps[b - 1] - self._gaps[a - 1]
+    def _count_words(self, text: str) -> None:
+        begun = [0]  # begun[p]: words of ``text`` that begin before offset p
+        prev_space = True
+        for ch in text:
+            space = ch.isspace()
+            begun.append(begun[-1] + (prev_space and not space))
+            prev_space = space
+        self._wend = [begun[e] for e in self._end]
+        # a span that starts inside a word counts that word as its first
+        self._wstart = [
+            begun[s] - (0 < s < len(text) and not text[s - 1].isspace() and not text[s].isspace())
+            for s in self._start
+        ]
 
     def measure(self, a: int, b: int) -> int:
-        if self.words_mode:
-            return 1 + self._gaps[b - 1] - self._gaps[a - 1]
-        return self.chars(a, b)
+        # an empty surface (only empty forms) holds no words and no characters
+        if self.words_mode and self._end[b] > self._start[a]:
+            return self._wend[b] - self._wstart[a]
+        return self._end[b] - self._start[a]
 
     def admissible(self, a: int, b: int) -> bool:
         return a == b or self.measure(a, b) <= self.max_units
@@ -162,9 +184,10 @@ def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     cut_terms = [scaled(cut_score(cand, w)) for cand in struct.candidates]
     balance = w.w_balance
     target = struct.target
+    measure = struct.measure
 
     def segment_term(a: int, b: int) -> int:
-        return scaled(-balance * abs(struct.chars(a, b) - target))
+        return scaled(-balance * abs(measure(a, b) - target))
 
     return best_cuts(struct.n, segment_term, lambda i: cut_terms[i - 1], struct.admissible)
 
@@ -205,7 +228,7 @@ def segmentation_score(
     for position in seg.cuts():
         total += scaled(cut_score(crossing_edges(sentence, position), w))
     for r in seg.rhesis:
-        total += scaled(-w.w_balance * abs(len(r.text) - span.target_chars))
+        total += scaled(-w.w_balance * abs(text_measure(r.text, span) - span.target_chars))
     return total / SCALE
 
 
@@ -230,10 +253,7 @@ def enumerate_all(sentence: Sentence, span: SpanConfig, cap: int = 16) -> list[S
 
 
 def weights_to_json(w: ScoringWeights) -> str:
-    payload = {name: getattr(w, name) for name in _SCALAR_FIELDS}
-    payload["default_deprel_weight"] = w.default_deprel_weight
-    payload["deprel_weights"] = dict(sorted(w.deprel_weights.items()))
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(asdict(w), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def weights_from_json(text: str) -> ScoringWeights:
@@ -243,8 +263,7 @@ def weights_from_json(text: str) -> ScoringWeights:
         raise FormatError(f"weight file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise FormatError("weight file must hold a JSON object")
-    known = set(_SCALAR_FIELDS) | {"default_deprel_weight", "deprel_weights"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {f.name for f in fields(ScoringWeights)}
     if unknown:
         raise FormatError(f"unknown weight fields: {sorted(unknown)}")
     try:

@@ -1,15 +1,22 @@
 """Tests for configuration loading and the effective-config view."""
 
+import configparser
 import json
+import pathlib
+import re
 
 import pytest
 
 from rhesis import (
+    CascadeConfig,
     EngineConfig,
     FormatError,
+    SpanConfig,
     effective_config,
     load_config,
 )
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 FULL = """\
 [span]
@@ -198,3 +205,77 @@ class TestEffectiveConfig:
         assert view["cascade"]["priority_prepositions"] == ["chez", "vers"]
         assert view["cascade"]["punctuation"] == sorted({",", ";", "("})
         assert list(view["tree"]["deprel_weights"]) == ["acl:relcl", "conj", "det"]
+
+
+def _as_ini(view: dict) -> str:
+    """The effective-config view written back out as a config file."""
+    lines, tables = [], []
+    for section, values in view.items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, dict):
+                tables.append(f"[{section}.{key}]")
+                tables += [f"{label} = {weight}" for label, weight in value.items()]
+            elif isinstance(value, list):
+                lines.append(f"{key} = {' '.join(value)}")
+            else:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines + tables) + "\n"
+
+
+def _echoed_keys(view: dict) -> set[tuple[str, str]]:
+    keys = set()
+    for section, values in view.items():
+        for key, value in values.items():
+            if isinstance(value, dict):
+                keys |= {(f"{section}.{key}", label) for label in value}
+            else:
+                keys.add((section, key))
+    return keys
+
+
+class TestOneSourceOfTruth:
+    @pytest.mark.parametrize("text", ["", FULL], ids=["defaults", "full"])
+    def test_echo_reloads_to_the_same_config(self, tmp_path, text):
+        cfg = load_config(_write(tmp_path, text)) if text else EngineConfig()
+        again = load_config(_write(tmp_path, _as_ini(effective_config(cfg)), "echo.ini"))
+        assert again == cfg
+        assert effective_config(again) == effective_config(cfg)
+
+    def test_accepted_keys_are_unchanged(self):
+        view = effective_config(EngineConfig())
+        assert {section: sorted(values) for section, values in view.items()} == {
+            "span": ["count_mode", "max_chars", "target_chars"],
+            "cascade": ["clause_deprels", "glue_deprels", "priority_prepositions", "punctuation"],
+            "tree": ["default_deprel_weight", "deprel_weights", "score_epsilon",
+                     "w_balance", "w_count", "w_cross", "w_dep", "w_depth"],
+            "evo": ["crossover_rate", "elitism", "fitness_metric", "generations",
+                    "mutation_rate", "mutation_sigma", "population", "seed", "tournament_k"],
+        }
+
+    def test_engine_span_governs_the_cascade(self):
+        span = SpanConfig(max_chars=60)
+        assert EngineConfig(span=span).cascade.span.max_chars == 60
+        cfg = EngineConfig(span=span, cascade=CascadeConfig(span=SpanConfig(20, 10)))
+        assert cfg.cascade.span == span
+
+    @pytest.mark.parametrize(
+        "key", ["priority_prepositions", "clause_deprels", "glue_deprels", "punctuation"]
+    )
+    def test_empty_list_is_rejected(self, tmp_path, key):
+        with pytest.raises(FormatError, match="must not be empty"):
+            load_config(_write(tmp_path, f"[cascade]\n{key} =\n"))
+
+    def test_deprel_weight_must_be_a_number(self, tmp_path):
+        with pytest.raises(FormatError, match=r"\[tree.deprel_weights\] conj must be a number"):
+            load_config(_write(tmp_path, "[tree.deprel_weights]\nconj = high\n"))
+
+
+def test_readme_ini_block_lists_every_key(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    cfg = load_config(_write(tmp_path, block))
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.optionxform = str
+    parser.read_string(block)
+    written = {(section, key) for section in parser.sections() for key in parser.options(section)}
+    assert written == _echoed_keys(effective_config(cfg))

@@ -255,3 +255,25 @@ def test_random_sentences_are_structurally_valid():
         roots = [t for t in sent.tokens if t.head == 0]
         assert len(roots) == 1
         assert sent.span_text(1, len(sent.tokens)) == sent.text
+
+
+class TestUniqueSentenceIds:
+    def test_duplicate_explicit_id_names_id_and_line(self):
+        data = ("# sent_id = a\n1\tUn\t_\tX\t_\t_\t0\troot\t_\t_\n\n"
+                "# sent_id = a\n1\tDeux\t_\tX\t_\t_\t0\troot\t_\t_\n")
+        with pytest.raises(ParseError, match="line 4: duplicate sentence id 'a'"):
+            parse_conllu(data)
+
+    def test_explicit_id_colliding_with_ordinal(self):
+        data = ("# sent_id = s2\n1\tUn\t_\tX\t_\t_\t0\troot\t_\t_\n\n"
+                "1\tDeux\t_\tX\t_\t_\t0\troot\t_\t_\n")
+        with pytest.raises(ParseError, match="line 4: duplicate sentence id 's2'"):
+            parse_conllu(data)
+
+    def test_distinct_ids_parse(self):
+        assert [s.sent_id for s in parse_conllu(SAMPLE)] == ["d1-s1", "s2"]
+
+
+def test_parse_gold_rejects_invalid_utf8():
+    with pytest.raises(FormatError, match="UTF-8"):
+        parse_gold(b"\xff")

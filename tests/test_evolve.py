@@ -16,6 +16,7 @@ from rhesis import (
     segment_best,
     weights_to_json,
 )
+from rhesis.evolve import SCALAR_ORDER
 
 from helpers import corpus_from_golds, random_sentences
 
@@ -167,3 +168,7 @@ class TestEvolve:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             evolve(AlignedCorpus(entries=()), EvoConfig(population=4, generations=1), SPAN)
+
+
+def test_gene_order_follows_the_scalar_weight_fields():
+    assert SCALAR_ORDER == ("w_dep", "w_count", "w_balance", "w_depth", "w_cross")

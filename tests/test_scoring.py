@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhesis import (
     CutCandidate,
@@ -22,6 +24,8 @@ from rhesis import (
     weights_from_json,
     weights_to_json,
 )
+from rhesis.scoring import _Structure
+from rhesis.span import text_measure
 
 from helpers import DEPRELS, random_sentence
 
@@ -293,3 +297,59 @@ def test_segmentation_score_is_order_independent():
     for spans, score in scores.items():
         assert math.isfinite(score)
         assert scores[spans] == score
+
+
+class TestWordsMode:
+    def test_form_with_spaces_counts_all_its_words(self):
+        sent = _chain([0, 1, 2], forms=["à peu près", "x", "y"])
+        span = SpanConfig(max_chars=3, target_chars=2, count_mode="words")
+        seg = segment_best(sent, ScoringWeights(), span)
+        assert [r.text for r in seg.rhesis] == ["à peu près", "x y"]
+
+    def test_balance_is_measured_in_words(self):
+        sent = _chain([0, 1, 2, 3, 4, 5], forms=["mot"] * 6)
+        span = SpanConfig(max_chars=6, target_chars=3, count_mode="words")
+        w = ScoringWeights(w_balance=1.0)
+        seg = segment_best(sent, w, span)
+        assert seg.spans() == ((1, 3), (4, 6))
+        assert segmentation_score(sent, seg, w, span) == 0.0
+
+    @pytest.mark.filterwarnings("ignore::rhesis.errors.OversizedTokenWarning")
+    def test_matches_brute_force_with_spaced_forms(self):
+        rng = random.Random(4417)
+        forms = ["a", "bb", "c d", " e", "f ", "g h i", " j"]
+        for _ in range(80):
+            n = rng.randint(2, 8)
+            sent = _chain([0] + list(range(1, n)), forms=[rng.choice(forms) for _ in range(n)])
+            w = ScoringWeights(w_dep=rng.randrange(0, 3) / 4,
+                               w_count=rng.randrange(0, 3) / 8,
+                               w_balance=rng.randrange(1, 4) / 8)
+            span = SpanConfig(max_chars=rng.choice([2, 3, 5]), target_chars=2,
+                              count_mode="words")
+            best = max(enumerate_all(sent, span),
+                       key=lambda s: segmentation_score(sent, s, w, span))
+            got = segment_best(sent, w, span)
+            assert got.spans() == best.spans()
+
+
+_FORMS = st.text(alphabet="ab  ", min_size=0, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    forms=st.lists(st.tuples(_FORMS, st.booleans()), min_size=1, max_size=7),
+    mode=st.sampled_from(["characters", "words"]),
+    data=st.data(),
+)
+def test_structure_measure_equals_text_measure(forms, mode, data):
+    toks = [
+        Token(index=i, form=form, upos="X", head=i - 1, deprel="root" if i == 1 else "dep",
+              misc="" if space else "SpaceAfter=No")
+        for i, (form, space) in enumerate(forms, start=1)
+    ]
+    sent = Sentence.from_tokens("h", toks)
+    span = SpanConfig(max_chars=5, target_chars=3, count_mode=mode)
+    struct = _Structure(sent, span)
+    a = data.draw(st.integers(1, len(toks)))
+    b = data.draw(st.integers(a, len(toks)))
+    assert struct.measure(a, b) == text_measure(sent.span_text(a, b), span)
