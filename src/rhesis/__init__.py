@@ -33,6 +33,7 @@ from .dataset import (
     finetune_manifest,
     load_scores,
     segment_by_scores,
+    unmatched_rows,
 )
 from .errors import (
     AlignmentError,

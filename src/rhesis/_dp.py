@@ -10,7 +10,16 @@ deterministic.
 
 The DP maximizes  sum(segment_term(a, b)) + sum(cut_term(i))  over all
 segmentations whose every segment is admissible, breaking ties toward fewer
-segments and then the lexicographically smallest cut tuple.
+segments and then the lexicographically smallest cut tuple.  That order is
+total on distinct candidates, so the order in which starts are tried cannot
+change the answer either.
+
+Admissibility must be monotone in the start: if ``a..b`` is admissible, so
+is ``a + 1..b``.  Every single-token segment must be admissible too.  A span
+measure that never shrinks as its start moves left gives both (with
+oversized single tokens let in), and it lets the search for each end stop at
+the first start that is too far left.  The cost is O(n·w) calls for ``n``
+tokens and segments of at most ``w`` tokens, instead of O(n²).
 """
 
 from __future__ import annotations
@@ -36,8 +45,11 @@ def best_cuts(
     ``segment_term(a, b)`` scores the segment of tokens ``a..b`` (1-based,
     inclusive) on the integer grid; ``cut_term(i)`` scores a cut between
     tokens ``i`` and ``i + 1``; ``admissible(a, b)`` gates which segments may
-    appear at all.  Every single-token segment must be admissible, otherwise
-    no full cover exists.
+    appear at all.  Every single-token segment must be admissible, and if
+    ``a..b`` is admissible then so is ``a + 1..b``: the starts for each end
+    are tried from ``b`` leftwards and the scan stops at the first
+    inadmissible one.  That costs O(n·w) calls, where ``w`` is the longest
+    admissible segment in tokens.
     """
     if n <= 0:
         raise ValueError("need at least one token")
@@ -46,9 +58,11 @@ def best_cuts(
     best[0] = (0, 0, ())
     for j in range(1, n + 1):
         chosen = None
-        for i in range(j):
+        for i in range(j - 1, -1, -1):
+            if not admissible(i + 1, j):
+                break
             prev = best[i]
-            if prev is None or not admissible(i + 1, j):
+            if prev is None:
                 continue
             score = prev[0] + segment_term(i + 1, j)
             if i > 0:

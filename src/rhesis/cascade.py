@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
-from .corpus import Segmentation, Sentence, segmentation_from_spans, subtree_span
+from .corpus import Segmentation, Sentence, segmentation_from_spans
 from .errors import OversizedTokenWarning
-from .span import SpanConfig, fits_span
+from .scoring import _Structure
+from .span import SpanConfig
 
 __all__ = [
     "CutLevel",
@@ -76,13 +79,14 @@ class CascadeConfig:
                 raise ValueError(f"{name} must not be empty")
 
 
-def _clause_onsets(sentence: Sentence, config: CascadeConfig) -> set[int]:
+def _clause_onsets(sentence: Sentence, config: CascadeConfig, index: _Structure) -> set[int]:
     """Cut positions before tokens that introduce a clause.
 
     A subordinating conjunction, a coordinating conjunction attached to a
     verbal head, or any token bearing a clause-level relation marks a clause;
     the cut lands before the leftmost token of that clause's subtree.
     """
+    extents = index.extents
     cuts = set()
     for tok in sentence.tokens:
         if tok.upos == "SCONJ":
@@ -92,8 +96,7 @@ def _clause_onsets(sentence: Sentence, config: CascadeConfig) -> set[int]:
         else:
             matched = tok.deprel in config.clause_deprels
         if matched:
-            onset, _ = subtree_span(sentence, tok.index)
-            cuts.add(onset - 1)
+            cuts.add(extents[tok.index][0] - 1)
     return cuts
 
 
@@ -112,6 +115,21 @@ def find_cuts_at_level(
     n = len(sentence.tokens)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad segment ({lo}, {hi}) for {n} tokens")
+    return _level_cuts(
+        sentence, segment, level, config,
+        lambda: _clause_onsets(sentence, config, _Structure(sentence, config.span)),
+    )
+
+
+def _level_cuts(
+    sentence: Sentence,
+    segment: tuple[int, int],
+    level: CutLevel,
+    config: CascadeConfig,
+    clause_onsets: Callable[[], set[int]],
+) -> set[int]:
+    """find_cuts_at_level on a checked segment, reading clause onsets from ``clause_onsets()``."""
+    lo, hi = segment
     toks = sentence.tokens
     cuts: set[int] = set()
     if level.name == "punctuation":
@@ -119,7 +137,7 @@ def find_cuts_at_level(
             if tok.upos == "PUNCT" and tok.form in config.cut_punctuation:
                 cuts.add(tok.index)
     elif level.name == "clause":
-        cuts = _clause_onsets(sentence, config)
+        cuts = clause_onsets()
     elif level.name == "priority_preposition":
         for tok in toks[lo - 1 : hi]:
             if tok.upos == "ADP" and tok.form.lower() in config.priority_prepositions:
@@ -170,16 +188,18 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
     Each piece that does not fit the span is split at the first level (from
     its current position in the cascade) that proposes cuts; pieces continue
     with the next level.  A piece no level can split is emitted as-is with
-    an OversizedTokenWarning.
+    an OversizedTokenWarning.  Clause onsets are found once per sentence.
     """
     spans: list[tuple[int, int]] = []
+    index = _Structure(sentence, config.span)
+    clause_onsets = cache(lambda: _clause_onsets(sentence, config, index))
 
     def descend(lo: int, hi: int, level_index: int) -> None:
-        if fits_span(sentence.span_text(lo, hi), config.span):
+        if index.measure(lo, hi) <= index.max_units:
             spans.append((lo, hi))
             return
         for li in range(level_index, len(CUT_LEVELS)):
-            cuts = find_cuts_at_level(sentence, (lo, hi), CUT_LEVELS[li], config)
+            cuts = _level_cuts(sentence, (lo, hi), CUT_LEVELS[li], config, clause_onsets)
             if cuts:
                 bounds = [lo - 1, *sorted(cuts), hi]
                 for a, b in zip(bounds, bounds[1:]):
@@ -206,12 +226,13 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     """
     if not seg.rhesis:
         return seg
+    index = _Structure(sentence, config.span)
     merged: list[tuple[int, int]] = []
     cur_start, cur_end = seg.rhesis[0].start, seg.rhesis[0].end
     for nxt in seg.rhesis[1:]:
         boundary_tok = sentence.tokens[cur_end - 1]
         blocked = boundary_tok.upos == "PUNCT" and boundary_tok.form in _FINAL_PUNCTUATION
-        if not blocked and fits_span(sentence.span_text(cur_start, nxt.end), config.span):
+        if not blocked and index.measure(cur_start, nxt.end) <= index.max_units:
             cur_end = nxt.end
         else:
             merged.append((cur_start, cur_end))

@@ -24,6 +24,7 @@ from .dataset import (
     finetune_manifest,
     load_scores,
     segment_by_scores,
+    unmatched_rows,
 )
 from .errors import RhesisError
 from .evaluate import (
@@ -136,6 +137,13 @@ def _cmd_segment(args, cfg: EngineConfig) -> int:
         segs = [segment_best(s, weights, cfg.span) for s in sentences]
     else:
         table = load_scores(Path(args.scores).read_bytes())
+        unknown, past_end = unmatched_rows(table, sentences)
+        if unknown or past_end:
+            print(
+                f"rhesis: warning: {unknown} score rows name no input sentence, "
+                f"{past_end} end past their sentence's last token",
+                file=sys.stderr,
+            )
         segs = [
             segment_by_scores(s, table, cfg.span, epsilon=cfg.score_epsilon)
             for s in sentences

@@ -50,7 +50,7 @@ class Token:
     @property
     def space_after(self) -> bool:
         """Whether the surface form is followed by a space."""
-        return not any(part == "SpaceAfter=No" for part in self.misc.split("|"))
+        return "SpaceAfter=No" not in self.misc.split("|")
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ from ._dp import best_cuts, scaled
 from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded, segmentation_from_cuts
 from .errors import FormatError
 from .scoring import _Structure, _warn_oversized
-from .span import SpanConfig, fits_span
+from .span import SpanConfig
 
 __all__ = [
     "CandidateExample",
@@ -28,6 +28,7 @@ __all__ = [
     "candidates_to_tsv",
     "finetune_manifest",
     "load_scores",
+    "unmatched_rows",
     "segment_by_scores",
 ]
 
@@ -85,27 +86,21 @@ def export_candidates(
     for entry in corpus:
         sentence = entry.sentence
         n = len(sentence.tokens)
+        last = _last_fitting(_Structure(sentence, span))
+        # every span-feasible (s, e), sorted: the pool the fallback draws from
+        feasible = [(s, e) for s in range(1, n + 1) for e in range(s, last[s] + 1)]
         gold_spans = list(entry.gold.spans())
         used = set(gold_spans)
-
-        def feasible(s: int, e: int) -> bool:
-            return fits_span(sentence.span_text(s, e), span)
-
         for gs, ge in gold_spans:
             examples.append(_example(sentence, gs, ge, 1))
         for gs, ge in gold_spans:
             smart = [(gs, e) for e in range(gs, n + 1) if e != ge]
             smart += [(s, ge) for s in range(1, ge + 1) if s != gs]
-            pool = sorted(c for c in smart if c not in used and feasible(*c))
+            pool = sorted(c for c in smart if c not in used and c[1] <= last[c[0]])
             chosen = rng.sample(pool, min(negatives_per_positive, len(pool)))
             used.update(chosen)
             if len(chosen) < negatives_per_positive:
-                fallback = sorted(
-                    (s, e)
-                    for s in range(1, n + 1)
-                    for e in range(s, n + 1)
-                    if (s, e) not in used and feasible(s, e)
-                )
+                fallback = [c for c in feasible if c not in used]
                 extra = rng.sample(
                     fallback, min(negatives_per_positive - len(chosen), len(fallback))
                 )
@@ -115,6 +110,23 @@ def export_candidates(
                 examples.append(_example(sentence, s, e, 0))
     rng.shuffle(examples)
     return examples
+
+
+def _last_fitting(index: _Structure) -> list[int]:
+    """``last[s]``: the last token ``e`` with ``s..e`` within the span, ``s - 1`` if none.
+
+    Unlike ``index.admissible``, an oversized single token does not fit.
+    The span measure never shrinks as a span widens, so ``last`` never
+    decreases and one pass finds it.
+    """
+    last = [0] * (index.n + 1)
+    e = 0
+    for s in range(1, index.n + 1):
+        e = max(e, s - 1)
+        while e < index.n and index.measure(s, e + 1) <= index.max_units:
+            e += 1
+        last[s] = e
+    return last
 
 
 _TSV_HEADER = "sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel"
@@ -168,7 +180,8 @@ def load_scores(data: str | bytes) -> ScoreTable:
     """Parse a TSV score stream: sentence_id, start, end, probability.
 
     Blank lines are skipped.  Duplicate keys keep the last value and warn;
-    malformed lines or out-of-range probabilities fail with the line number.
+    malformed lines, spans that are not ``1 <= start <= end`` and
+    out-of-range probabilities fail with the line number.
     """
     data = _decoded(data, FormatError)
     table: dict[tuple[str, int, int], float] = {}
@@ -187,6 +200,8 @@ def load_scores(data: str | bytes) -> ScoreTable:
             probability = float(fields[3])
         except ValueError:
             raise FormatError(f"unreadable record {line!r}", line=lineno) from None
+        if not 1 <= start <= end:
+            raise FormatError(f"span ({start}, {end}) is not 1 <= start <= end", line=lineno)
         if not math.isfinite(probability) or not 0.0 <= probability <= 1.0:
             raise FormatError(
                 f"probability {fields[3]} outside [0, 1]", line=lineno
@@ -196,6 +211,23 @@ def load_scores(data: str | bytes) -> ScoreTable:
             warnings.warn(f"line {lineno}: duplicate score for {key}, keeping the last")
         table[key] = probability
     return ScoreTable(probabilities=table)
+
+
+def unmatched_rows(scores: ScoreTable, sentences: list[Sentence]) -> tuple[int, int]:
+    """Score rows no segmentation of ``sentences`` can use.
+
+    Returns the count of rows whose sentence id is not among ``sentences``
+    and the count of rows that end past their sentence's last token.
+    """
+    lengths = {s.sent_id: len(s) for s in sentences}
+    unknown = past_end = 0
+    for sentence_id, _, end in scores.probabilities:
+        n = lengths.get(sentence_id)
+        if n is None:
+            unknown += 1
+        elif end > n:
+            past_end += 1
+    return unknown, past_end
 
 
 def segment_by_scores(

@@ -174,10 +174,17 @@ def evolve(
         table = rng.uniform(-1.0, 1.0, len(labels))
         population.append(np.concatenate([scalars, table]))
 
+    # Elites and unmutated copies recur across generations: equal genes, equal fitness.
+    memo: dict[bytes, float] = {}
+
     def evaluate_all(pop: list[np.ndarray]) -> list[float]:
-        return [
-            context.evaluate(_genome_from_vector(labels, vec).decode()) for vec in pop
-        ]
+        fits = []
+        for vec in pop:
+            key = vec.tobytes()
+            if key not in memo:
+                memo[key] = context.evaluate(_genome_from_vector(labels, vec).decode())
+            fits.append(memo[key])
+        return fits
 
     fits = evaluate_all(population)
     best_fit = fits[0]

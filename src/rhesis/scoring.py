@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -124,17 +125,20 @@ def cut_score(cand: CutCandidate, w: ScoringWeights) -> float:
 
 
 class _Structure:
-    """Per-sentence precomputation shared by the DP and the tuner.
+    """The per-sentence index read by every segmenter, the export and the tuner.
 
     ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
     building the slice.  Characters come from the offsets of each token in
     the surface text; words from a count of word starts over that text, so
-    a form that holds spaces counts as all of its words.  Every boundary's
-    CutCandidate is computed once.
-    """
+    a form that holds spaces counts as all of its words.  ``measure(a, b)``
+    never shrinks as ``a`` decreases or ``b`` grows.
 
-    __slots__ = ("n", "max_units", "target", "words_mode", "candidates", "_start", "_end",
-                 "_wstart", "_wend")
+    The tree facts are built on first use, so a consumer pays only for what
+    it reads: ``depth[i] == token_depth(sentence, i)`` and
+    ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
+    ``candidates[p - 1] == crossing_edges(sentence, p)`` for every boundary
+    from one sweep over the edges, in O(n + total arc length).
+    """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
         tokens = sentence.tokens
@@ -142,6 +146,7 @@ class _Structure:
         self.max_units = span.max_chars
         self.target = span.target_chars
         self.words_mode = span.count_mode == "words"
+        self._tokens = tokens
         # token a covers offsets _start[a] .. _end[a] - 1 of the surface text
         start, end = [0], [0]
         offset = 0
@@ -153,8 +158,7 @@ class _Structure:
         self._start = start
         self._end = end
         if self.words_mode:
-            self._count_words(sentence.span_text(1, self.n))
-        self.candidates = tuple(crossing_edges(sentence, i) for i in range(1, self.n))
+            self._count_words(sentence.text)
 
     def _count_words(self, text: str) -> None:
         begun = [0]  # begun[p]: words of ``text`` that begin before offset p
@@ -178,6 +182,60 @@ class _Structure:
 
     def admissible(self, a: int, b: int) -> bool:
         return a == b or self.measure(a, b) <= self.max_units
+
+    @cached_property
+    def _tree(self) -> tuple[list[list[int]], list[int]]:
+        """Each token's dependents in index order (entry 0: the root), and a top-down order."""
+        children: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for tok in self._tokens:
+            children[tok.head].append(tok.index)
+        order = list(children[0])
+        for node in order:
+            order.extend(children[node])
+        return children, order
+
+    @cached_property
+    def depth(self) -> list[int]:
+        children, order = self._tree
+        depth = [0] * (self.n + 1)
+        for node in order:
+            for child in children[node]:
+                depth[child] = depth[node] + 1
+        return depth
+
+    @cached_property
+    def extents(self) -> list[tuple[int, int]]:
+        lo = list(range(self.n + 1))
+        hi = list(range(self.n + 1))
+        for node in reversed(self._tree[1]):
+            head = self._tokens[node - 1].head
+            lo[head] = min(lo[head], lo[node])
+            hi[head] = max(hi[head], hi[node])
+        return list(zip(lo, hi))
+
+    @cached_property
+    def candidates(self) -> tuple[CutCandidate, ...]:
+        children = self._tree[0]
+        depth = self.depth
+        crossing: list[list[tuple[int, int, str]]] = [[] for _ in range(self.n)]
+        primary: list[tuple[int, int, str] | None] = [None] * self.n
+        shallowest = [self.n] * self.n
+        # edges in (head, dependent) order: every boundary's list comes out
+        # sorted, and the first shallowest edge is the primary one
+        for head in range(1, self.n + 1):
+            for dep in children[head]:
+                edge = (head, dep, self._tokens[dep - 1].deprel)
+                d = depth[dep]
+                for p in range(min(head, dep), max(head, dep)):
+                    crossing[p].append(edge)
+                    if d < shallowest[p]:
+                        shallowest[p] = d
+                        primary[p] = edge
+        return tuple(
+            CutCandidate(position=p, crossing=tuple(crossing[p]), primary_edge=primary[p],
+                         depth=shallowest[p])
+            for p in range(1, self.n)
+        )
 
 
 def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
