@@ -8,23 +8,23 @@ bit for bit.  With per-term magnitudes below ~2000 the scaled values stay
 well inside float64's exact-integer range, so the quantization itself is
 deterministic.
 
-The DP maximizes  sum(segment_term(a, b)) + sum(cut_term(i))  over all
-segmentations whose every segment is admissible, breaking ties toward fewer
-segments and then the lexicographically smallest cut tuple.  That order is
-total on distinct candidates, so the order in which starts are tried cannot
-change the answer either.
+The DP maximizes  sum(segment terms) + sum(cut terms)  over all segmentations
+whose every segment is admissible, breaking ties toward fewer segments and
+then the lexicographically smallest cut tuple.  That order is total on
+distinct segmentations, so the optimum is unique.
 
-Admissibility must be monotone in the start: if ``a..b`` is admissible, so
-is ``a + 1..b``.  Every single-token segment must be admissible too.  A span
-measure that never shrinks as its start moves left gives both (with
-oversized single tokens let in), and it lets the search for each end stop at
-the first start that is too far left.  The cost is O(n·w) calls for ``n``
-tokens and segments of at most ``w`` tokens, instead of O(n²).
+The caller hands over the terms as a table, not as callbacks: one row per
+start, holding the terms of the admissible segments from that start, which
+must be contiguous (``a..a`` up to some last end) and never empty.  Every
+single-token segment is therefore admissible, oversized ones included.  The
+search runs over suffixes, from the last start down to the first, so each
+step reads only finished results and the cost is O(n·w) integer additions
+for ``n`` tokens and segments of at most ``w`` tokens.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Sequence
 
 SCALE = 1 << 40
 
@@ -34,55 +34,48 @@ def scaled(value: float) -> int:
     return round(value * SCALE)
 
 
-def best_cuts(
-    n: int,
-    segment_term: Callable[[int, int], int],
-    cut_term: Callable[[int], int],
-    admissible: Callable[[int, int], bool],
-) -> tuple[int, ...]:
-    """Optimal internal cut positions for a sentence of ``n`` tokens.
+def best_cuts(rows: Sequence[Sequence[int]], cut_terms: Sequence[int]) -> tuple[int, ...]:
+    """Optimal internal cut positions for a sentence of ``len(rows)`` tokens.
 
-    ``segment_term(a, b)`` scores the segment of tokens ``a..b`` (1-based,
-    inclusive) on the integer grid; ``cut_term(i)`` scores a cut between
-    tokens ``i`` and ``i + 1``; ``admissible(a, b)`` gates which segments may
-    appear at all.  Every single-token segment must be admissible, and if
-    ``a..b`` is admissible then so is ``a + 1..b``: the starts for each end
-    are tried from ``b`` leftwards and the scan stops at the first
-    inadmissible one.  That costs O(n·w) calls, where ``w`` is the longest
-    admissible segment in tokens.
+    ``rows[a - 1][k]`` scores the segment of tokens ``a..a + k`` (1-based,
+    inclusive) on the integer grid; the row lists every admissible segment
+    from ``a`` and no other, so it starts with the singleton ``a..a`` and
+    ends at the last admissible end.  ``cut_terms[i - 1]`` scores a cut
+    between tokens ``i`` and ``i + 1``.
+
+    The starts run from ``n`` down to ``1``.  For start ``a`` the ends ``b``
+    are tried in ascending order against the best cover of ``b + 1..n``
+    found earlier, and a candidate replaces the current best only on a
+    higher score, or on an equal score with fewer segments.  So on a full
+    tie the smallest ``b`` survives, and that is the lexicographically
+    smallest cut tuple: tied candidates from ``a`` have equal segment
+    counts, and their cut tuples first differ at ``b``.  The optimum under
+    (score, fewer segments, earlier cuts) therefore comes out of plain
+    integer comparisons, in O(n·w) steps for segments of at most ``w``
+    tokens.
     """
+    n = len(rows)
     if n <= 0:
         raise ValueError("need at least one token")
-    # best[j]: (score, segment_count, cuts) for the optimal cover of 1..j.
-    best: list[tuple[int, int, tuple[int, ...]] | None] = [None] * (n + 1)
-    best[0] = (0, 0, ())
-    for j in range(1, n + 1):
-        chosen = None
-        for i in range(j - 1, -1, -1):
-            if not admissible(i + 1, j):
-                break
-            prev = best[i]
-            if prev is None:
-                continue
-            score = prev[0] + segment_term(i + 1, j)
-            if i > 0:
-                score += cut_term(i)
-                cuts = prev[2] + (i,)
-            else:
-                cuts = ()
-            cand = (score, prev[1] + 1, cuts)
-            if chosen is None or _better(cand, chosen):
-                chosen = cand
-        best[j] = chosen
-    if best[n] is None:
-        raise ValueError("no admissible segmentation covers the sentence")
-    return best[n][2]
-
-
-def _better(a: tuple[int, int, tuple[int, ...]], b: tuple[int, int, tuple[int, ...]]) -> bool:
-    """Whether candidate ``a`` beats ``b``: higher score, fewer segments, earlier cuts."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
+    # count[a]: segments in the best cover of a..n; nxt[a]: the start after its first segment;
+    # tail[b]: the cut after b plus the best cover of b + 1..n (nothing after the last token)
+    count = [0] * (n + 2)
+    nxt = [0] * (n + 1)
+    tail = [0] * (n + 1)
+    for a in range(n, 0, -1):
+        row = rows[a - 1]
+        best_b, best_s, best_c = a, row[0] + tail[a], count[a + 1]
+        for b, term in enumerate(row[1:], a + 1):
+            s = term + tail[b]
+            if s > best_s or (s == best_s and count[b + 1] < best_c):
+                best_b, best_s, best_c = b, s, count[b + 1]
+        count[a] = best_c + 1
+        nxt[a] = best_b + 1
+        if a > 1:
+            tail[a - 1] = cut_terms[a - 2] + best_s
+    cuts = []
+    a = nxt[1]
+    while a <= n:
+        cuts.append(a - 1)
+        a = nxt[a]
+    return tuple(cuts)

@@ -86,7 +86,7 @@ def export_candidates(
     for entry in corpus:
         sentence = entry.sentence
         n = len(sentence.tokens)
-        last = _last_fitting(_Structure(sentence, span))
+        last = _Structure(sentence, span).fit_end
         # every span-feasible (s, e), sorted: the pool the fallback draws from
         feasible = [(s, e) for s in range(1, n + 1) for e in range(s, last[s] + 1)]
         gold_spans = list(entry.gold.spans())
@@ -110,23 +110,6 @@ def export_candidates(
                 examples.append(_example(sentence, s, e, 0))
     rng.shuffle(examples)
     return examples
-
-
-def _last_fitting(index: _Structure) -> list[int]:
-    """``last[s]``: the last token ``e`` with ``s..e`` within the span, ``s - 1`` if none.
-
-    Unlike ``index.admissible``, an oversized single token does not fit.
-    The span measure never shrinks as a span widens, so ``last`` never
-    decreases and one pass finds it.
-    """
-    last = [0] * (index.n + 1)
-    e = 0
-    for s in range(1, index.n + 1):
-        e = max(e, s - 1)
-        while e < index.n and index.measure(s, e + 1) <= index.max_units:
-            e += 1
-        last[s] = e
-    return last
 
 
 _TSV_HEADER = "sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel"
@@ -245,14 +228,17 @@ def segment_by_scores(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     struct = _Structure(sentence, span)
-
-    def segment_term(a: int, b: int) -> int:
-        p = scores.get(sentence.sent_id, a, b)
-        if p is None:
-            p = epsilon
-        return scaled(math.log(max(p, 1e-300)))
-
-    cuts = best_cuts(struct.n, segment_term, lambda i: 0, struct.admissible)
+    fallback = scaled(math.log(max(epsilon, 1e-300)))
+    get = scores.probabilities.get
+    sid = sentence.sent_id
+    rows = []
+    for a, e in enumerate(struct.fit_end[1:], 1):
+        row = []
+        for b in range(a, max(a, e) + 1):
+            p = get((sid, a, b))
+            row.append(fallback if p is None else scaled(math.log(max(p, 1e-300))))
+        rows.append(row)
+    cuts = best_cuts(rows, [0] * (struct.n - 1))
     seg = segmentation_from_cuts(sentence, cuts)
     _warn_oversized(sentence, seg, span)
     return seg

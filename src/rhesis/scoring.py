@@ -133,11 +133,15 @@ class _Structure:
     a form that holds spaces counts as all of its words.  ``measure(a, b)``
     never shrinks as ``a`` decreases or ``b`` grows.
 
-    The tree facts are built on first use, so a consumer pays only for what
-    it reads: ``depth[i] == token_depth(sentence, i)`` and
+    Everything else is built on first use, so a consumer pays only for what
+    it reads.  The span facts: ``fit_end`` (the last end that fits from
+    each start) from one two-pointer pass, and ``measure_rows``, the measure
+    of every admissible segment laid out the way ``_dp.best_cuts`` reads
+    its rows.  The tree facts: ``depth[i] == token_depth(sentence, i)`` and
     ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
     ``candidates[p - 1] == crossing_edges(sentence, p)`` for every boundary
-    from one sweep over the edges, in O(n + total arc length).
+    from one sweep over the edges, in O(n + total arc length).  None of
+    these depends on the weights, so the tuner builds them once per sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
@@ -182,6 +186,37 @@ class _Structure:
 
     def admissible(self, a: int, b: int) -> bool:
         return a == b or self.measure(a, b) <= self.max_units
+
+    @cached_property
+    def fit_end(self) -> list[int]:
+        """``fit_end[s]``: the last ``e`` with ``measure(s, e) <= max_units``, ``s - 1`` if none.
+
+        Unlike ``admissible``, an oversized single token does not fit.  The
+        measure never shrinks as a span widens, so ``fit_end`` never
+        decreases and one pass finds it.
+        """
+        fit_end = [0] * (self.n + 1)
+        e = 0
+        for s in range(1, self.n + 1):
+            e = max(e, s - 1)
+            while e < self.n and self.measure(s, e + 1) <= self.max_units:
+                e += 1
+            fit_end[s] = e
+        return fit_end
+
+    @cached_property
+    def measure_rows(self) -> list[list[int]]:
+        """``measure_rows[a - 1][k] == measure(a, a + k)`` for every admissible ``a..a + k``."""
+        measure = self.measure
+        return [
+            [measure(a, b) for b in range(a, max(a, e) + 1)]
+            for a, e in enumerate(self.fit_end[1:], 1)
+        ]
+
+    @cached_property
+    def measure_values(self) -> frozenset[int]:
+        """Every distinct value in ``measure_rows``."""
+        return frozenset().union(*self.measure_rows)
 
     @cached_property
     def _tree(self) -> tuple[list[list[int]], list[int]]:
@@ -240,14 +275,12 @@ class _Structure:
 
 def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     cut_terms = [scaled(cut_score(cand, w)) for cand in struct.candidates]
-    balance = w.w_balance
-    target = struct.target
-    measure = struct.measure
-
-    def segment_term(a: int, b: int) -> int:
-        return scaled(-balance * abs(measure(a, b) - target))
-
-    return best_cuts(struct.n, segment_term, lambda i: cut_terms[i - 1], struct.admissible)
+    # the balance term depends on the segment only through its measure
+    balance = {
+        m: scaled(-w.w_balance * abs(m - struct.target)) for m in struct.measure_values
+    }
+    rows = [[balance[m] for m in row] for row in struct.measure_rows]
+    return best_cuts(rows, cut_terms)
 
 
 def _warn_oversized(sentence: Sentence, seg: Segmentation, span: SpanConfig) -> None:

@@ -1,31 +1,42 @@
-"""Properties of the per-sentence index and the windowed DP.
+"""Properties of the per-sentence index and the suffix DP.
 
-The index (``scoring._Structure``) must agree with the reference tree
-queries it replaces, and ``_dp.best_cuts`` must agree with a full scan of
-every start, which is kept here as the reference.
+The index (``scoring._Structure``) must agree with the reference tree and
+span queries it replaces, ``_dp.best_cuts`` must agree with a full scan of
+every start, which is kept here as the reference, and both optimizing
+segmenters must agree with exhaustive enumeration where the span binds.
 """
 
+import dataclasses
+import math
 import random
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhesis import (
     EvoConfig,
+    ScoreTable,
+    ScoringWeights,
     SpanConfig,
     Sentence,
     Token,
     crossing_edges,
+    cut_score,
+    enumerate_all,
     evolve,
     export_candidates,
+    segment_best,
+    segment_by_scores,
     subtree_span,
     token_depth,
 )
-from rhesis._dp import _better, best_cuts
+from rhesis._dp import best_cuts, scaled
 from rhesis.evolve import _FitnessContext
 from rhesis.scoring import _Structure
+from rhesis.span import text_measure
 
-from helpers import corpus_from_golds, random_segmentation, random_sentence
+from helpers import DEPRELS, corpus_from_golds, random_segmentation, random_sentence
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -82,6 +93,130 @@ def test_measure_never_shrinks_as_the_span_widens(forms, mode):
                 assert index.measure(a, b + 1) >= index.measure(a, b)
 
 
+def _reshaped(seed: int, forms) -> Sentence:
+    """A random tree carrying the drawn forms: spaced, empty and oversized ones."""
+    sent = random_sentence(random.Random(seed), len(forms), len(forms), sent_id="t")
+    toks = [
+        dataclasses.replace(tok, form=form, misc="" if space else "SpaceAfter=No")
+        for tok, (form, space) in zip(sent.tokens, forms)
+    ]
+    return Sentence.from_tokens("t", toks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    forms=st.lists(st.tuples(_FORMS, st.booleans()), min_size=1, max_size=9),
+    mode=st.sampled_from(["characters", "words"]),
+    max_units=st.integers(1, 12),
+)
+def test_fit_end_and_measure_rows_equal_a_brute_scan(seed, forms, mode, max_units):
+    span = SpanConfig(max_chars=max_units, target_chars=1, count_mode=mode)
+    index = _Structure(_reshaped(seed, forms), span)
+    n = index.n
+    assert len(index.fit_end) == n + 1 and len(index.measure_rows) == n
+    for a in range(1, n + 1):
+        fitting = [e for e in range(a, n + 1) if index.measure(a, e) <= max_units]
+        assert index.fit_end[a] == max(fitting, default=a - 1)
+        row = index.measure_rows[a - 1]
+        assert len(row) == sum(index.admissible(a, b) for b in range(a, n + 1))
+        for k, m in enumerate(row):
+            assert m == index.measure(a, a + k)
+        assert index.measure_values >= set(row)
+
+
+def _first_best(candidates, total):
+    """The first maximum in enumeration order: fewest rhesis, then earliest cuts."""
+    best, best_total = candidates[0], total(candidates[0])
+    for cand in candidates[1:]:
+        t = total(cand)
+        if t > best_total:
+            best, best_total = cand, t
+    return best
+
+
+_SMALL = st.integers(0, 2).map(float)
+_TIGHT = {
+    "forms": st.lists(st.tuples(_FORMS, st.booleans()), min_size=1, max_size=8),
+    "span": st.integers(3, 12).flatmap(
+        lambda m: st.builds(
+            SpanConfig,
+            max_chars=st.just(m),
+            target_chars=st.integers(1, m),
+            count_mode=st.sampled_from(["characters", "words"]),
+        )
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    **_TIGHT,
+    scalars=st.tuples(_SMALL, _SMALL, _SMALL, _SMALL, _SMALL),
+    table=st.dictionaries(st.sampled_from(DEPRELS), st.integers(-1, 1).map(float)),
+)
+def test_tree_segmenter_equals_enumeration_where_the_span_binds(
+    seed, forms, span, scalars, table
+):
+    # integer-valued weights and measures make ties common
+    sent = _reshaped(seed, forms)
+    w = ScoringWeights(*scalars, deprel_weights=table)
+
+    def total(seg):
+        t = sum(scaled(cut_score(crossing_edges(sent, p), w)) for p in seg.cuts())
+        return t + sum(
+            scaled(-w.w_balance * abs(text_measure(r.text, span) - span.target_chars))
+            for r in seg.rhesis
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = segment_best(sent, w, span)
+    assert got.spans() == _first_best(enumerate_all(sent, span), total).spans()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    seed=SEEDS,
+    **_TIGHT,
+    epsilon=st.sampled_from([0.25, 0.5]),
+)
+def test_score_segmenter_equals_enumeration_where_the_span_binds(
+    data, seed, forms, span, epsilon
+):
+    sent = _reshaped(seed, forms)
+    n = len(sent)
+    # powers of two: products of probabilities tie exactly on the log grid
+    probs = {
+        ("t", a, b): p
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        if (p := data.draw(st.sampled_from([None, 0.0, 0.25, 0.5, 1.0]))) is not None
+    }
+
+    def total(seg):
+        return sum(
+            scaled(math.log(max(probs.get(("t", a, b), epsilon), 1e-300)))
+            for a, b in seg.spans()
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = segment_by_scores(sent, ScoreTable(probabilities=probs), span, epsilon=epsilon)
+    assert got.spans() == _first_best(enumerate_all(sent, span), total).spans()
+
+
+def _better(a: tuple[int, int, tuple[int, ...]], b: tuple[int, int, tuple[int, ...]]) -> bool:
+    """Whether candidate ``a`` beats ``b``: higher score, fewer segments, earlier cuts."""
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    if a[1] != b[1]:
+        return a[1] < b[1]
+    return a[2] < b[2]
+
+
 def _full_scan_cuts(n, segment_term, cut_term, admissible):
     """best_cuts before windowing: every start tried for every end."""
     best = [None] * (n + 1)
@@ -112,14 +247,16 @@ def test_windowed_best_cuts_equals_a_full_scan(data, n, spread):
     terms = st.integers(-spread, spread)
     seg = {(a, b): data.draw(terms) for b in range(1, n + 1) for a in range(1, b + 1)}
     cut = [data.draw(terms) for _ in range(n)]
-    # a..b is admissible from some start onward: monotone, singletons included
-    first = [0] + [data.draw(st.integers(1, b)) for b in range(1, n + 1)]
+    # a..b is admissible up to some last end: contiguous, singletons included
+    last = [0] + [data.draw(st.integers(a, n)) for a in range(1, n + 1)]
 
     def admissible(a, b):
-        return a >= first[b]
+        return b <= last[a]
 
-    args = (n, lambda a, b: seg[a, b], lambda i: cut[i], admissible)
-    assert best_cuts(*args) == _full_scan_cuts(*args)
+    rows = [[seg[a, b] for b in range(a, last[a] + 1)] for a in range(1, n + 1)]
+    assert best_cuts(rows, cut[1:]) == _full_scan_cuts(
+        n, lambda a, b: seg[a, b], lambda i: cut[i], admissible
+    )
 
 
 def _reference_export(corpus, negatives_per_positive, seed, span):
