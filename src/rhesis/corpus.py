@@ -3,14 +3,15 @@
 The segmenters operate on sentences that were dependency-parsed elsewhere and
 serialized as CoNLL-U.  Only five of the ten columns matter here (ID, FORM,
 UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag, which
-drives surface-text reconstruction.  Gold segmentations travel in a plain
+``Sentence.from_tokens`` reads once per token to build the surface text and
+each token's offsets in it.  Gold segmentations travel in a plain
 text format: one rhesis per line, a blank line between sentences, ``#doc ``
 lines carrying document labels, and other ``#`` lines ignored as comments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
 
@@ -55,15 +56,22 @@ class Token:
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """An ordered token sequence forming one dependency tree."""
+    """An ordered token sequence forming one dependency tree.
+
+    ``text[starts[i]:ends[i]]`` is the form of ``tokens[i]``, and one space
+    follows every token but the last unless its MISC says ``SpaceAfter=No``.
+    The offsets follow from the tokens: ``==``, ``hash`` and ``repr`` skip them.
+    """
 
     sent_id: str
     tokens: tuple[Token, ...]
     text: str
+    starts: tuple[int, ...] = field(repr=False, compare=False)
+    ends: tuple[int, ...] = field(repr=False, compare=False)
 
     @classmethod
     def from_tokens(cls, sent_id: str, tokens: tuple[Token, ...] | list) -> "Sentence":
-        """Build a sentence, validating the tree and reconstructing its text.
+        """Build a sentence, validating the tree and laying out its text.
 
         Raises StructuralError when heads are out of range, the root count is
         not exactly one, or the head relation contains a cycle.
@@ -94,7 +102,15 @@ class Sentence:
                     raise StructuralError(
                         f"sentence {sent_id!r}: cycle through token {tok.index}"
                     )
-        return cls(sent_id=sent_id, tokens=toks, text=_surface(toks))
+        parts, starts, ends, offset = [], [], [], 0
+        for tok in toks:
+            part = tok.form + " " if tok.space_after else tok.form
+            parts.append(part)
+            starts.append(offset)
+            ends.append(offset + len(tok.form))
+            offset += len(part)
+        text = "".join(parts)[: ends[-1]]  # no space after the last token
+        return cls(sent_id, toks, text, tuple(starts), tuple(ends))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -103,17 +119,7 @@ class Sentence:
         """Surface text of tokens ``start..end`` (1-based, inclusive)."""
         if not 1 <= start <= end <= len(self.tokens):
             raise ValueError(f"bad span ({start}, {end}) for {len(self.tokens)} tokens")
-        return _surface(self.tokens[start - 1 : end])
-
-
-def _surface(tokens: tuple[Token, ...]) -> str:
-    parts = []
-    last = len(tokens) - 1
-    for i, tok in enumerate(tokens):
-        parts.append(tok.form)
-        if i != last and tok.space_after:
-            parts.append(" ")
-    return "".join(parts)
+        return self.text[self.starts[start - 1] : self.ends[end - 1]]
 
 
 def token_depth(sentence: Sentence, index: int) -> int:
@@ -398,7 +404,7 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
             tok += 1
             if pos == len(target):
                 break
-            if tok < len(forms) and sentence.tokens[tok - 1].space_after:
+            if tok < len(forms) and sentence.starts[tok] > sentence.ends[tok - 1]:
                 if target[pos] != " ":
                     raise AlignmentError(
                         f"sentence {sentence.sent_id!r}: missing space in gold "

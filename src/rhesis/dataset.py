@@ -240,5 +240,5 @@ def segment_by_scores(
         rows.append(row)
     cuts = best_cuts(rows, [0] * (struct.n - 1))
     seg = segmentation_from_cuts(sentence, cuts)
-    _warn_oversized(sentence, seg, span)
+    _warn_oversized(seg, struct)
     return seg

@@ -21,7 +21,7 @@ from pathlib import Path
 from ._dp import SCALE, best_cuts, scaled
 from .corpus import Segmentation, Sentence, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
-from .span import SpanConfig, fits_span, text_measure
+from .span import SpanConfig, text_measure
 
 __all__ = [
     "ScoringWeights",
@@ -128,10 +128,10 @@ class _Structure:
     """The per-sentence index read by every segmenter, the export and the tuner.
 
     ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
-    building the slice.  Characters come from the offsets of each token in
-    the surface text; words from a count of word starts over that text, so
-    a form that holds spaces counts as all of its words.  ``measure(a, b)``
-    never shrinks as ``a`` decreases or ``b`` grows.
+    building the slice.  Characters come from the token offsets that
+    ``Sentence.from_tokens`` lays out; words from a count of word starts over
+    the surface text, so a form that holds spaces counts as all of its words.
+    ``measure(a, b)`` never shrinks as ``a`` decreases or ``b`` grows.
 
     Everything else is built on first use, so a consumer pays only for what
     it reads.  The span facts: ``fit_end`` (the last end that fits from
@@ -145,22 +145,14 @@ class _Structure:
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
-        tokens = sentence.tokens
-        self.n = len(tokens)
+        self._tokens = sentence.tokens
+        self.n = len(sentence.tokens)
         self.max_units = span.max_chars
         self.target = span.target_chars
         self.words_mode = span.count_mode == "words"
-        self._tokens = tokens
-        # token a covers offsets _start[a] .. _end[a] - 1 of the surface text
-        start, end = [0], [0]
-        offset = 0
-        for tok in tokens:
-            start.append(offset)
-            offset += len(tok.form)
-            end.append(offset)
-            offset += 1 if tok.space_after else 0
-        self._start = start
-        self._end = end
+        # 1-based: token a covers sentence.text[_start[a]:_end[a]]
+        self._start = (0, *sentence.starts)
+        self._end = (0, *sentence.ends)
         if self.words_mode:
             self._count_words(sentence.text)
 
@@ -283,11 +275,11 @@ def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     return best_cuts(rows, cut_terms)
 
 
-def _warn_oversized(sentence: Sentence, seg: Segmentation, span: SpanConfig) -> None:
+def _warn_oversized(seg: Segmentation, struct: _Structure) -> None:
     for r in seg.rhesis:
-        if not fits_span(r.text, span):
+        if struct.measure(r.start, r.end) > struct.max_units:
             warnings.warn(
-                f"sentence {sentence.sent_id!r}: {r.text!r} exceeds the span",
+                f"sentence {seg.sentence_id!r}: {r.text!r} exceeds the span",
                 OversizedTokenWarning,
                 stacklevel=3,
             )
@@ -302,7 +294,7 @@ def segment_best(sentence: Sentence, w: ScoringWeights, span: SpanConfig) -> Seg
     """
     struct = _Structure(sentence, span)
     seg = segmentation_from_cuts(sentence, _optimal_cuts(struct, w))
-    _warn_oversized(sentence, seg, span)
+    _warn_oversized(seg, struct)
     return seg
 
 

@@ -1,14 +1,18 @@
 """Tests for CoNLL-U parsing, gold parsing, and alignment."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhesis import (
     AlignmentError,
     FormatError,
     ParseError,
     Sentence,
+    SpanConfig,
     StructuralError,
     Token,
     align_gold,
@@ -19,6 +23,7 @@ from rhesis import (
     subtree_span,
     token_depth,
 )
+from rhesis.scoring import _Structure
 
 from helpers import random_sentence
 
@@ -277,3 +282,49 @@ class TestUniqueSentenceIds:
 def test_parse_gold_rejects_invalid_utf8():
     with pytest.raises(FormatError, match="UTF-8"):
         parse_gold(b"\xff")
+
+
+def _surface(tokens):
+    # The surface-text builder that span_text used before the sentence held
+    # its token offsets, kept verbatim as the reference.
+    parts = []
+    last = len(tokens) - 1
+    for i, tok in enumerate(tokens):
+        parts.append(tok.form)
+        if i != last and tok.space_after:
+            parts.append(" ")
+    return "".join(parts)
+
+
+# spaces inside and at the edges, "#" prefixes, a combining accent, empty forms
+_ARBITRARY_FORMS = st.one_of(
+    st.text(alphabet=["a", "e", "\u0301", " ", "#"], max_size=5),
+    st.text(alphabet=["a", " "], max_size=3).map(lambda t: "#" + t),
+    st.just("e\u0301"),
+)
+_MISC = st.sampled_from(["", "_", "SpaceAfter=No", "SpaceAfter=No|Foo=1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_ARBITRARY_FORMS, _MISC), min_size=1, max_size=8))
+def test_span_text_slices_the_surface_text(drawn):
+    toks = [_tok(i, form, i - 1, misc=misc) for i, (form, misc) in enumerate(drawn, 1)]
+    sent = Sentence.from_tokens("h", toks)
+    n = len(toks)
+    struct = _Structure(sent, SpanConfig(count_mode="characters"))
+    assert sent.text == sent.span_text(1, n)
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            text = sent.span_text(a, b)
+            assert text == _surface(sent.tokens[a - 1 : b])
+            assert struct.measure(a, b) == len(text)
+
+
+def test_parsed_sentences_compare_and_hash_without_offsets():
+    first, second = parse_conllu(SAMPLE), parse_conllu(SAMPLE)
+    assert first == second
+    assert [hash(s) for s in first] == [hash(s) for s in second]
+    bare = dataclasses.replace(first[0], starts=(), ends=())
+    assert bare == first[0] and hash(bare) == hash(first[0])
+    for sent in first:
+        assert "starts=" not in repr(sent) and "ends=" not in repr(sent)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from rhesis import (
     CutCandidate,
     FormatError,
     OversizedTokenWarning,
+    ScoreTable,
     ScoringWeights,
     Sentence,
     SpanConfig,
@@ -20,6 +22,7 @@ from rhesis import (
     cut_score,
     enumerate_all,
     segment_best,
+    segment_by_scores,
     segmentation_score,
     weights_from_json,
     weights_to_json,
@@ -353,3 +356,34 @@ def test_structure_measure_equals_text_measure(forms, mode, data):
     a = data.draw(st.integers(1, len(toks)))
     b = data.draw(st.integers(a, len(toks)))
     assert struct.measure(a, b) == text_measure(sent.span_text(a, b), span)
+
+
+_SEGMENTERS = {
+    "tree": lambda sent, span: segment_best(sent, ScoringWeights(), span),
+    "scores": lambda sent, span: segment_by_scores(sent, ScoreTable({}), span),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_SEGMENTERS))
+@pytest.mark.parametrize(
+    "first, span, warns",
+    [
+        ("x" * 60, SpanConfig(), True),
+        ("a b c d", SpanConfig(max_chars=3, target_chars=2, count_mode="words"), True),
+        # one 60-character word fits a 3-word budget: the warning counts in words
+        ("x" * 60, SpanConfig(max_chars=3, target_chars=2, count_mode="words"), False),
+    ],
+    ids=["characters", "words-spaced-form", "words-long-word"],
+)
+def test_oversized_unit_warning_counts_in_the_span_unit(method, first, span, warns):
+    sent = _chain([0, 1, 1], forms=[first, "bb", "cc"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seg = _SEGMENTERS[method](sent, span)
+    oversized = [w for w in caught if issubclass(w.category, OversizedTokenWarning)]
+    assert len(oversized) == warns
+    if warns:
+        assert repr(first) in str(oversized[0].message)
+        assert seg.spans()[0] == (1, 1)
+    for (a, b), r in zip(seg.spans(), seg.rhesis):
+        assert a == b or text_measure(r.text, span) <= span.max_chars
