@@ -91,17 +91,24 @@ class Sentence:
                 roots += 1
         if roots != 1:
             raise StructuralError(f"sentence {sent_id!r}: {roots} roots (need exactly 1)")
-        # Cycle check: follow heads from every token; a walk that exceeds n
-        # steps without reaching the root has looped.
+        # Cycle check: follow heads from each token in order until the walk
+        # meets a token known to reach the root, then mark the whole walk as
+        # reaching it too.  A walk that meets itself has looped; every token
+        # joins at most one finished walk, so the check is O(n).
+        rooted = [True] + [False] * n  # entry 0: the root
+        walker = [0] * (n + 1)  # walker[i]: the token whose walk passed i
         for tok in toks:
-            cur, steps = tok.head, 0
-            while cur != 0:
-                cur = toks[cur - 1].head
-                steps += 1
-                if steps > n:
+            path, cur = [], tok.index
+            while not rooted[cur]:
+                if walker[cur] == tok.index:
                     raise StructuralError(
                         f"sentence {sent_id!r}: cycle through token {tok.index}"
                     )
+                walker[cur] = tok.index
+                path.append(cur)
+                cur = toks[cur - 1].head
+            for i in path:
+                rooted[i] = True
         parts, starts, ends, offset = [], [], [], 0
         for tok in toks:
             part = tok.form + " " if tok.space_after else tok.form

@@ -6,14 +6,29 @@ a fixed order, then one gene per dependency label observed in the corpus
 against the gold segmentations.  The loop is a plain generational GA —
 elitism, tournament selection, uniform crossover, additive Gaussian
 mutation — driven by one seeded generator, so runs are fully reproducible.
+
+Each generation's new, distinct genomes are scored in one batch: numpy runs
+``_dp.best_cuts`` on every (genome, sentence) pair at once, and the result
+equals one ``scoring._optimal_cuts`` per pair bit for bit.  That rests on
+four facts.  The float terms are computed in ``cut_score``'s operand order
+(``w_dep * weight - w_depth * depth - w_cross * crossings - w_count``) and
+the balance term's (``-w_balance * |measure - target|``), so each is the same
+IEEE double.  ``np.rint`` rounds half to even, as ``round`` does, so each
+lands on the same point of the integer grid.  The sums are int64, and a
+guard sends any block whose largest term times ``4 * n`` reaches ``2**62``
+to the scalar DP instead, so no sum can overflow.  And each step keeps the
+scalar tie rule: the highest score, then the fewest segments, then the
+smallest end.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._dp import SCALE
 from .corpus import AlignedCorpus
 from .evaluate import _f1
 from .scoring import _SCALAR_FIELDS as SCALAR_ORDER, ScoringWeights, _optimal_cuts, _Structure
@@ -89,10 +104,92 @@ def _spans_from_cuts(cuts: tuple[int, ...], n: int) -> frozenset[tuple[int, int]
     return frozenset((a + 1, b) for a, b in zip(bounds, bounds[1:]))
 
 
-class _FitnessContext:
-    """Per-sentence structures and gold spans, computed once per run."""
+# Sentences per block of the batched DP: the block's arrays, not the corpus, set its memory.
+_BLOCK = 64
+# The batched DP packs a cover's tallies into one int64: segments << 40 | gold matches,
+# with bits 20..39 free to carry the length of the first segment through the tie-break.
+_K = 1 << 20
+_SEG = 1 << 40
+_KEEP = ~((_SEG - 1) ^ (_K - 1))
+_LAST = np.iinfo(np.int64).max  # the key of a segment that is not among the best
+# The balance term of an inadmissible segment: below any score the int64 guard admits.
+_OUT = -(1 << 62)
 
-    __slots__ = ("items", "gold_total", "metric")
+
+class _Block:
+    """Up to ``_BLOCK`` sentences laid out for the batched DP, longest first.
+
+    Position ``p`` is the start ``a = n - p``, so every sentence begins its
+    suffix recurrence at ``p = 0`` and the sentences still running at ``p``
+    (those with ``n > p``) are a prefix of the block.  ``dep``, ``depth`` and
+    ``cross`` hold the features of the cut before start ``a``.  The measure
+    of segment ``a..a + k`` is ``values[measure[s, p, k]]``, or
+    ``measure[s, p, k] == len(values)`` if the segment is inadmissible, and
+    ``offset[s, p, k]`` is ``k << 20`` plus 1 if it is a gold span.
+    """
+
+    __slots__ = ("items", "n", "running", "dep", "depth", "cross", "measure", "offset")
+
+    def __init__(self, items, label_id: dict[str, int], values: np.ndarray):
+        self.items = items
+        n_max = items[0][0].n
+        width = max(len(row) for struct, _ in items for row in struct.measure_rows)
+        dep, depth, cross, measures, gold = [], [], [], [], ([], [], [])
+        out = int(values[-1]) + 1  # sorts after every value
+        for s, (struct, gold_spans) in enumerate(items):
+            cands = struct.candidates[::-1]
+            pad = [0] * (n_max - len(cands))
+            dep.append([label_id[c.primary_edge[2]] for c in cands] + pad)
+            depth.append([c.depth for c in cands] + pad)
+            cross.append([len(c.crossing) - 1 for c in cands] + pad)
+            rows = struct.measure_rows[::-1] + [[]] * (n_max - struct.n)
+            measures += [row + [out] * (width - len(row)) for row in rows]
+            for a, b in gold_spans:  # an inadmissible one is never chosen
+                if b - a < width:
+                    for axis, i in zip(gold, (s, struct.n - a, b - a)):
+                        axis.append(i)
+        shape = (len(items), n_max, width)
+        self.n = np.array([struct.n for struct, _ in items])
+        self.running = [int(np.count_nonzero(self.n > p)) for p in range(n_max)]
+        self.dep = np.array(dep, dtype=np.intp)
+        self.depth = np.array(depth, dtype=np.float64)
+        self.cross = np.array(cross, dtype=np.float64)
+        self.measure = np.searchsorted(values, np.array(measures).reshape(shape))
+        self.offset = np.broadcast_to(np.arange(width, dtype=np.int64) * _K, shape).copy()
+        self.offset[gold] += 1
+
+    def tallies(self, cut: np.ndarray, balance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per genome, the rhesis count and the gold matches of the optimal segmentations.
+
+        ``cut[g, s, p]`` and ``balance[g, v]`` are genome ``g``'s integer cut
+        and balance terms.  The recurrence is ``_dp.best_cuts`` run on every
+        (genome, sentence) lane at once.  ``tail[..., p + 1]`` is the cut
+        before ``a`` plus the best score of ``a..n``, and ``state[..., p + 1]``
+        packs the segments and gold matches of that cover.  A candidate wins
+        on the higher score, then on the smaller packed key (fewer segments,
+        then the smaller end).
+        """
+        genomes, lanes, n_max = cut.shape
+        tail = np.zeros((genomes, lanes, n_max + 1), dtype=np.int64)
+        state = np.zeros_like(tail)
+        for p, run in enumerate(self.running):
+            w = min(p + 1, self.measure.shape[2])
+            ends = slice(p, p - w if p >= w else None, -1)  # k = 0..w-1 reads p - k
+            scores = balance[:, self.measure[:run, p, :w]] + tail[:, :run, ends]
+            best = scores.max(axis=2)
+            keys = np.where(
+                scores == best[..., None], state[:, :run, ends] + self.offset[:run, p, :w], _LAST
+            )
+            tail[:, :run, p + 1] = cut[:, :run, p] + best
+            state[:, :run, p + 1] = (keys.min(axis=2) & _KEEP) + _SEG
+        final = state[:, np.arange(lanes), self.n]
+        return (final >> 40).sum(axis=1), (final & (_K - 1)).sum(axis=1)
+
+
+class _FitnessContext:
+    """Per-sentence structures, gold spans and their batched layout, built once per run."""
+
+    __slots__ = ("items", "gold_total", "metric", "labels", "distance", "blocks")
 
     def __init__(self, corpus: AlignedCorpus, span: SpanConfig, metric: str):
         if not corpus.entries:
@@ -103,15 +200,65 @@ class _FitnessContext:
         ]
         self.gold_total = sum(len(spans) for _, spans in self.items)
         self.metric = metric
+        structs = [struct for struct, _ in self.items]
+        self.labels = sorted({c.primary_edge[2] for struct in structs for c in struct.candidates})
+        values = np.array(sorted(frozenset().union(*(s.measure_values for s in structs))))
+        self.distance = np.abs(values - span.target_chars)
+        label_id = {label: i for i, label in enumerate(self.labels)}
+        ranked = sorted(self.items, key=lambda item: -item[0].n)
+        self.blocks = [
+            _Block(ranked[k : k + _BLOCK], label_id, values)
+            for k in range(0, len(ranked), _BLOCK)
+        ]
 
-    def evaluate(self, weights: ScoringWeights) -> float:
-        matched = 0
-        auto_total = 0
-        for struct, gold_spans in self.items:
-            cuts = _optimal_cuts(struct, weights)
-            auto_spans = _spans_from_cuts(cuts, struct.n)
-            matched += len(auto_spans & gold_spans)
-            auto_total += len(auto_spans)
+    def evaluate_batch(self, batch: Sequence[ScoringWeights]) -> list[float]:
+        """The fitness of each weight set, equal to one ``_optimal_cuts`` per sentence."""
+        if not batch:
+            return []
+
+        def scalar(name: str) -> np.ndarray:
+            return np.array([getattr(w, name) for w in batch])[:, None, None]
+
+        # the last column only pads: a corpus of one-token sentences has no labels
+        table = np.array([[*map(w.lookup, self.labels), 0.0] for w in batch])
+        balance = np.rint(-scalar("w_balance")[:, 0] * self.distance * SCALE)
+        terms = np.column_stack([balance.astype(np.int64), np.full(len(batch), _OUT)])
+        matched = np.zeros(len(batch), dtype=np.int64)
+        total = np.zeros(len(batch), dtype=np.int64)
+        for block in self.blocks:
+            cut = np.rint(
+                (
+                    scalar("w_dep") * table[:, block.dep]
+                    - scalar("w_depth") * block.depth
+                    - scalar("w_cross") * block.cross
+                    - scalar("w_count")
+                )
+                * SCALE
+            )
+            # a cover sums at most 2 * n terms, so every score stays within 2**61 of zero
+            # and _OUT plus any tail stays below all of them, inside int64; the packed
+            # key holds a sentence's segments and matches only below 2**20 tokens
+            n_max = block.dep.shape[1]
+            if max(np.abs(cut).max(), np.abs(balance).max()) * 4 * n_max < 2.0**62 and n_max < _K:
+                count, hits = block.tallies(cut.astype(np.int64), terms)
+            else:
+                count, hits = self._scalar_tallies(block, batch)
+            total += count
+            matched += hits
+        return [self._score(int(m), int(t)) for m, t in zip(matched, total)]
+
+    @staticmethod
+    def _scalar_tallies(block: _Block, batch: Sequence[ScoringWeights]):
+        count = np.zeros(len(batch), dtype=np.int64)
+        matched = np.zeros(len(batch), dtype=np.int64)
+        for g, weights in enumerate(batch):
+            for struct, gold_spans in block.items:
+                auto_spans = _spans_from_cuts(_optimal_cuts(struct, weights), struct.n)
+                count[g] += len(auto_spans)
+                matched[g] += len(auto_spans & gold_spans)
+        return count, matched
+
+    def _score(self, matched: int, auto_total: int) -> float:
         precision = matched / auto_total if auto_total else 0.0
         if self.metric == "precision":
             return precision
@@ -126,7 +273,7 @@ def fitness(
     metric: str = "precision",
 ) -> float:
     """Corpus-level precision (or F1) of segment_best under this genome."""
-    return _FitnessContext(corpus, span, metric).evaluate(genome.decode())
+    return _FitnessContext(corpus, span, metric).evaluate_batch([genome.decode()])[0]
 
 
 def _clamped(vector: np.ndarray) -> np.ndarray:
@@ -178,13 +325,13 @@ def evolve(
     memo: dict[bytes, float] = {}
 
     def evaluate_all(pop: list[np.ndarray]) -> list[float]:
-        fits = []
+        fresh: dict[bytes, ScoringWeights] = {}
         for vec in pop:
             key = vec.tobytes()
-            if key not in memo:
-                memo[key] = context.evaluate(_genome_from_vector(labels, vec).decode())
-            fits.append(memo[key])
-        return fits
+            if key not in memo and key not in fresh:
+                fresh[key] = _genome_from_vector(labels, vec).decode()
+        memo.update(zip(fresh, context.evaluate_batch(list(fresh.values()))))
+        return [memo[vec.tobytes()] for vec in pop]
 
     fits = evaluate_all(population)
     best_fit = fits[0]

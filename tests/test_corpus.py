@@ -328,3 +328,49 @@ def test_parsed_sentences_compare_and_hash_without_offsets():
     assert bare == first[0] and hash(bare) == hash(first[0])
     for sent in first:
         assert "starts=" not in repr(sent) and "ends=" not in repr(sent)
+
+
+def _looping_token(heads: list[int]) -> int | None:
+    """The first token whose walk to the root loops: the O(n · depth) walk from every token."""
+    n = len(heads)
+    for index in range(1, n + 1):
+        cur, steps = heads[index - 1], 0
+        while cur != 0:
+            cur = heads[cur - 1]
+            steps += 1
+            if steps > n:
+                return index
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    drawn=st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, n),
+            st.lists(st.integers(1, n), min_size=n, max_size=n),
+            st.booleans(),
+        )
+    ),
+)
+def test_cycle_check_names_the_first_looping_token(drawn):
+    root, raw, acyclic = drawn
+    n = len(raw)
+    if acyclic:  # heads from earlier tokens of a random order: a tree
+        order = random.Random(sum(raw)).sample(range(1, n + 1), n)
+        order.remove(root)
+        order.insert(0, root)
+        rank = {tok: r for r, tok in enumerate(order)}
+        heads = [0 if i == root else order[(raw[i - 1] - 1) % rank[i]] for i in range(1, n + 1)]
+    else:  # any head but itself: cycles are common, and sometimes several
+        heads = [0 if i == root else (h if h != i else i % n + 1) for i, h in enumerate(raw, 1)]
+    toks = [_tok(i, f"w{i}", h) for i, h in enumerate(heads, 1)]
+    looping = _looping_token(heads)
+    if acyclic:
+        assert looping is None
+    if looping is None:
+        assert Sentence.from_tokens("c", toks).tokens == tuple(toks)
+    else:
+        with pytest.raises(StructuralError) as caught:
+            Sentence.from_tokens("c", toks)
+        assert str(caught.value) == f"sentence 'c': cycle through token {looping}"

@@ -180,23 +180,29 @@ def test_gene_order_follows_the_scalar_weight_fields():
     assert SCALAR_ORDER == ("w_dep", "w_count", "w_balance", "w_depth", "w_cross")
 
 
-# SHA-256 of the tuned weights file plus the JSON trace, per span, for
-# EvoConfig(population=8, generations=5, seed=42) on the bundled fixture.
-# A faster tuner must reproduce these bytes exactly.
+# SHA-256 of the tuned weights file plus the JSON trace, per span and fitness
+# metric, for EvoConfig(population=8, generations=5, seed=42) on the bundled
+# fixture.  A faster tuner must reproduce these bytes exactly.
 _PINNED_TUNES = [
-    (SpanConfig(), "6204af001508c597a1e9b96eb47d0fd6fd820dfbaaa20c5ee4c3b3d1b0100c70"),
-    (SpanConfig(max_chars=20, target_chars=12),
+    (SpanConfig(), "precision",
+     "6204af001508c597a1e9b96eb47d0fd6fd820dfbaaa20c5ee4c3b3d1b0100c70"),
+    (SpanConfig(max_chars=20, target_chars=12), "precision",
      "458ad46cad05db3e33ffbf111d63c7bb1353040014c3be02f802a65bccea4c72"),
-    (SpanConfig(max_chars=6, target_chars=3, count_mode="words"),
+    (SpanConfig(max_chars=6, target_chars=3, count_mode="words"), "precision",
      "acfca8e2fcccd0bbfcce77dc7e8b7c87aafa0097eb72232f6da7a71079159820"),
+    (SpanConfig(), "f1",
+     "efeba812a6f6717ba50408976ef5d825d890335445e488db2d777449cdb7cc4b"),
 ]
 
 
-@pytest.mark.parametrize("span, digest", _PINNED_TUNES, ids=["chars45", "chars20", "words6"])
-def test_fixture_tune_is_byte_identical(span, digest):
+@pytest.mark.parametrize(
+    "span, metric, digest", _PINNED_TUNES, ids=["chars45", "chars20", "words6", "f1"]
+)
+def test_fixture_tune_is_byte_identical(span, metric, digest):
     data = resources.files("rhesis").joinpath("data")
     sentences = parse_conllu(data.joinpath("fixture.conllu").read_bytes())
     corpus = align_gold(sentences, parse_gold(data.joinpath("fixture.rhz").read_bytes()))
-    genome, trace = evolve(corpus, EvoConfig(population=8, generations=5, seed=42), span)
+    cfg = EvoConfig(population=8, generations=5, seed=42, fitness_metric=metric)
+    genome, trace = evolve(corpus, cfg, span)
     payload = weights_to_json(genome.decode()) + json.dumps(trace) + "\n"
     assert hashlib.sha256(payload.encode()).hexdigest() == digest

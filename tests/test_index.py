@@ -32,8 +32,9 @@ from rhesis import (
     token_depth,
 )
 from rhesis._dp import best_cuts, scaled
-from rhesis.evolve import _FitnessContext
-from rhesis.scoring import _Structure
+from rhesis.corpus import segmentation_from_cuts
+from rhesis.evolve import _Block, _FitnessContext, _spans_from_cuts
+from rhesis.scoring import _optimal_cuts, _Structure
 from rhesis.span import text_measure
 
 from helpers import DEPRELS, corpus_from_golds, random_segmentation, random_sentence
@@ -323,13 +324,101 @@ def test_evolve_evaluates_each_distinct_genome_once(monkeypatch):
     cfg = EvoConfig(population=6, generations=4, elitism=2, mutation_rate=0.1, seed=5)
     span = SpanConfig(max_chars=20, target_chars=10)
     seen = []
-    original = _FitnessContext.evaluate
+    original = _FitnessContext.evaluate_batch
 
-    def counting(self, weights):
-        seen.append(repr(weights))
-        return original(self, weights)
+    def counting(self, batch):
+        seen.extend(repr(weights) for weights in batch)
+        return original(self, batch)
 
-    monkeypatch.setattr(_FitnessContext, "evaluate", counting)
+    monkeypatch.setattr(_FitnessContext, "evaluate_batch", counting)
     evolve(corpus, cfg, span)
+    assert seen
     assert len(seen) == len(set(seen))
     assert len(seen) < cfg.population * (cfg.generations + 1)
+
+
+def _scalar_fitness(context, w):
+    """The fitness from one ``_optimal_cuts`` per sentence: the batched DP's reference."""
+    matched = total = 0
+    for struct, gold_spans in context.items:
+        auto_spans = _spans_from_cuts(_optimal_cuts(struct, w), struct.n)
+        matched += len(auto_spans & gold_spans)
+        total += len(auto_spans)
+    return context._score(matched, total)
+
+
+# Zero weights tie everything; the large ones stay just inside the int64 guard.
+_SCALAR = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 3) | st.floats(1e3, 1e4)
+_WEIGHTS = st.builds(
+    ScoringWeights,
+    w_dep=_SCALAR,
+    w_count=_SCALAR,
+    w_balance=_SCALAR,
+    w_depth=_SCALAR,
+    w_cross=_SCALAR,
+    deprel_weights=st.dictionaries(
+        st.sampled_from(DEPRELS), st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1, 1)
+    ),
+    default_deprel_weight=st.sampled_from([-1.0, 0.0, 0.5]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=SEEDS,
+    shapes=st.lists(st.lists(st.tuples(_FORMS, st.booleans()), min_size=1, max_size=9),
+                    min_size=1, max_size=5),
+    span=_TIGHT["span"],
+    batch=st.lists(_WEIGHTS, min_size=1, max_size=4),
+    gold_from_first=st.booleans(),
+    metric=st.sampled_from(["precision", "f1"]),
+)
+def test_batched_fitness_equals_the_scalar_dp(seed, shapes, span, batch, gold_from_first, metric):
+    # sentences of mixed lengths share a block, so shorter ones sit in its padding
+    sentences = [_reshaped(seed + k, forms) for k, forms in enumerate(shapes)]
+    if gold_from_first:
+        # the first genome must then reproduce every gold span: exact equality of its cuts
+        golds = [
+            segmentation_from_cuts(s, _optimal_cuts(_Structure(s, span), batch[0]))
+            for s in sentences
+        ]
+    else:
+        rng = random.Random(seed)
+        golds = [random_segmentation(rng, s) for s in sentences]
+    context = _FitnessContext(corpus_from_golds(sentences, golds), span, metric)
+    got = context.evaluate_batch(batch)
+    assert got == [_scalar_fitness(context, w) for w in batch]
+    if gold_from_first and metric == "precision":
+        assert got[0] == 1.0
+
+
+def test_batched_fitness_spans_several_blocks():
+    rng = random.Random(21)
+    sentences = [random_sentence(rng, 1, 40, sent_id=f"b{k}") for k in range(150)]
+    corpus = corpus_from_golds(sentences, [random_segmentation(rng, s) for s in sentences])
+    context = _FitnessContext(corpus, SpanConfig(max_chars=30, target_chars=12), "f1")
+    assert len(context.blocks) > 2
+    batch = [ScoringWeights(), ScoringWeights(w_dep=0.0)] + [
+        ScoringWeights(
+            w_dep=rng.random(), w_count=rng.random(), w_balance=rng.random(),
+            w_depth=rng.random(), w_cross=rng.random(),
+            deprel_weights={d: rng.uniform(-1, 1) for d in DEPRELS},
+        )
+        for _ in range(4)
+    ]
+    assert context.evaluate_batch(batch) == [_scalar_fitness(context, w) for w in batch]
+
+
+def test_int64_guard_falls_back_to_the_scalar_dp(monkeypatch):
+    rng = random.Random(4)
+    sentences = [random_sentence(rng, 2, 20, sent_id=f"i{k}") for k in range(6)]
+    corpus = corpus_from_golds(sentences, [random_segmentation(rng, s) for s in sentences])
+    context = _FitnessContext(corpus, SpanConfig(max_chars=25, target_chars=10), "precision")
+    batch = [ScoringWeights(w_dep=1e9, deprel_weights={d: rng.uniform(-1, 1) for d in DEPRELS})]
+    expected = [_scalar_fitness(context, w) for w in batch]
+
+    def refused(*args):
+        raise AssertionError("the int64 guard let the batched DP run")
+
+    monkeypatch.setattr(_Block, "tallies", refused)
+    assert context.evaluate_batch(batch) == expected
