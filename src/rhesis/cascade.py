@@ -2,23 +2,24 @@
 
 Levels run from the strongest break to the weakest: punctuation, clause
 onsets, priority prepositions, chunk edges, remaining prepositions, and
-finally any word boundary.  A segment that already fits is left alone;
-otherwise the first level that yields cuts splits it and the smaller pieces
-continue down the cascade.  A greedy regrouping pass can then merge adjacent
-rhesis back together while they still fit, which undoes over-eager cuts.
+finally any word boundary.  Each level is one set of positions over the
+whole sentence, found at most once per sentence.  A segment that already
+fits is left alone; otherwise the first level with a position inside it
+splits it and the smaller pieces continue down the cascade.  A greedy
+regrouping pass can then merge adjacent rhesis back together while they
+still fit, which undoes over-eager cuts.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable
 
 from .corpus import Segmentation, Sentence, segmentation_from_spans
 from .errors import OversizedTokenWarning
 from .scoring import _Structure
-from .span import SpanConfig
+from .span import SpanConfig, fits_span
 
 __all__ = [
     "CutLevel",
@@ -115,44 +116,33 @@ def find_cuts_at_level(
     n = len(sentence.tokens)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad segment ({lo}, {hi}) for {n} tokens")
-    return _level_cuts(
-        sentence, segment, level, config,
-        lambda: _clause_onsets(sentence, config, _Structure(sentence, config.span)),
-    )
+    cuts = _level_cuts(sentence, level, config, _Structure(sentence, config.span))
+    return {c for c in cuts if lo <= c < hi}
 
 
 def _level_cuts(
-    sentence: Sentence,
-    segment: tuple[int, int],
-    level: CutLevel,
-    config: CascadeConfig,
-    clause_onsets: Callable[[], set[int]],
+    sentence: Sentence, level: CutLevel, config: CascadeConfig, index: _Structure
 ) -> set[int]:
-    """find_cuts_at_level on a checked segment, reading clause onsets from ``clause_onsets()``."""
-    lo, hi = segment
+    """The level's cut positions over the whole sentence; ``(lo, hi)`` holds ``lo <= c < hi``."""
     toks = sentence.tokens
-    cuts: set[int] = set()
-    if level.name == "punctuation":
-        for tok in toks[lo - 1 : hi]:
-            if tok.upos == "PUNCT" and tok.form in config.cut_punctuation:
-                cuts.add(tok.index)
-    elif level.name == "clause":
-        cuts = clause_onsets()
-    elif level.name == "priority_preposition":
-        for tok in toks[lo - 1 : hi]:
-            if tok.upos == "ADP" and tok.form.lower() in config.priority_prepositions:
-                cuts.add(tok.index - 1)
-    elif level.name == "chunk":
-        cuts = chunk_boundaries(sentence, segment, config)
-    elif level.name == "other_preposition":
-        for tok in toks[lo - 1 : hi]:
-            if tok.upos == "ADP" and tok.form.lower() not in config.priority_prepositions:
-                cuts.add(tok.index - 1)
-    elif level.name == "word":
-        cuts = set(range(lo, hi))
-    else:
-        raise ValueError(f"unknown cut level {level.name!r}")
-    return {c for c in cuts if lo <= c <= hi - 1}
+    name = level.name
+    if name == "punctuation":
+        marks = config.cut_punctuation
+        return {tok.index for tok in toks if tok.upos == "PUNCT" and tok.form in marks}
+    if name == "clause":
+        return _clause_onsets(sentence, config, index)
+    if name in ("priority_preposition", "other_preposition"):
+        priority = name == "priority_preposition"
+        return {
+            tok.index - 1
+            for tok in toks
+            if tok.upos == "ADP" and (tok.form.lower() in config.priority_prepositions) == priority
+        }
+    if name == "chunk":
+        return chunk_boundaries(sentence, (1, len(toks)), config)
+    if name == "word":
+        return set(range(1, len(toks)))
+    raise ValueError(f"unknown cut level {name!r}")
 
 
 def chunk_boundaries(
@@ -188,22 +178,27 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
     Each piece that does not fit the span is split at the first level (from
     its current position in the cascade) that proposes cuts; pieces continue
     with the next level.  A piece no level can split is emitted as-is with
-    an OversizedTokenWarning.  Clause onsets are found once per sentence.
+    an OversizedTokenWarning.  Each level is one sorted, sentence-wide list
+    of positions, found at most once per sentence; a piece reads its cuts
+    as the slice of that list between its bounds.
     """
     spans: list[tuple[int, int]] = []
     index = _Structure(sentence, config.span)
-    clause_onsets = cache(lambda: _clause_onsets(sentence, config, index))
+    found: dict[CutLevel, list[int]] = {}
 
     def descend(lo: int, hi: int, level_index: int) -> None:
         if index.measure(lo, hi) <= index.max_units:
             spans.append((lo, hi))
             return
-        for li in range(level_index, len(CUT_LEVELS)):
-            cuts = _level_cuts(sentence, (lo, hi), CUT_LEVELS[li], config, clause_onsets)
+        for next_index, level in enumerate(CUT_LEVELS[level_index:], level_index + 1):
+            if level not in found:
+                found[level] = sorted(_level_cuts(sentence, level, config, index))
+            positions = found[level]
+            cuts = positions[bisect_left(positions, lo) : bisect_left(positions, hi)]
             if cuts:
-                bounds = [lo - 1, *sorted(cuts), hi]
+                bounds = [lo - 1, *cuts, hi]
                 for a, b in zip(bounds, bounds[1:]):
-                    descend(a + 1, b, li + 1)
+                    descend(a + 1, b, next_index)
                 return
         spans.append((lo, hi))
         warnings.warn(
@@ -226,13 +221,12 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     """
     if not seg.rhesis:
         return seg
-    index = _Structure(sentence, config.span)
     merged: list[tuple[int, int]] = []
     cur_start, cur_end = seg.rhesis[0].start, seg.rhesis[0].end
     for nxt in seg.rhesis[1:]:
         boundary_tok = sentence.tokens[cur_end - 1]
         blocked = boundary_tok.upos == "PUNCT" and boundary_tok.form in _FINAL_PUNCTUATION
-        if not blocked and index.measure(cur_start, nxt.end) <= index.max_units:
+        if not blocked and fits_span(sentence.span_text(cur_start, nxt.end), config.span):
             cur_end = nxt.end
         else:
             merged.append((cur_start, cur_end))

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from pathlib import Path
 
 from .cascade import cascade_segment, regroup
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rhesis", description="Segment sentences into units of meaning.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -91,24 +91,15 @@ class Sentence:
                 roots += 1
         if roots != 1:
             raise StructuralError(f"sentence {sent_id!r}: {roots} roots (need exactly 1)")
-        # Cycle check: follow heads from each token in order until the walk
-        # meets a token known to reach the root, then mark the whole walk as
-        # reaching it too.  A walk that meets itself has looped; every token
-        # joins at most one finished walk, so the check is O(n).
-        rooted = [True] + [False] * n  # entry 0: the root
-        walker = [0] * (n + 1)  # walker[i]: the token whose walk passed i
-        for tok in toks:
-            path, cur = [], tok.index
-            while not rooted[cur]:
-                if walker[cur] == tok.index:
-                    raise StructuralError(
-                        f"sentence {sent_id!r}: cycle through token {tok.index}"
-                    )
-                walker[cur] = tok.index
-                path.append(cur)
-                cur = toks[cur - 1].head
-            for i in path:
-                rooted[i] = True
+        # Cycle check: every token has one head, so the walk down from the
+        # root reaches each token at most once, and it reaches exactly the
+        # tokens whose head chain ends at the root.  Any other token's chain
+        # loops; the first of them in index order is the one named.
+        order = _top_down(toks)[1]
+        if len(order) < n:
+            reached = set(order)
+            looping = next(tok.index for tok in toks if tok.index not in reached)
+            raise StructuralError(f"sentence {sent_id!r}: cycle through token {looping}")
         parts, starts, ends, offset = [], [], [], 0
         for tok in toks:
             part = tok.form + " " if tok.space_after else tok.form
@@ -127,6 +118,20 @@ class Sentence:
         if not 1 <= start <= end <= len(self.tokens):
             raise ValueError(f"bad span ({start}, {end}) for {len(self.tokens)} tokens")
         return self.text[self.starts[start - 1] : self.ends[end - 1]]
+
+
+def _top_down(tokens: tuple[Token, ...]) -> tuple[list[list[int]], list[int]]:
+    """Each token's dependents in index order (entry 0: the root), and a top-down order.
+
+    The order lists the tokens the root reaches: every token, in a tree.
+    """
+    children: list[list[int]] = [[] for _ in range(len(tokens) + 1)]
+    for tok in tokens:
+        children[tok.head].append(tok.index)
+    order = list(children[0])
+    for node in order:
+        order.extend(children[node])
+    return children, order
 
 
 def token_depth(sentence: Sentence, index: int) -> int:

@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 
 from ._dp import SCALE, best_cuts, scaled
-from .corpus import Segmentation, Sentence, segmentation_from_cuts, token_depth
+from .corpus import Segmentation, Sentence, _top_down, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
 from .span import SpanConfig, text_measure
 
@@ -212,14 +212,7 @@ class _Structure:
 
     @cached_property
     def _tree(self) -> tuple[list[list[int]], list[int]]:
-        """Each token's dependents in index order (entry 0: the root), and a top-down order."""
-        children: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for tok in self._tokens:
-            children[tok.head].append(tok.index)
-        order = list(children[0])
-        for node in order:
-            order.extend(children[node])
-        return children, order
+        return _top_down(self._tokens)
 
     @cached_property
     def depth(self) -> list[int]:

@@ -1,13 +1,17 @@
 """Tests for the rule cascade and the regrouping pass."""
 
+import dataclasses
 import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhesis import (
     CUT_LEVELS,
     CascadeConfig,
+    CutLevel,
     OversizedTokenWarning,
     Sentence,
     SpanConfig,
@@ -19,7 +23,8 @@ from rhesis import (
     segmentation_from_spans,
 )
 
-from helpers import random_sentence
+import cascade_reference
+from helpers import DEPRELS, FORMS, random_segmentation, random_sentence
 
 
 def _sent(sent_id, rows):
@@ -323,3 +328,71 @@ class TestCascadeConfigValidation:
         ]
         sent = _sent("custom", rows)
         assert find_cuts_at_level(sent, (1, 5), CUT_LEVELS[0], cfg) == {4}
+
+
+class TestUnknownLevel:
+    def test_unknown_level_is_named(self):
+        with pytest.raises(ValueError, match="unknown cut level 'sentence'"):
+            find_cuts_at_level(STORY, (1, 5), CutLevel(7, "sentence"), CFG)
+
+    def test_bad_segment_is_reported_first(self):
+        with pytest.raises(ValueError, match=r"bad segment \(0, 5\)"):
+            find_cuts_at_level(STORY, (0, 5), CutLevel(7, "sentence"), CFG)
+
+
+# Forms the random sentences lack: empty, all-space, spaced, capitalised.
+_ODD_FORMS = ["", " ", "de la", "a  b", " porte ", "Dans", "SUR"]
+
+_INVENTORY = {
+    "priority_prepositions": st.frozensets(st.sampled_from(FORMS), min_size=1),
+    "clause_deprels": st.frozensets(st.sampled_from(DEPRELS), min_size=1),
+    "glue_deprels": st.frozensets(st.sampled_from(DEPRELS), min_size=1),
+    "cut_punctuation": st.frozensets(st.sampled_from(FORMS), min_size=1),
+}
+
+_TIGHT_SPAN = st.sampled_from([("characters", 30), ("words", 5)]).flatmap(
+    lambda mode_top: st.integers(1, mode_top[1]).map(
+        lambda m: SpanConfig(max_chars=m, target_chars=1, count_mode=mode_top[0])
+    )
+)
+
+
+def _with_odd_forms(sentence, odd):
+    tokens = [
+        dataclasses.replace(tok, form=odd[tok.index]) if tok.index in odd else tok
+        for tok in sentence.tokens
+    ]
+    return Sentence.from_tokens(sentence.sent_id, tokens)
+
+
+def _run(segment, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seg = segment(*args)
+    return seg, sum(issubclass(w.category, OversizedTokenWarning) for w in caught)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    odd=st.dictionaries(st.integers(1, 40), st.sampled_from(_ODD_FORMS), max_size=8),
+    inventory=st.fixed_dictionaries(_INVENTORY),
+    span=_TIGHT_SPAN,
+)
+def test_sentence_wide_levels_equal_the_per_piece_cascade(seed, odd, inventory, span):
+    sent = _with_odd_forms(random_sentence(random.Random(seed), 1, 40), odd)
+    cfg = CascadeConfig(span=span, **inventory)
+    got, got_warned = _run(cascade_segment, sent, cfg)
+    want, want_warned = _run(cascade_reference.cascade_segment, sent, cfg)
+    assert got.spans() == want.spans()
+    assert got_warned == want_warned
+    assert regroup(sent, got, cfg).spans() == cascade_reference.regroup(sent, want, cfg).spans()
+    pieces = random_segmentation(random.Random(seed), sent)
+    assert regroup(sent, pieces, cfg) == cascade_reference.regroup(sent, pieces, cfg)
+    n = len(sent.tokens)
+    for level in CUT_LEVELS:
+        for lo in range(1, n + 1):
+            for hi in range(lo, n + 1):
+                assert find_cuts_at_level(sent, (lo, hi), level, cfg) == (
+                    cascade_reference.find_cuts_at_level(sent, (lo, hi), level, cfg)
+                ), (level.name, lo, hi)

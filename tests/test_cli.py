@@ -376,3 +376,21 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert "Le chat dort" in proc.stdout
         assert "# effective-config" in proc.stderr
+
+
+def test_one_parser_per_process_gives_the_runs_of_fresh_parsers(data, capsys):
+    """A usage error, then the same segment twice: shared and fresh parsers agree."""
+    from rhesis.cli import _build_parser
+
+    segment = ["segment", "--input", data["conllu"], "--method", "cascade"]
+    calls = [["segment", "--input", data["conllu"], "--method", "nope"], segment, segment]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append((main(argv), *capsys.readouterr()))
+    _build_parser.cache_clear()
+    shared = [(main(argv), *capsys.readouterr()) for argv in calls]
+    assert _build_parser() is _build_parser()
+    assert [code for code, _, _ in fresh] == [1, 0, 0]
+    assert "usage error" in fresh[0][2]
+    assert shared == fresh
