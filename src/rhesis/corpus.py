@@ -307,7 +307,9 @@ def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:
 
     Each group covers one sentence.  ``#doc <label>`` lines set the label for
     the groups that follow; other ``#`` lines are comments.  A ``#doc`` line
-    inside a sentence block is malformed.
+    inside a sentence block is malformed.  A rhesis line that starts with
+    ``\\`` loses exactly that one character: it escapes a rhesis text that
+    begins with ``#`` or ``\\`` (see ``render_text``).
     """
     data = _decoded(data, FormatError)
     groups: list[tuple[str, list[str]]] = []
@@ -332,7 +334,7 @@ def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:
             continue
         if current is None:
             current = []
-        current.append(line)
+        current.append(line[1:] if line.startswith("\\") else line)
     if current:
         groups.append((label, current))
     return groups

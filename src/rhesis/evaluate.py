@@ -8,10 +8,9 @@ document with gold rhesis counts as weights.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .corpus import Segmentation
 
@@ -177,22 +176,31 @@ def length_stats(segs: list[Segmentation]) -> LengthStats:
     """Population statistics over rhesis surface lengths.
 
     The histogram buckets character lengths with width 5 (a bucket key of 10
-    covers lengths 10-14).
+    covers lengths 10-14).  Means and standard deviations come from the exact
+    integer sums ``n``, ``Σx`` and ``Σx²``.
     """
     texts = [r.text for seg in segs for r in seg.rhesis]
     if not texts:
         raise ValueError("no rhesis to measure")
-    chars = np.array([len(t) for t in texts], dtype=float)
-    words = np.array([len(t.split()) for t in texts], dtype=float)
-    buckets = Counter((len(t) // 5) * 5 for t in texts)
+    chars = [len(t) for t in texts]
+    words = [len(t.split()) for t in texts]
+    buckets = Counter((c // 5) * 5 for c in chars)
+    mean_chars, std_chars = _moments(chars)
+    mean_words, std_words = _moments(words)
     return LengthStats(
         count=len(texts),
-        mean_chars=float(chars.mean()),
-        std_chars=float(chars.std()),
-        mean_words=float(words.mean()),
-        std_words=float(words.std()),
+        mean_chars=mean_chars,
+        std_chars=std_chars,
+        mean_words=mean_words,
+        std_words=std_words,
         histogram=dict(sorted(buckets.items())),
     )
+
+
+def _moments(values: list[int]) -> tuple[float, float]:
+    """Mean and population standard deviation of integers."""
+    n, s, q = len(values), sum(values), sum(x * x for x in values)
+    return s / n, math.sqrt(n * q - s * s) / n
 
 
 def format_length_stats(stats: LengthStats) -> str:

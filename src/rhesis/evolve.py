@@ -19,20 +19,26 @@ guard sends any block whose largest term times ``4 * n`` reaches ``2**62``
 to the scalar DP instead, so no sum can overflow.  And each step keeps the
 scalar tie rule: the highest score, then the fewest segments, then the
 smallest end.
+
+numpy is imported inside the functions that use it, not at the top of the
+module.  ``config`` and the package import ``EvoConfig`` from here, so a
+module-level import would load numpy for every command; only tuning needs it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._dp import SCALE
 from .corpus import AlignedCorpus
 from .evaluate import _f1
 from .scoring import _SCALAR_FIELDS as SCALAR_ORDER, ScoringWeights, _optimal_cuts, _Structure
 from .span import SpanConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Genome", "EvoConfig", "corpus_labels", "fitness", "evolve"]
 
@@ -111,7 +117,7 @@ _BLOCK = 64
 _K = 1 << 20
 _SEG = 1 << 40
 _KEEP = ~((_SEG - 1) ^ (_K - 1))
-_LAST = np.iinfo(np.int64).max  # the key of a segment that is not among the best
+_LAST = (1 << 63) - 1  # the key of a segment that is not among the best
 # The balance term of an inadmissible segment: below any score the int64 guard admits.
 _OUT = -(1 << 62)
 
@@ -131,6 +137,7 @@ class _Block:
     __slots__ = ("items", "n", "running", "dep", "depth", "cross", "measure", "offset")
 
     def __init__(self, items, label_id: dict[str, int], values: np.ndarray):
+        import numpy as np
         self.items = items
         n_max = items[0][0].n
         width = max(len(row) for struct, _ in items for row in struct.measure_rows)
@@ -169,6 +176,7 @@ class _Block:
         on the higher score, then on the smaller packed key (fewer segments,
         then the smaller end).
         """
+        import numpy as np
         genomes, lanes, n_max = cut.shape
         tail = np.zeros((genomes, lanes, n_max + 1), dtype=np.int64)
         state = np.zeros_like(tail)
@@ -192,6 +200,7 @@ class _FitnessContext:
     __slots__ = ("items", "gold_total", "metric", "labels", "distance", "blocks")
 
     def __init__(self, corpus: AlignedCorpus, span: SpanConfig, metric: str):
+        import numpy as np
         if not corpus.entries:
             raise ValueError("empty corpus")
         self.items = [
@@ -213,6 +222,7 @@ class _FitnessContext:
 
     def evaluate_batch(self, batch: Sequence[ScoringWeights]) -> list[float]:
         """The fitness of each weight set, equal to one ``_optimal_cuts`` per sentence."""
+        import numpy as np
         if not batch:
             return []
 
@@ -249,6 +259,7 @@ class _FitnessContext:
 
     @staticmethod
     def _scalar_tallies(block: _Block, batch: Sequence[ScoringWeights]):
+        import numpy as np
         count = np.zeros(len(batch), dtype=np.int64)
         matched = np.zeros(len(batch), dtype=np.int64)
         for g, weights in enumerate(batch):
@@ -277,6 +288,7 @@ def fitness(
 
 
 def _clamped(vector: np.ndarray) -> np.ndarray:
+    import numpy as np
     vector[: len(SCALAR_ORDER)] = np.maximum(vector[: len(SCALAR_ORDER)], 0.0)
     vector[len(SCALAR_ORDER) :] = np.clip(vector[len(SCALAR_ORDER) :], -1.0, 1.0)
     return vector
@@ -306,6 +318,7 @@ def evolve(
     ``numpy.random.default_rng(cfg.seed)``; a repeated run reproduces the
     genome and trace exactly.
     """
+    import numpy as np
     context = _FitnessContext(corpus, span, cfg.fitness_metric)
     labels = corpus_labels(corpus)
     dim = len(SCALAR_ORDER) + len(labels)

@@ -24,10 +24,16 @@ class RenderOptions:
 
 
 def render_text(segs: list[Segmentation]) -> str:
-    """Gold text format: one rhesis per line, blank line after each sentence."""
+    """Gold text format: one rhesis per line, blank line after each sentence.
+
+    A rhesis that begins with ``#`` or ``\\`` gets one leading ``\\``, so it
+    is not read back as a comment or a ``#doc`` line; ``parse_gold`` strips it.
+    """
     parts = []
     for seg in segs:
         for r in seg.rhesis:
+            if r.text.startswith(("#", "\\")):
+                parts.append("\\")
             parts.append(r.text)
             parts.append("\n")
         parts.append("\n")
