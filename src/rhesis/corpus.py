@@ -60,7 +60,9 @@ class Sentence:
 
     ``text[starts[i]:ends[i]]`` is the form of ``tokens[i]``, and one space
     follows every token but the last unless its MISC says ``SpaceAfter=No``.
-    The offsets follow from the tokens: ``==``, ``hash`` and ``repr`` skip them.
+    ``_tree`` keeps the ``_top_down`` traversal of the cycle check for the
+    per-sentence index; it is read, never changed.  The offsets and the
+    traversal follow from the tokens: ``==``, ``hash`` and ``repr`` skip them.
     """
 
     sent_id: str
@@ -68,6 +70,7 @@ class Sentence:
     text: str
     starts: tuple[int, ...] = field(repr=False, compare=False)
     ends: tuple[int, ...] = field(repr=False, compare=False)
+    _tree: tuple[list[list[int]], list[int]] = field(repr=False, compare=False)
 
     @classmethod
     def from_tokens(cls, sent_id: str, tokens: tuple[Token, ...] | list) -> "Sentence":
@@ -95,7 +98,8 @@ class Sentence:
         # root reaches each token at most once, and it reaches exactly the
         # tokens whose head chain ends at the root.  Any other token's chain
         # loops; the first of them in index order is the one named.
-        order = _top_down(toks)[1]
+        tree = _top_down(toks)
+        order = tree[1]
         if len(order) < n:
             reached = set(order)
             looping = next(tok.index for tok in toks if tok.index not in reached)
@@ -108,7 +112,7 @@ class Sentence:
             ends.append(offset + len(tok.form))
             offset += len(part)
         text = "".join(parts)[: ends[-1]]  # no space after the last token
-        return cls(sent_id, toks, text, tuple(starts), tuple(ends))
+        return cls(sent_id, toks, text, tuple(starts), tuple(ends), tree)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -233,7 +237,8 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     """Parse a CoNLL-U stream into validated sentences.
 
     Multiword-token ranges (``3-4``) and empty nodes (``8.1``) are skipped;
-    only syntactic words are kept.  CRLF input is accepted.  Sentences
+    only syntactic words are kept, and each needs a form that is not empty
+    or only whitespace.  CRLF input is accepted.  Sentences
     without a ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...
     A sentence id that repeats an earlier one, given or ordinal, is an error.
     """
@@ -283,6 +288,8 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
                 f"token id {index} out of sequence (expected {len(pending) + 1})",
                 line=lineno,
             )
+        if not cols[1].strip():  # rendered, it would read as a sentence break
+            raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
         try:
             head = int(cols[6])
         except ValueError:

@@ -144,11 +144,11 @@ class _Block:
         dep, depth, cross, measures, gold = [], [], [], [], ([], [], [])
         out = int(values[-1]) + 1  # sorts after every value
         for s, (struct, gold_spans) in enumerate(items):
-            cands = struct.candidates[::-1]
-            pad = [0] * (n_max - len(cands))
-            dep.append([label_id[c.primary_edge[2]] for c in cands] + pad)
-            depth.append([c.depth for c in cands] + pad)
-            cross.append([len(c.crossing) - 1 for c in cands] + pad)
+            deprels, depths, crossings = struct.cut_features
+            pad = [0] * (n_max - len(deprels))
+            dep.append([label_id[label] for label in reversed(deprels)] + pad)
+            depth.append(depths[::-1] + pad)
+            cross.append([c - 1 for c in reversed(crossings)] + pad)
             rows = struct.measure_rows[::-1] + [[]] * (n_max - struct.n)
             measures += [row + [out] * (width - len(row)) for row in rows]
             for a, b in gold_spans:  # an inadmissible one is never chosen
@@ -210,7 +210,7 @@ class _FitnessContext:
         self.gold_total = sum(len(spans) for _, spans in self.items)
         self.metric = metric
         structs = [struct for struct, _ in self.items]
-        self.labels = sorted({c.primary_edge[2] for struct in structs for c in struct.candidates})
+        self.labels = sorted({label for struct in structs for label in struct.cut_features[0]})
         values = np.array(sorted(frozenset().union(*(s.measure_values for s in structs))))
         self.distance = np.abs(values - span.target_chars)
         label_id = {label: i for i, label in enumerate(self.labels)}

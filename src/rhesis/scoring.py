@@ -13,13 +13,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 
 from ._dp import SCALE, best_cuts, scaled
-from .corpus import Segmentation, Sentence, _top_down, segmentation_from_cuts, token_depth
+from .corpus import Segmentation, Sentence, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
 from .span import SpanConfig, text_measure
 
@@ -114,67 +116,82 @@ def crossing_edges(sentence: Sentence, position: int) -> CutCandidate:
     )
 
 
+def _cut_values(
+    w: ScoringWeights, deprels: Iterable[str], depths: Iterable[int], crossings: Iterable[int]
+) -> list[float]:
+    """The score of each cut from its primary edge's deprel and depth and its crossing count."""
+    w_dep, w_depth, w_cross, w_count = w.w_dep, w.w_depth, w.w_cross, w.w_count
+    return [
+        w_dep * weight - w_depth * depth - w_cross * (count - 1) - w_count
+        for weight, depth, count in zip(map(w.lookup, deprels), depths, crossings)
+    ]
+
+
 def cut_score(cand: CutCandidate, w: ScoringWeights) -> float:
     """Linear score of one cut; higher is better."""
-    return (
-        w.w_dep * w.lookup(cand.primary_edge[2])
-        - w.w_depth * cand.depth
-        - w.w_cross * (len(cand.crossing) - 1)
-        - w.w_count
-    )
+    return _cut_values(w, [cand.primary_edge[2]], [cand.depth], [len(cand.crossing)])[0]
 
 
 class _Structure:
     """The per-sentence index read by every segmenter, the export and the tuner.
 
     ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
-    building the slice.  Characters come from the token offsets that
-    ``Sentence.from_tokens`` lays out; words from a count of word starts over
-    the surface text, so a form that holds spaces counts as all of its words.
-    ``measure(a, b)`` never shrinks as ``a`` decreases or ``b`` grows.
+    building the slice: it is ``hi[b] - lo[a]``, or 0 when the span's surface
+    is empty.  In characters mode ``lo`` and ``hi`` are the token offsets that
+    ``Sentence.from_tokens`` lays out; in words mode they count the word
+    starts over the surface text before each token's start and end, so a form
+    that holds spaces counts as all of its words.  Both never decrease, so
+    ``measure(a, b)`` never shrinks as ``a`` decreases or ``b`` grows, and
+    the count mode matters only here in ``__init__``.
 
     Everything else is built on first use, so a consumer pays only for what
     it reads.  The span facts: ``fit_end`` (the last end that fits from
-    each start) from one two-pointer pass, and ``measure_rows``, the measure
-    of every admissible segment laid out the way ``_dp.best_cuts`` reads
-    its rows.  The tree facts: ``depth[i] == token_depth(sentence, i)`` and
+    each start), one bisection of ``hi`` per start, and ``measure_rows``,
+    the measure of every admissible segment laid out the way
+    ``_dp.best_cuts`` reads its rows, sliced from ``hi``.  The tree facts,
+    from the traversal the sentence kept of its cycle check:
+    ``depth[i] == token_depth(sentence, i)`` and
     ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
-    ``candidates[p - 1] == crossing_edges(sentence, p)`` for every boundary
-    from one sweep over the edges, in O(n + total arc length).  None of
-    these depends on the weights, so the tuner builds them once per sentence.
+    ``cut_features``, the three sequences behind ``crossing_edges(sentence,
+    p)`` that a cut score reads (the primary edge's deprel, its depth and the
+    crossing count, at index ``p - 1``) from one sweep over the edges, in
+    O(n + total arc length).  None of these depends on the weights, so the
+    tuner builds them once per sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
         self._tokens = sentence.tokens
+        self._tree = sentence._tree
         self.n = len(sentence.tokens)
         self.max_units = span.max_chars
         self.target = span.target_chars
-        self.words_mode = span.count_mode == "words"
         # 1-based: token a covers sentence.text[_start[a]:_end[a]]
         self._start = (0, *sentence.starts)
         self._end = (0, *sentence.ends)
-        if self.words_mode:
-            self._count_words(sentence.text)
+        if span.count_mode == "words":
+            self.lo, self.hi = self._count_words(sentence.text)
+        else:
+            self.lo, self.hi = self._start, self._end
 
-    def _count_words(self, text: str) -> None:
+    def _count_words(self, text: str) -> tuple[list[int], list[int]]:
         begun = [0]  # begun[p]: words of ``text`` that begin before offset p
         prev_space = True
         for ch in text:
             space = ch.isspace()
             begun.append(begun[-1] + (prev_space and not space))
             prev_space = space
-        self._wend = [begun[e] for e in self._end]
         # a span that starts inside a word counts that word as its first
-        self._wstart = [
+        lo = [
             begun[s] - (0 < s < len(text) and not text[s - 1].isspace() and not text[s].isspace())
             for s in self._start
         ]
+        return lo, [begun[e] for e in self._end]
 
     def measure(self, a: int, b: int) -> int:
         # an empty surface (only empty forms) holds no words and no characters
-        if self.words_mode and self._end[b] > self._start[a]:
-            return self._wend[b] - self._wstart[a]
-        return self._end[b] - self._start[a]
+        if self._end[b] == self._start[a]:
+            return 0
+        return self.hi[b] - self.lo[a]
 
     def admissible(self, a: int, b: int) -> bool:
         return a == b or self.measure(a, b) <= self.max_units
@@ -183,36 +200,33 @@ class _Structure:
     def fit_end(self) -> list[int]:
         """``fit_end[s]``: the last ``e`` with ``measure(s, e) <= max_units``, ``s - 1`` if none.
 
-        Unlike ``admissible``, an oversized single token does not fit.  The
-        measure never shrinks as a span widens, so ``fit_end`` never
-        decreases and one pass finds it.
+        Unlike ``admissible``, an oversized single token does not fit.  An
+        empty surface measures 0 where ``hi[e] - lo[s]`` may say 1, and both
+        fit, so the bisection needs no exception for it.
         """
-        fit_end = [0] * (self.n + 1)
-        e = 0
-        for s in range(1, self.n + 1):
-            e = max(e, s - 1)
-            while e < self.n and self.measure(s, e + 1) <= self.max_units:
-                e += 1
-            fit_end[s] = e
-        return fit_end
+        hi, lo, cap = self.hi, self.lo, self.max_units
+        return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]
 
     @cached_property
     def measure_rows(self) -> list[list[int]]:
         """``measure_rows[a - 1][k] == measure(a, a + k)`` for every admissible ``a..a + k``."""
-        measure = self.measure
-        return [
-            [measure(a, b) for b in range(a, max(a, e) + 1)]
-            for a, e in enumerate(self.fit_end[1:], 1)
-        ]
+        hi, lo, start, end = self.hi, self.lo, self._start, self._end
+        rows = []
+        for a, e in enumerate(self.fit_end[1:], 1):
+            base = lo[a]
+            row = [h - base for h in hi[a : max(a, e) + 1]]
+            if end[a] == start[a]:  # the leading run of empty surfaces measures 0
+                k = 0
+                while k < len(row) and end[a + k] == start[a]:
+                    row[k] = 0
+                    k += 1
+            rows.append(row)
+        return rows
 
     @cached_property
     def measure_values(self) -> frozenset[int]:
         """Every distinct value in ``measure_rows``."""
         return frozenset().union(*self.measure_rows)
-
-    @cached_property
-    def _tree(self) -> tuple[list[list[int]], list[int]]:
-        return _top_down(self._tokens)
 
     @cached_property
     def depth(self) -> list[int]:
@@ -234,38 +248,43 @@ class _Structure:
         return list(zip(lo, hi))
 
     @cached_property
-    def candidates(self) -> tuple[CutCandidate, ...]:
-        children = self._tree[0]
-        depth = self.depth
-        crossing: list[list[tuple[int, int, str]]] = [[] for _ in range(self.n)]
-        primary: list[tuple[int, int, str] | None] = [None] * self.n
-        shallowest = [self.n] * self.n
-        # edges in (head, dependent) order: every boundary's list comes out
-        # sorted, and the first shallowest edge is the primary one
-        for head in range(1, self.n + 1):
-            for dep in children[head]:
-                edge = (head, dep, self._tokens[dep - 1].deprel)
-                d = depth[dep]
-                for p in range(min(head, dep), max(head, dep)):
-                    crossing[p].append(edge)
+    def cut_features(self) -> tuple[list[str], list[int], list[int]]:
+        """Per boundary ``p`` at index ``p - 1``: the primary deprel, its depth, the crossing count."""
+        n, tokens, depth = self.n, self._tokens, self.depth
+        deprel = [""] * n
+        shallowest = [n] * n
+        opened = [0] * (n + 1)  # edges that start crossing at p, less those that stop
+        # edges in (head, dependent) order: the first shallowest edge is the primary one
+        for head, children in enumerate(self._tree[0][1:], 1):
+            for dep in children:
+                lo, hi = (head, dep) if head < dep else (dep, head)
+                opened[lo] += 1
+                opened[hi] -= 1
+                d, label = depth[dep], tokens[dep - 1].deprel
+                for p in range(lo, hi):
                     if d < shallowest[p]:
                         shallowest[p] = d
-                        primary[p] = edge
-        return tuple(
-            CutCandidate(position=p, crossing=tuple(crossing[p]), primary_edge=primary[p],
-                         depth=shallowest[p])
-            for p in range(1, self.n)
-        )
+                        deprel[p] = label
+        return deprel[1:], shallowest[1:], list(accumulate(opened[1:n]))
+
+
+def _cut_terms(struct: _Structure, w: ScoringWeights) -> list[int]:
+    """``scaled(cut_score(crossing_edges(sentence, p), w))`` at index ``p - 1``."""
+    return [scaled(value) for value in _cut_values(w, *struct.cut_features)]
 
 
 def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
-    cut_terms = [scaled(cut_score(cand, w)) for cand in struct.candidates]
-    # the balance term depends on the segment only through its measure
-    balance = {
-        m: scaled(-w.w_balance * abs(m - struct.target)) for m in struct.measure_values
-    }
-    rows = [[balance[m] for m in row] for row in struct.measure_rows]
-    return best_cuts(rows, cut_terms)
+    # the balance term depends on the segment only through its measure: a
+    # table over every measure that fits, and one term per oversized token
+    rows = struct.measure_rows
+    top = min(max(row[-1] for row in rows), struct.max_units)
+    table = [scaled(-w.w_balance * abs(m - struct.target)) for m in range(top + 1)]
+    balance = [
+        [table[m] for m in row] if row[-1] <= top
+        else [scaled(-w.w_balance * abs(row[0] - struct.target))]
+        for row in rows
+    ]
+    return best_cuts(balance, _cut_terms(struct, w))
 
 
 def _warn_oversized(seg: Segmentation, struct: _Structure) -> None:

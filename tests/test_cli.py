@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface: in-process via main, and
 the declared console command in a child process."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -195,6 +197,20 @@ class TestDataErrors:
         bad.write_text("1\tonly\tthree\n", encoding="utf-8")
         assert main(["segment", "--input", str(bad), "--method", "cascade"]) == 2
         capsys.readouterr()
+
+    def test_whitespace_only_form(self, tmp_path, capsys):
+        # segmented, the form " " would be a rhesis line that reads back as a sentence break
+        bad = tmp_path / "blank.conllu"
+        bad.write_text(
+            _row(1, "ab", "NOUN", 0, "root") + "\n" + _row(2, " ", "X", 1, "dep") + "\n"
+            + _row(3, "cd", "NOUN", 1, "dep") + "\n",
+            encoding="utf-8",
+        )
+        code = main(["segment", "--input", str(bad), "--method", "cascade", "--span", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "line 2" in captured.err
 
     def test_gold_that_does_not_match_the_text(self, data, tmp_path, capsys):
         wrong = tmp_path / "wrong.rhz"
@@ -394,3 +410,37 @@ def test_one_parser_per_process_gives_the_runs_of_fresh_parsers(data, capsys):
     assert [code for code, _, _ in fresh] == [1, 0, 0]
     assert "usage error" in fresh[0][2]
     assert shared == fresh
+
+
+# SHA-256 of `segment --method tree` stdout on the bundled fixture with the
+# README's example [tree] weights, per span setting.  A faster tree path must
+# reproduce these bytes exactly.
+_PINNED_TREE_SEGMENTS = [
+    ([], "4a93c2dc8a3542fa51134f1e6c69687e2670cab7c83c4ec14c42d41e25ac171e"),
+    (["--span", "20"], "054cead781024292f53266783f8f3edf4a585cc765c91cefb7af95abae4c4695"),
+    ("[span]\nmax_chars = 6\ntarget_chars = 3\ncount_mode = words\n",
+     "b4dba2cc5551f02efcdccf40a60c5869deb01e686bd32ba37f93c2e76d333c61"),
+]
+
+
+@pytest.mark.parametrize(
+    "setting, digest", _PINNED_TREE_SEGMENTS, ids=["default", "span20", "words6"]
+)
+def test_fixture_tree_segment_is_byte_identical(setting, digest, tmp_path, capsys):
+    weights = tmp_path / "weights.json"
+    write_weights(weights, ScoringWeights(
+        w_dep=1.0, w_count=0.1, w_balance=0.05,
+        deprel_weights={"conj": 0.9, "advcl": 0.8, "det": -0.8, "acl:relcl": 0.35},
+    ))
+    extra = setting
+    if isinstance(setting, str):
+        config = tmp_path / "words.ini"
+        config.write_text(setting, encoding="utf-8")
+        extra = ["--config", str(config)]
+    fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    with resources.as_file(fixture) as conllu:
+        code = main(["segment", "--input", str(conllu), "--method", "tree",
+                     "--weights", str(weights), *extra])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

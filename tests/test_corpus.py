@@ -106,6 +106,18 @@ class TestParseConllu:
         with pytest.raises(ParseError, match="line 2.*sequence"):
             parse_conllu(bad)
 
+    @pytest.mark.parametrize("form", ["", " ", "   ", "\u00a0", "\u3000"])
+    def test_blank_form_reports_its_line(self, form):
+        # rendered, such a token is a line that reads as a sentence break
+        bad = (
+            "# sent_id = a\n"
+            "1\tab\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            f"2\t{form}\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+            "3\tcd\t_\tNOUN\t_\t_\t1\tdep\t_\t_\n"
+        )
+        with pytest.raises(ParseError, match="line 3: .*form"):
+            parse_conllu(bad)
+
     def test_empty_input_yields_no_sentences(self):
         assert parse_conllu("") == []
         assert parse_conllu("# just a comment\n\n") == []

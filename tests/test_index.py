@@ -31,12 +31,14 @@ from rhesis import (
     subtree_span,
     token_depth,
 )
+from rhesis import corpus, scoring
 from rhesis._dp import best_cuts, scaled
 from rhesis.corpus import segmentation_from_cuts
 from rhesis.evolve import _Block, _FitnessContext, _spans_from_cuts
-from rhesis.scoring import _optimal_cuts, _Structure
+from rhesis.scoring import _cut_terms, _optimal_cuts, _Structure
 from rhesis.span import text_measure
 
+import scoring_reference
 from helpers import DEPRELS, corpus_from_golds, random_segmentation, random_sentence
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -50,10 +52,28 @@ def _tree(seed: int, n_max: int = 30) -> Sentence:
 @given(seed=SEEDS)
 def test_cut_features_equal_crossing_edges(seed):
     sent = _tree(seed)
+    deprels, depths, crossings = _Structure(sent, SpanConfig()).cut_features
+    assert len(deprels) == len(depths) == len(crossings) == len(sent) - 1
+    for p in range(1, len(sent)):
+        cand = crossing_edges(sent, p)
+        assert deprels[p - 1] == cand.primary_edge[2]
+        assert depths[p - 1] == cand.depth
+        assert crossings[p - 1] == len(cand.crossing)
+
+
+def test_index_reads_the_traversal_the_sentence_kept(monkeypatch):
+    sent = _tree(3)
+    assert "_tree" not in repr(sent)
+
+    def walked(*args):
+        raise AssertionError("the tree was traversed a second time")
+
+    monkeypatch.setattr(corpus, "_top_down", walked)
+    monkeypatch.setattr(scoring, "_top_down", walked, raising=False)
     index = _Structure(sent, SpanConfig())
-    assert index.candidates == tuple(
-        crossing_edges(sent, p) for p in range(1, len(sent))
-    )
+    assert index.depth[1:] == [token_depth(sent, i) for i in range(1, len(sent) + 1)]
+    assert index.extents[1:] == [subtree_span(sent, i) for i in range(1, len(sent) + 1)]
+    assert len(index.cut_features[0]) == len(sent) - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,6 +144,50 @@ def test_fit_end_and_measure_rows_equal_a_brute_scan(seed, forms, mode, max_unit
         for k, m in enumerate(row):
             assert m == index.measure(a, a + k)
         assert index.measure_values >= set(row)
+
+
+# Nonzero balance, depth and crossing weights: every term of the index moves the optimum.
+_NONZERO = st.sampled_from([1.0, 2.0]) | st.floats(0.01, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    forms=st.lists(st.tuples(_FORMS, st.booleans()), min_size=1, max_size=12),
+    mode=st.sampled_from(["characters", "words"]),
+    max_units=st.integers(1, 12),
+    target=st.integers(1, 12),
+    w=st.builds(
+        ScoringWeights,
+        w_dep=st.sampled_from([0.0, 1.0]) | st.floats(0, 3),
+        w_count=st.sampled_from([0.0, 1.0]) | st.floats(0, 3),
+        w_balance=_NONZERO,
+        w_depth=_NONZERO,
+        w_cross=_NONZERO,
+        deprel_weights=st.dictionaries(
+            st.sampled_from(DEPRELS), st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1, 1)
+        ),
+        default_deprel_weight=st.sampled_from([-1.0, 0.0, 0.5]),
+    ),
+)
+def test_index_equals_the_previous_index(seed, forms, mode, max_units, target, w):
+    sent = _reshaped(seed, forms)
+    span = SpanConfig(max_chars=max_units, target_chars=min(target, max_units), count_mode=mode)
+    index = _Structure(sent, span)
+    reference = scoring_reference._Structure(sent, span)
+    assert index.fit_end == reference.fit_end
+    assert index.measure_rows == reference.measure_rows
+    assert index.cut_features == (
+        [c.primary_edge[2] for c in reference.candidates],
+        [c.depth for c in reference.candidates],
+        [len(c.crossing) for c in reference.candidates],
+    )
+    for cand in reference.candidates:
+        assert cut_score(cand, w) == scoring_reference.cut_score(cand, w)
+    assert _cut_terms(index, w) == [
+        scaled(scoring_reference.cut_score(c, w)) for c in reference.candidates
+    ]
+    assert _optimal_cuts(index, w) == scoring_reference._optimal_cuts(reference, w)
 
 
 def _first_best(candidates, total):
