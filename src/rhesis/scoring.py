@@ -213,14 +213,11 @@ class _Structure:
         hi, lo, start, end = self.hi, self.lo, self._start, self._end
         rows = []
         for a, e in enumerate(self.fit_end[1:], 1):
-            base = lo[a]
-            row = [h - base for h in hi[a : max(a, e) + 1]]
-            if end[a] == start[a]:  # the leading run of empty surfaces measures 0
-                k = 0
-                while k < len(row) and end[a + k] == start[a]:
-                    row[k] = 0
-                    k += 1
-            rows.append(row)
+            if end[a] == start[a]:  # a leading run of empty surfaces measures 0
+                rows.append([self.measure(a, b) for b in range(a, max(a, e) + 1)])
+            else:
+                base = lo[a]
+                rows.append([h - base for h in hi[a : max(a, e) + 1]])
         return rows
 
     @cached_property
