@@ -76,8 +76,10 @@ class Sentence:
     def from_tokens(cls, sent_id: str, tokens: tuple[Token, ...] | list) -> "Sentence":
         """Build a sentence, validating the tree and laying out its text.
 
-        Raises StructuralError when heads are out of range, the root count is
-        not exactly one, or the head relation contains a cycle.
+        Raises StructuralError when a form is empty or only whitespace (its
+        rhesis would render as a sentence break), when heads are out of range,
+        the root count is not exactly one, or the head relation contains a
+        cycle.
         """
         toks = tuple(tokens)
         n = len(toks)
@@ -85,6 +87,11 @@ class Sentence:
             raise StructuralError(f"sentence {sent_id!r}: no tokens")
         roots = 0
         for tok in toks:
+            if not tok.form.strip():
+                raise StructuralError(
+                    f"sentence {sent_id!r}: token {tok.index} has an empty or "
+                    f"whitespace-only form ({tok.form!r})"
+                )
             if not 0 <= tok.head <= n or tok.head == tok.index:
                 raise StructuralError(
                     f"sentence {sent_id!r}: head {tok.head} of token "
@@ -396,6 +403,7 @@ def align_gold(
 
 def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
     forms = [_normalize(tok.form) for tok in sentence.tokens]
+    text, starts = sentence.text, sentence.starts
     spans: list[tuple[int, int]] = []
     tok = 0  # tokens fully consumed so far
     for line in lines:
@@ -425,7 +433,11 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
             tok += 1
             if pos == len(target):
                 break
-            if tok < len(forms) and sentence.starts[tok] > sentence.ends[tok - 1]:
+            # normalized, whitespace at the joint (the space after a token, or
+            # either form's edge) reads as one space
+            if tok < len(forms) and (
+                text[starts[tok] - 1].isspace() or text[starts[tok]].isspace()
+            ):
                 if target[pos] != " ":
                     raise AlignmentError(
                         f"sentence {sentence.sent_id!r}: missing space in gold "

@@ -16,9 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 from ._dp import best_cuts, scaled
-from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded, segmentation_from_cuts
+from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded
 from .errors import FormatError
-from .scoring import _Structure, _warn_oversized
+from .scoring import _finish, _Structure
 from .span import SpanConfig
 
 __all__ = [
@@ -238,7 +238,4 @@ def segment_by_scores(
             p = get((sid, a, b))
             row.append(fallback if p is None else scaled(math.log(max(p, 1e-300))))
         rows.append(row)
-    cuts = best_cuts(rows, [0] * (struct.n - 1))
-    seg = segmentation_from_cuts(sentence, cuts)
-    _warn_oversized(seg, struct)
-    return seg
+    return _finish(sentence, struct, best_cuts(rows, [0] * (struct.n - 1)))

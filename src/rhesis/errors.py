@@ -18,7 +18,7 @@ class ParseError(RhesisError):
 
 
 class StructuralError(RhesisError):
-    """A sentence's head column does not describe a valid dependency tree."""
+    """A sentence's heads do not describe a valid dependency tree, or a form is blank."""
 
 
 class FormatError(RhesisError):

@@ -211,7 +211,7 @@ class _FitnessContext:
         self.metric = metric
         structs = [struct for struct, _ in self.items]
         self.labels = sorted({label for struct in structs for label in struct.cut_features[0]})
-        values = np.array(sorted(frozenset().union(*(s.measure_values for s in structs))))
+        values = np.array(sorted(set().union(*(row for s in structs for row in s.measure_rows))))
         self.distance = np.abs(values - span.target_chars)
         label_id = {label: i for i, label in enumerate(self.labels)}
         ranked = sorted(self.items, key=lambda item: -item[0].n)

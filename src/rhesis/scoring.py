@@ -23,7 +23,7 @@ from pathlib import Path
 from ._dp import SCALE, best_cuts, scaled
 from .corpus import Segmentation, Sentence, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
-from .span import SpanConfig, text_measure
+from .span import SpanConfig, fits_span, text_measure
 
 __all__ = [
     "ScoringWeights",
@@ -136,13 +136,16 @@ class _Structure:
     """The per-sentence index read by every segmenter, the export and the tuner.
 
     ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
-    building the slice: it is ``hi[b] - lo[a]``, or 0 when the span's surface
-    is empty.  In characters mode ``lo`` and ``hi`` are the token offsets that
-    ``Sentence.from_tokens`` lays out; in words mode they count the word
-    starts over the surface text before each token's start and end, so a form
-    that holds spaces counts as all of its words.  Both never decrease, so
-    ``measure(a, b)`` never shrinks as ``a`` decreases or ``b`` grows, and
-    the count mode matters only here in ``__init__``.
+    building the slice: it is ``hi[b] - lo[a]``.  In characters mode ``lo``
+    and ``hi`` are the token offsets that ``Sentence.from_tokens`` lays out.
+    In words mode they count words from the forms: ``hi[b]`` sums the words
+    of forms ``1..b``, one fewer for each form that continues the previous
+    token's last word (no whitespace at the joint), and ``lo[a]`` is
+    ``hi[a - 1]``, one fewer when form ``a`` continues a word, which a span
+    starting there counts as its first.  No form is blank, so no span is
+    empty.  Both never decrease, so ``measure(a, b)`` never shrinks as ``a``
+    decreases or ``b`` grows, and the count mode matters only here in
+    ``__init__``.
 
     Everything else is built on first use, so a consumer pays only for what
     it reads.  The span facts: ``fit_end`` (the last end that fits from
@@ -165,44 +168,23 @@ class _Structure:
         self.n = len(sentence.tokens)
         self.max_units = span.max_chars
         self.target = span.target_chars
-        # 1-based: token a covers sentence.text[_start[a]:_end[a]]
-        self._start = (0, *sentence.starts)
-        self._end = (0, *sentence.ends)
         if span.count_mode == "words":
-            self.lo, self.hi = self._count_words(sentence.text)
-        else:
-            self.lo, self.hi = self._start, self._end
-
-    def _count_words(self, text: str) -> tuple[list[int], list[int]]:
-        begun = [0]  # begun[p]: words of ``text`` that begin before offset p
-        prev_space = True
-        for ch in text:
-            space = ch.isspace()
-            begun.append(begun[-1] + (prev_space and not space))
-            prev_space = space
-        # a span that starts inside a word counts that word as its first
-        lo = [
-            begun[s] - (0 < s < len(text) and not text[s - 1].isspace() and not text[s].isspace())
-            for s in self._start
-        ]
-        return lo, [begun[e] for e in self._end]
+            text, self.lo, self.hi = sentence.text, [0], [0]
+            for s, tok in zip(sentence.starts, sentence.tokens):
+                joined = s > 0 and not text[s - 1].isspace() and not text[s].isspace()
+                self.lo.append(self.hi[-1] - joined)
+                self.hi.append(self.hi[-1] + len(tok.form.split()) - joined)
+        else:  # 1-based: token a covers sentence.text[lo[a]:hi[a]]
+            self.lo, self.hi = (0, *sentence.starts), (0, *sentence.ends)
 
     def measure(self, a: int, b: int) -> int:
-        # an empty surface (only empty forms) holds no words and no characters
-        if self._end[b] == self._start[a]:
-            return 0
         return self.hi[b] - self.lo[a]
-
-    def admissible(self, a: int, b: int) -> bool:
-        return a == b or self.measure(a, b) <= self.max_units
 
     @cached_property
     def fit_end(self) -> list[int]:
         """``fit_end[s]``: the last ``e`` with ``measure(s, e) <= max_units``, ``s - 1`` if none.
 
-        Unlike ``admissible``, an oversized single token does not fit.  An
-        empty surface measures 0 where ``hi[e] - lo[s]`` may say 1, and both
-        fit, so the bisection needs no exception for it.
+        An oversized single token does not fit; ``measure_rows`` still lists it alone.
         """
         hi, lo, cap = self.hi, self.lo, self.max_units
         return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]
@@ -210,20 +192,10 @@ class _Structure:
     @cached_property
     def measure_rows(self) -> list[list[int]]:
         """``measure_rows[a - 1][k] == measure(a, a + k)`` for every admissible ``a..a + k``."""
-        hi, lo, start, end = self.hi, self.lo, self._start, self._end
-        rows = []
-        for a, e in enumerate(self.fit_end[1:], 1):
-            if end[a] == start[a]:  # a leading run of empty surfaces measures 0
-                rows.append([self.measure(a, b) for b in range(a, max(a, e) + 1)])
-            else:
-                base = lo[a]
-                rows.append([h - base for h in hi[a : max(a, e) + 1]])
-        return rows
-
-    @cached_property
-    def measure_values(self) -> frozenset[int]:
-        """Every distinct value in ``measure_rows``."""
-        return frozenset().union(*self.measure_rows)
+        hi, lo = self.hi, self.lo
+        return [
+            [h - lo[a] for h in hi[a : max(a, e) + 1]] for a, e in enumerate(self.fit_end[1:], 1)
+        ]
 
     @cached_property
     def depth(self) -> list[int]:
@@ -284,7 +256,9 @@ def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     return best_cuts(balance, _cut_terms(struct, w))
 
 
-def _warn_oversized(seg: Segmentation, struct: _Structure) -> None:
+def _finish(sentence: Sentence, struct: _Structure, cuts: tuple[int, ...]) -> Segmentation:
+    """The segmentation ``cuts`` make, warning for each rhesis that exceeds the span."""
+    seg = segmentation_from_cuts(sentence, cuts)
     for r in seg.rhesis:
         if struct.measure(r.start, r.end) > struct.max_units:
             warnings.warn(
@@ -292,6 +266,7 @@ def _warn_oversized(seg: Segmentation, struct: _Structure) -> None:
                 OversizedTokenWarning,
                 stacklevel=3,
             )
+    return seg
 
 
 def segment_best(sentence: Sentence, w: ScoringWeights, span: SpanConfig) -> Segmentation:
@@ -302,9 +277,7 @@ def segment_best(sentence: Sentence, w: ScoringWeights, span: SpanConfig) -> Seg
     optimization proceeds around it.
     """
     struct = _Structure(sentence, span)
-    seg = segmentation_from_cuts(sentence, _optimal_cuts(struct, w))
-    _warn_oversized(seg, struct)
-    return seg
+    return _finish(sentence, struct, _optimal_cuts(struct, w))
 
 
 def segmentation_score(
@@ -329,17 +302,23 @@ def enumerate_all(sentence: Sentence, span: SpanConfig, cap: int = 16) -> list[S
 
     Brute-force oracle for the optimizers; refuses sentences longer than
     ``cap`` tokens.  Admissibility matches segment_best: a rhesis fits the
-    span or is a single (oversized) token.
+    span or is a single (oversized) token.  The fit is read from each span's
+    text, not from the index the optimizers share.
     """
     n = len(sentence.tokens)
     if n > cap:
         raise ValueError(f"sentence {sentence.sent_id!r} has {n} tokens, oracle cap is {cap}")
-    struct = _Structure(sentence, span)
+    admissible = {
+        (a, b)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        if a == b or fits_span(sentence.span_text(a, b), span)
+    }
     out = []
     for k in range(n):
         for cuts in combinations(range(1, n), k):
             bounds = (0, *cuts, n)
-            if all(struct.admissible(a + 1, b) for a, b in zip(bounds, bounds[1:])):
+            if all((a + 1, b) in admissible for a, b in zip(bounds, bounds[1:])):
                 out.append(segmentation_from_cuts(sentence, cuts))
     return out
 

@@ -174,13 +174,15 @@ def test_score_segmenter_agrees_with_exhaustive_oracle():
 
 
 def test_every_method_respects_the_span_budget():
-    """Across 10,000 sentences and all three methods: every rhesis fits the
-    span or is a single token that raised a warning.  Zero violations."""
+    """Across 10,000 sentences, all three methods and both count modes: every
+    rhesis fits the span or is a single token that raised a warning.  Zero
+    violations."""
     rng = random.Random(271828)
     spans = (
         SpanConfig(max_chars=8, target_chars=6),
         SpanConfig(max_chars=20, target_chars=14),
         SpanConfig(max_chars=45, target_chars=32),
+        SpanConfig(max_chars=3, target_chars=2, count_mode="words"),
     )
     cascades = tuple(CascadeConfig(span=s) for s in spans)
     weights = ScoringWeights(
@@ -192,14 +194,14 @@ def test_every_method_respects_the_span_budget():
         for i in range(10_000):
             sent = random_sentence(rng, 3, 12, sent_id=f"s{i}")
             n = len(sent.tokens)
-            span = spans[i % 3]
+            span, cascade = spans[i % len(spans)], cascades[i % len(spans)]
             probs = {
                 (sent.sent_id, s, e): rng.random()
                 for s in range(1, n + 1)
                 for e in range(s, min(s + 3, n) + 1)
             }
             runs = (
-                lambda: regroup(sent, cascade_segment(sent, cascades[i % 3]), cascades[i % 3]),
+                lambda: regroup(sent, cascade_segment(sent, cascade), cascade),
                 lambda: segment_best(sent, weights, span),
                 lambda: segment_by_scores(sent, ScoreTable(probabilities=probs), span),
             )

@@ -340,8 +340,8 @@ class TestUnknownLevel:
             find_cuts_at_level(STORY, (0, 5), CutLevel(7, "sentence"), CFG)
 
 
-# Forms the random sentences lack: empty, all-space, spaced, capitalised.
-_ODD_FORMS = ["", " ", "de la", "a  b", " porte ", "Dans", "SUR"]
+# Forms the random sentences lack: spaced inside and at the edges, capitalised.
+_ODD_FORMS = ["de la", "a  b", " porte ", "Dans", "SUR"]
 
 _INVENTORY = {
     "priority_prepositions": st.frozensets(st.sampled_from(FORMS), min_size=1),

@@ -147,6 +147,20 @@ class TestSentenceStructure:
         with pytest.raises(StructuralError):
             Sentence.from_tokens("bad", [])
 
+    @pytest.mark.parametrize("form", ["", " ", "\t", "\xa0"])
+    def test_blank_form_rejected(self, form):
+        toks = [_tok(1, "ab", 0), _tok(2, form, 1), _tok(3, "cd", 1)]
+        with pytest.raises(StructuralError, match="sentence 'bad': token 2 .*form"):
+            Sentence.from_tokens("bad", toks)
+        # parsing checks first, and names the line
+        rows = [
+            "\t".join([str(t.index), t.form, "_", "X", "_", "_", str(t.head), "dep", "_", "_"])
+            for t in toks
+        ]
+        with pytest.raises(ParseError) as raised:
+            parse_conllu("# sent_id = bad\n" + "\n".join(rows) + "\n")
+        assert raised.value.line == 3
+
     def test_depth_and_subtree(self):
         # 1 <- 2 <- 3 (root) -> 4, and 5 hangs off 4
         toks = [
@@ -308,9 +322,9 @@ def _surface(tokens):
     return "".join(parts)
 
 
-# spaces inside and at the edges, "#" prefixes, a combining accent, empty forms
+# spaces inside and at the edges, "#" prefixes, a combining accent; never blank
 _ARBITRARY_FORMS = st.one_of(
-    st.text(alphabet=["a", "e", "\u0301", " ", "#"], max_size=5),
+    st.text(alphabet=["a", "e", "\u0301", " ", "#"], min_size=1, max_size=5).filter(str.strip),
     st.text(alphabet=["a", " "], max_size=3).map(lambda t: "#" + t),
     st.just("e\u0301"),
 )

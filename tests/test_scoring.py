@@ -335,7 +335,7 @@ class TestWordsMode:
             assert got.spans() == best.spans()
 
 
-_FORMS = st.text(alphabet="ab  ", min_size=0, max_size=5)
+_FORMS = st.text(alphabet="ab  ", min_size=1, max_size=5).filter(str.strip)
 
 
 @settings(max_examples=300, deadline=None)
