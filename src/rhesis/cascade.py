@@ -87,17 +87,17 @@ def _clause_onsets(sentence: Sentence, config: CascadeConfig, index: _Structure)
     verbal head, or any token bearing a clause-level relation marks a clause;
     the cut lands before the leftmost token of that clause's subtree.
     """
-    extents = index.extents
+    extents, upos, heads, deprels = index.extents, sentence.upos, sentence.heads, sentence.deprels
     cuts = set()
-    for tok in sentence.tokens:
-        if tok.upos == "SCONJ":
+    for i, pos in enumerate(upos, 1):
+        if pos == "SCONJ":
             matched = True
-        elif tok.upos == "CCONJ" and tok.head != 0:
-            matched = sentence.tokens[tok.head - 1].upos in _VERBAL_UPOS
+        elif pos == "CCONJ" and heads[i - 1] != 0:
+            matched = upos[heads[i - 1] - 1] in _VERBAL_UPOS
         else:
-            matched = tok.deprel in config.clause_deprels
+            matched = deprels[i - 1] in config.clause_deprels
         if matched:
-            cuts.add(extents[tok.index][0] - 1)
+            cuts.add(extents[i][0] - 1)
     return cuts
 
 
@@ -113,7 +113,7 @@ def find_cuts_at_level(
     positions for a segment ``(lo, hi)`` are ``lo <= i <= hi - 1``.
     """
     lo, hi = segment
-    n = len(sentence.tokens)
+    n = len(sentence)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad segment ({lo}, {hi}) for {n} tokens")
     cuts = _level_cuts(sentence, level, config, _Structure(sentence, config.span))
@@ -124,24 +124,24 @@ def _level_cuts(
     sentence: Sentence, level: CutLevel, config: CascadeConfig, index: _Structure
 ) -> set[int]:
     """The level's cut positions over the whole sentence; ``(lo, hi)`` holds ``lo <= c < hi``."""
-    toks = sentence.tokens
+    upos, forms = sentence.upos, sentence.forms
     name = level.name
     if name == "punctuation":
         marks = config.cut_punctuation
-        return {tok.index for tok in toks if tok.upos == "PUNCT" and tok.form in marks}
+        return {i for i, pos in enumerate(upos, 1) if pos == "PUNCT" and forms[i - 1] in marks}
     if name == "clause":
         return _clause_onsets(sentence, config, index)
     if name in ("priority_preposition", "other_preposition"):
         priority = name == "priority_preposition"
         return {
-            tok.index - 1
-            for tok in toks
-            if tok.upos == "ADP" and (tok.form.lower() in config.priority_prepositions) == priority
+            i - 1
+            for i, pos in enumerate(upos, 1)
+            if pos == "ADP" and (forms[i - 1].lower() in config.priority_prepositions) == priority
         }
     if name == "chunk":
-        return chunk_boundaries(sentence, (1, len(toks)), config)
+        return chunk_boundaries(sentence, (1, len(sentence)), config)
     if name == "word":
-        return set(range(1, len(toks)))
+        return set(range(1, len(sentence)))
     raise ValueError(f"unknown cut level {name!r}")
 
 
@@ -154,18 +154,14 @@ def chunk_boundaries(
     relation, or when they share a head and both bear glue relations.
     """
     lo, hi = segment
+    heads, deprels, glue = sentence.heads, sentence.deprels, config.glue_deprels
     cuts = set()
-    for i in range(lo, hi):
-        left = sentence.tokens[i - 1]
-        right = sentence.tokens[i]
+    for i in range(lo, hi):  # left token i, right token i + 1
+        left_head, right_head = heads[i - 1], heads[i]
         glued = (
-            (right.head == left.index and right.deprel in config.glue_deprels)
-            or (left.head == right.index and left.deprel in config.glue_deprels)
-            or (
-                left.head == right.head
-                and left.deprel in config.glue_deprels
-                and right.deprel in config.glue_deprels
-            )
+            (right_head == i and deprels[i] in glue)
+            or (left_head == i + 1 and deprels[i - 1] in glue)
+            or (left_head == right_head and deprels[i - 1] in glue and deprels[i] in glue)
         )
         if not glued:
             cuts.add(i)
@@ -208,7 +204,7 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
             stacklevel=3,
         )
 
-    descend(1, len(sentence.tokens), 0)
+    descend(1, len(sentence), 0)
     return segmentation_from_spans(sentence, spans)
 
 
@@ -224,8 +220,8 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     merged: list[tuple[int, int]] = []
     cur_start, cur_end = seg.rhesis[0].start, seg.rhesis[0].end
     for nxt in seg.rhesis[1:]:
-        boundary_tok = sentence.tokens[cur_end - 1]
-        blocked = boundary_tok.upos == "PUNCT" and boundary_tok.form in _FINAL_PUNCTUATION
+        last = cur_end - 1
+        blocked = sentence.upos[last] == "PUNCT" and sentence.forms[last] in _FINAL_PUNCTUATION
         if not blocked and fits_span(sentence.span_text(cur_start, nxt.end), config.span):
             cur_end = nxt.end
         else:

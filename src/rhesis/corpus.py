@@ -2,16 +2,22 @@
 
 The segmenters operate on sentences that were dependency-parsed elsewhere and
 serialized as CoNLL-U.  Only five of the ten columns matter here (ID, FORM,
-UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag, which
-``Sentence.from_tokens`` reads once per token to build the surface text and
-each token's offsets in it.  Gold segmentations travel in a plain
-text format: one rhesis per line, a blank line between sentences, ``#doc ``
-lines carrying document labels, and other ``#`` lines ignored as comments.
+UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag.  A
+``Sentence`` keeps them as parallel tuples (``forms``, ``upos``, ``heads``,
+``deprels``, ``miscs``), and lays out its surface text, each token's offsets
+in it and its tree traversal once, when it is built; ``Token`` objects are
+made only when a sentence's ``tokens`` are read.  Gold segmentations travel
+in a plain text format: one rhesis per line, a blank line between sentences,
+``#doc `` lines carrying document labels, and other ``#`` lines ignored as
+comments.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
 
@@ -51,94 +57,147 @@ class Token:
     @property
     def space_after(self) -> bool:
         """Whether the surface form is followed by a space."""
-        return "SpaceAfter=No" not in self.misc.split("|")
+        return _space_after(self.misc)
+
+
+def _space_after(misc: str) -> bool:
+    return "SpaceAfter=No" not in misc.split("|")
 
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """An ordered token sequence forming one dependency tree.
+    """An ordered token sequence forming one dependency tree, held as columns.
 
-    ``text[starts[i]:ends[i]]`` is the form of ``tokens[i]``, and one space
-    follows every token but the last unless its MISC says ``SpaceAfter=No``.
-    ``_tree`` keeps the ``_top_down`` traversal of the cycle check for the
-    per-sentence index; it is read, never changed.  The offsets and the
-    traversal follow from the tokens: ``==``, ``hash`` and ``repr`` skip them.
+    Token ``i`` (1-based) has the form ``forms[i - 1]``, and likewise for
+    ``upos``, ``heads``, ``deprels`` and ``miscs`` (the raw MISC column,
+    ``""`` for ``_``).  ``text[starts[i - 1]:ends[i - 1]]`` is that form, and
+    one space follows every token but the last unless its MISC says
+    ``SpaceAfter=No``.  ``_tree`` keeps the ``_top_down`` traversal of the
+    cycle check for the per-sentence index and the tree queries; it is read,
+    never changed.  The offsets and the traversal follow from the columns:
+    ``==``, ``hash`` and ``repr`` skip them.  ``tokens`` gives the same
+    sentence as ``Token`` objects, built on first read.
     """
 
     sent_id: str
-    tokens: tuple[Token, ...]
+    forms: tuple[str, ...]
+    upos: tuple[str, ...]
+    heads: tuple[int, ...]
+    deprels: tuple[str, ...]
+    miscs: tuple[str, ...]
     text: str
     starts: tuple[int, ...] = field(repr=False, compare=False)
     ends: tuple[int, ...] = field(repr=False, compare=False)
     _tree: tuple[list[list[int]], list[int]] = field(repr=False, compare=False)
+    _tokens: tuple[Token, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_tokens(cls, sent_id: str, tokens: tuple[Token, ...] | list) -> "Sentence":
         """Build a sentence, validating the tree and laying out its text.
 
-        Raises StructuralError when a form is empty or only whitespace (its
-        rhesis would render as a sentence break), when heads are out of range,
-        the root count is not exactly one, or the head relation contains a
-        cycle.
+        Raises StructuralError when the token indices do not run 1..n in
+        order, when a form is empty, only whitespace or holds a line break
+        (its rhesis would render as a sentence break), when heads are out of
+        range, the root count is not exactly one, or the head relation
+        contains a cycle.  ``tokens`` is kept as the sentence's ``tokens``.
         """
         toks = tuple(tokens)
-        n = len(toks)
+        for position, tok in enumerate(toks, 1):
+            if tok.index != position:
+                raise StructuralError(
+                    f"sentence {sent_id!r}: token {tok.index} ({tok.form!r}) out of "
+                    f"sequence (expected {position})"
+                )
+        sentence = cls._build(
+            sent_id,
+            tuple(tok.form for tok in toks),
+            tuple(tok.upos for tok in toks),
+            tuple(tok.head for tok in toks),
+            tuple(tok.deprel for tok in toks),
+            tuple(tok.misc for tok in toks),
+        )
+        object.__setattr__(sentence, "_tokens", toks)
+        return sentence
+
+    @classmethod
+    def _build(cls, sent_id: str, forms, upos, heads, deprels, miscs) -> "Sentence":
+        """The sentence the column tuples describe: the one validation, traversal and layout."""
+        n = len(forms)
         if n == 0:
             raise StructuralError(f"sentence {sent_id!r}: no tokens")
-        roots = 0
-        for tok in toks:
-            if not tok.form.strip():
+        for index, (form, head) in enumerate(zip(forms, heads), 1):
+            if not form.strip():
                 raise StructuralError(
-                    f"sentence {sent_id!r}: token {tok.index} has an empty or "
-                    f"whitespace-only form ({tok.form!r})"
+                    f"sentence {sent_id!r}: token {index} has an empty or "
+                    f"whitespace-only form ({form!r})"
                 )
-            if not 0 <= tok.head <= n or tok.head == tok.index:
+            if "\n" in form:
                 raise StructuralError(
-                    f"sentence {sent_id!r}: head {tok.head} of token "
-                    f"{tok.index} ({tok.form!r}) out of range"
+                    f"sentence {sent_id!r}: token {index} has a line break in its form ({form!r})"
                 )
-            if tok.head == 0:
-                roots += 1
+            if not 0 <= head <= n or head == index:
+                raise StructuralError(
+                    f"sentence {sent_id!r}: head {head} of token {index} ({form!r}) out of range"
+                )
+        roots = heads.count(0)
         if roots != 1:
             raise StructuralError(f"sentence {sent_id!r}: {roots} roots (need exactly 1)")
         # Cycle check: every token has one head, so the walk down from the
         # root reaches each token at most once, and it reaches exactly the
         # tokens whose head chain ends at the root.  Any other token's chain
         # loops; the first of them in index order is the one named.
-        tree = _top_down(toks)
+        tree = _top_down(heads)
         order = tree[1]
         if len(order) < n:
             reached = set(order)
-            looping = next(tok.index for tok in toks if tok.index not in reached)
+            looping = next(i for i in range(1, n + 1) if i not in reached)
             raise StructuralError(f"sentence {sent_id!r}: cycle through token {looping}")
-        parts, starts, ends, offset = [], [], [], 0
-        for tok in toks:
-            part = tok.form + " " if tok.space_after else tok.form
-            parts.append(part)
-            starts.append(offset)
-            ends.append(offset + len(tok.form))
-            offset += len(part)
+        parts = [
+            form + " " if not misc or _space_after(misc) else form
+            for form, misc in zip(forms, miscs)
+        ]
+        starts = tuple(accumulate(map(len, parts[:-1]), initial=0))
+        ends = tuple(map(add, starts, map(len, forms)))
         text = "".join(parts)[: ends[-1]]  # no space after the last token
-        return cls(sent_id, toks, text, tuple(starts), tuple(ends), tree)
+        return cls(sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree)
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The sentence as ``Token`` objects, built from the columns on first read."""
+        toks = self._tokens
+        if toks is None:
+            toks = tuple(
+                Token(i, *row)
+                for i, row in enumerate(
+                    zip(self.forms, self.upos, self.heads, self.deprels, self.miscs), 1
+                )
+            )
+            object.__setattr__(self, "_tokens", toks)
+        return toks
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.forms)
 
     def span_text(self, start: int, end: int) -> str:
         """Surface text of tokens ``start..end`` (1-based, inclusive)."""
-        if not 1 <= start <= end <= len(self.tokens):
-            raise ValueError(f"bad span ({start}, {end}) for {len(self.tokens)} tokens")
+        if not 1 <= start <= end <= len(self.forms):
+            raise ValueError(f"bad span ({start}, {end}) for {len(self.forms)} tokens")
         return self.text[self.starts[start - 1] : self.ends[end - 1]]
 
 
-def _top_down(tokens: tuple[Token, ...]) -> tuple[list[list[int]], list[int]]:
+def _top_down(heads: tuple[int, ...] | tuple[Token, ...]) -> tuple[list[list[int]], list[int]]:
     """Each token's dependents in index order (entry 0: the root), and a top-down order.
 
-    The order lists the tokens the root reaches: every token, in a tree.
+    ``heads[i - 1]`` governs token ``i``; ``Token`` objects in their order
+    are read through their ``head`` (the reference index in the tests still
+    passes them).  The order lists the tokens the root reaches: every token,
+    in a tree.
     """
-    children: list[list[int]] = [[] for _ in range(len(tokens) + 1)]
-    for tok in tokens:
-        children[tok.head].append(tok.index)
+    if heads and not isinstance(heads[0], int):
+        heads = [tok.head for tok in heads]
+    children: list[list[int]] = [[] for _ in range(len(heads) + 1)]
+    for index, head in enumerate(heads, 1):
+        children[head].append(index)
     order = list(children[0])
     for node in order:
         order.extend(children[node])
@@ -147,30 +206,29 @@ def _top_down(tokens: tuple[Token, ...]) -> tuple[list[list[int]], list[int]]:
 
 def token_depth(sentence: Sentence, index: int) -> int:
     """Number of head steps from token ``index`` to the root (root: 0)."""
-    if not 1 <= index <= len(sentence.tokens):
+    heads = sentence.heads
+    if not 1 <= index <= len(heads):
         raise ValueError(f"token index {index} out of range")
     depth = 0
-    cur = sentence.tokens[index - 1].head
+    cur = heads[index - 1]
     while cur != 0:
         depth += 1
-        cur = sentence.tokens[cur - 1].head
+        cur = heads[cur - 1]
     return depth
 
 
 def subtree_span(sentence: Sentence, index: int) -> tuple[int, int]:
     """Leftmost and rightmost token index in the subtree rooted at ``index``."""
-    if not 1 <= index <= len(sentence.tokens):
+    if not 1 <= index <= len(sentence):
         raise ValueError(f"token index {index} out of range")
-    children: dict[int, list[int]] = {}
-    for tok in sentence.tokens:
-        children.setdefault(tok.head, []).append(tok.index)
+    children = sentence._tree[0]
     lo = hi = index
     stack = [index]
     while stack:
         node = stack.pop()
         lo = min(lo, node)
         hi = max(hi, node)
-        stack.extend(children.get(node, ()))
+        stack.extend(children[node])
     return lo, hi
 
 
@@ -217,14 +275,14 @@ def segmentation_from_spans(
             raise ValueError(f"spans do not tile the sentence at ({start}, {end})")
         rhesis.append(Rhesis(start=start, end=end, text=sentence.span_text(start, end)))
         expected = end + 1
-    if expected != len(sentence.tokens) + 1:
+    if expected != len(sentence) + 1:
         raise ValueError("spans do not cover the sentence")
     return Segmentation(sentence_id=sentence.sent_id, rhesis=tuple(rhesis))
 
 
 def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> Segmentation:
     """Build a Segmentation from internal cut positions (strictly increasing)."""
-    n = len(sentence.tokens)
+    n = len(sentence)
     bounds = [0, *cuts, n]
     spans = [(bounds[i] + 1, bounds[i + 1]) for i in range(len(bounds) - 1)]
     return segmentation_from_spans(sentence, spans)
@@ -249,71 +307,79 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     without a ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...
     A sentence id that repeats an earlier one, given or ordinal, is an error.
     """
-    data = _decoded(data, ParseError)
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    pending: list[Token] = []
+    for sent_id, id_line, rows in _conllu_blocks(_decoded(data, ParseError)):
+        forms, upos, heads, deprels, miscs = [], [], [], [], []
+        for lineno, line in rows:
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line=lineno)
+            ident = cols[0]
+            if "-" in ident or "." in ident:
+                continue  # multiword range / empty node: not a syntactic word
+            try:
+                index = int(ident)
+            except ValueError:
+                raise ParseError(f"unreadable token id {ident!r}", line=lineno) from None
+            if index != len(forms) + 1:
+                raise ParseError(
+                    f"token id {index} out of sequence (expected {len(forms) + 1})",
+                    line=lineno,
+                )
+            form = cols[1]
+            if not form.strip():  # rendered, it would read as a sentence break
+                raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
+            try:
+                heads.append(int(cols[6]))
+            except ValueError:
+                raise ParseError(f"unreadable head {cols[6]!r}", line=lineno) from None
+            if not forms and sent_id is None:
+                id_line = lineno  # no sent_id comment: the first word's line
+            forms.append(form)
+            upos.append(cols[3])
+            deprels.append(cols[7])
+            misc = cols[9].strip()
+            miscs.append("" if misc == "_" else misc)
+        if not forms:
+            continue
+        name = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
+        if name in seen:
+            raise ParseError(f"duplicate sentence id {name!r}", line=id_line)
+        seen.add(name)
+        sentences.append(
+            Sentence._build(
+                name, tuple(forms), tuple(upos), tuple(heads), tuple(deprels), tuple(miscs)
+            )
+        )
+    return sentences
+
+
+def _conllu_blocks(data: str):
+    """Each blank-line-separated block: its sent_id, that comment's line, its other rows.
+
+    The id is the last ``# sent_id`` comment's (None without one), and the
+    rows are ``(line number, line)`` pairs with any CR stripped.
+    """
     sent_id: str | None = None
-    id_line = 0  # the sent_id comment's line, else the sentence's first line
-
-    def flush() -> None:
-        nonlocal pending, sent_id
-        if pending:
-            name = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
-            if name in seen:
-                raise ParseError(f"duplicate sentence id {name!r}", line=id_line)
-            seen.add(name)
-            sentences.append(Sentence.from_tokens(name, pending))
-        pending = []
-        sent_id = None
-
+    id_line = 0
+    rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
-            flush()
-            continue
-        if not pending and sent_id is None:
-            id_line = lineno
-        if line.startswith("#"):
+            if rows:
+                yield sent_id, id_line, rows
+                rows = []
+            sent_id = None
+        elif line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("sent_id") and "=" in body:
                 sent_id = body.split("=", 1)[1].strip()
                 id_line = lineno
-            continue
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line=lineno)
-        ident = cols[0]
-        if "-" in ident or "." in ident:
-            continue  # multiword range / empty node: not a syntactic word
-        try:
-            index = int(ident)
-        except ValueError:
-            raise ParseError(f"unreadable token id {ident!r}", line=lineno) from None
-        if index != len(pending) + 1:
-            raise ParseError(
-                f"token id {index} out of sequence (expected {len(pending) + 1})",
-                line=lineno,
-            )
-        if not cols[1].strip():  # rendered, it would read as a sentence break
-            raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
-        try:
-            head = int(cols[6])
-        except ValueError:
-            raise ParseError(f"unreadable head {cols[6]!r}", line=lineno) from None
-        misc = cols[9].strip()
-        pending.append(
-            Token(
-                index=index,
-                form=cols[1],
-                upos=cols[3],
-                head=head,
-                deprel=cols[7],
-                misc="" if misc == "_" else misc,
-            )
-        )
-    flush()
-    return sentences
+        else:
+            rows.append((lineno, line))
+    if rows:
+        yield sent_id, id_line, rows
 
 
 def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:
@@ -402,7 +468,33 @@ def align_gold(
 
 
 def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
-    forms = [_normalize(tok.form) for tok in sentence.tokens]
+    """The gold spans of ``lines``: each line read as the exact text of its tokens, if it is.
+
+    A line that is not (other whitespace, a boundary inside a token, too
+    little or too much text) sends the whole sentence to
+    ``_align_normalized``, which accepts every such exact reading too.
+    """
+    text, starts, ends = sentence.text, sentence.starts, sentence.ends
+    n = len(ends)
+    spans: list[tuple[int, int]] = []
+    tok = 0  # tokens fully consumed so far
+    for line in lines:
+        if tok == n:
+            return _align_normalized(sentence, lines)
+        p = starts[tok]
+        e = p + len(line)
+        j = bisect_left(ends, e, tok)
+        if j == n or ends[j] != e or text[p:e] != line:
+            return _align_normalized(sentence, lines)
+        spans.append((tok + 1, j + 1))
+        tok = j + 1
+    if tok != n:
+        return _align_normalized(sentence, lines)
+    return segmentation_from_spans(sentence, spans)
+
+
+def _align_normalized(sentence: Sentence, lines: list[str]) -> Segmentation:
+    forms = [_normalize(form) for form in sentence.forms]
     text, starts = sentence.text, sentence.starts
     spans: list[tuple[int, int]] = []
     tok = 0  # tokens fully consumed so far
@@ -423,11 +515,11 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
                 if form.startswith(target[pos:]):
                     raise AlignmentError(
                         f"sentence {sentence.sent_id!r}: rhesis boundary falls "
-                        f"inside token {tok + 1} ({sentence.tokens[tok].form!r})"
+                        f"inside token {tok + 1} ({sentence.forms[tok]!r})"
                     )
                 raise AlignmentError(
                     f"sentence {sentence.sent_id!r}: gold text {target!r} does not "
-                    f"match token {tok + 1} ({sentence.tokens[tok].form!r}) at offset {pos}"
+                    f"match token {tok + 1} ({sentence.forms[tok]!r}) at offset {pos}"
                 )
             pos += len(form)
             tok += 1

@@ -85,7 +85,7 @@ def export_candidates(
     examples: list[CandidateExample] = []
     for entry in corpus:
         sentence = entry.sentence
-        n = len(sentence.tokens)
+        n = len(sentence)
         last = _Structure(sentence, span).fit_end
         # every span-feasible (s, e), sorted: the pool the fallback draws from
         feasible = [(s, e) for s in range(1, n + 1) for e in range(s, last[s] + 1)]

@@ -101,7 +101,7 @@ class EvoConfig:
 
 def corpus_labels(corpus: AlignedCorpus) -> tuple[str, ...]:
     """Sorted dependency labels observed anywhere in the corpus."""
-    labels = {tok.deprel for entry in corpus for tok in entry.sentence.tokens}
+    labels = {deprel for entry in corpus for deprel in entry.sentence.deprels}
     return tuple(sorted(labels))
 
 

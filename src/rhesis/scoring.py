@@ -95,16 +95,16 @@ class CutCandidate:
 
 def crossing_edges(sentence: Sentence, position: int) -> CutCandidate:
     """All dependency edges spanning the boundary at ``position``."""
-    n = len(sentence.tokens)
+    n = len(sentence)
     if not 1 <= position < n:
         raise ValueError(f"position {position} not an internal boundary of {n} tokens")
     edges = []
-    for tok in sentence.tokens:
-        if tok.head == 0:
+    for index, (head, deprel) in enumerate(zip(sentence.heads, sentence.deprels), 1):
+        if head == 0:
             continue
-        lo, hi = min(tok.head, tok.index), max(tok.head, tok.index)
+        lo, hi = min(head, index), max(head, index)
         if lo <= position < hi:
-            edges.append((tok.head, tok.index, tok.deprel))
+            edges.append((head, index, deprel))
     edges.sort()
     depths = {dep: token_depth(sentence, dep) for _, dep, _ in edges}
     primary = min(edges, key=lambda e: (depths[e[1]], e[0], e[1]))
@@ -137,7 +137,7 @@ class _Structure:
 
     ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
     building the slice: it is ``hi[b] - lo[a]``.  In characters mode ``lo``
-    and ``hi`` are the token offsets that ``Sentence.from_tokens`` lays out.
+    and ``hi`` are the token offsets the sentence laid out when it was built.
     In words mode they count words from the forms: ``hi[b]`` sums the words
     of forms ``1..b``, one fewer for each form that continues the previous
     token's last word (no whitespace at the joint), and ``lo[a]`` is
@@ -163,17 +163,18 @@ class _Structure:
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
-        self._tokens = sentence.tokens
+        self._heads = sentence.heads
+        self._deprels = sentence.deprels
         self._tree = sentence._tree
-        self.n = len(sentence.tokens)
+        self.n = len(sentence)
         self.max_units = span.max_chars
         self.target = span.target_chars
         if span.count_mode == "words":
             text, self.lo, self.hi = sentence.text, [0], [0]
-            for s, tok in zip(sentence.starts, sentence.tokens):
+            for s, form in zip(sentence.starts, sentence.forms):
                 joined = s > 0 and not text[s - 1].isspace() and not text[s].isspace()
                 self.lo.append(self.hi[-1] - joined)
-                self.hi.append(self.hi[-1] + len(tok.form.split()) - joined)
+                self.hi.append(self.hi[-1] + len(form.split()) - joined)
         else:  # 1-based: token a covers sentence.text[lo[a]:hi[a]]
             self.lo, self.hi = (0, *sentence.starts), (0, *sentence.ends)
 
@@ -210,16 +211,19 @@ class _Structure:
     def extents(self) -> list[tuple[int, int]]:
         lo = list(range(self.n + 1))
         hi = list(range(self.n + 1))
+        heads = self._heads
         for node in reversed(self._tree[1]):
-            head = self._tokens[node - 1].head
-            lo[head] = min(lo[head], lo[node])
-            hi[head] = max(hi[head], hi[node])
+            head = heads[node - 1]
+            if lo[node] < lo[head]:
+                lo[head] = lo[node]
+            if hi[node] > hi[head]:
+                hi[head] = hi[node]
         return list(zip(lo, hi))
 
     @cached_property
     def cut_features(self) -> tuple[list[str], list[int], list[int]]:
         """Per boundary ``p`` at index ``p - 1``: the primary deprel, its depth, the crossing count."""
-        n, tokens, depth = self.n, self._tokens, self.depth
+        n, deprels, depth = self.n, self._deprels, self.depth
         deprel = [""] * n
         shallowest = [n] * n
         opened = [0] * (n + 1)  # edges that start crossing at p, less those that stop
@@ -229,7 +233,7 @@ class _Structure:
                 lo, hi = (head, dep) if head < dep else (dep, head)
                 opened[lo] += 1
                 opened[hi] -= 1
-                d, label = depth[dep], tokens[dep - 1].deprel
+                d, label = depth[dep], deprels[dep - 1]
                 for p in range(lo, hi):
                     if d < shallowest[p]:
                         shallowest[p] = d
@@ -305,7 +309,7 @@ def enumerate_all(sentence: Sentence, span: SpanConfig, cap: int = 16) -> list[S
     span or is a single (oversized) token.  The fit is read from each span's
     text, not from the index the optimizers share.
     """
-    n = len(sentence.tokens)
+    n = len(sentence)
     if n > cap:
         raise ValueError(f"sentence {sentence.sent_id!r} has {n} tokens, oracle cap is {cap}")
     admissible = {
