@@ -139,20 +139,34 @@ def _cmd_segment(args, cfg: EngineConfig) -> int:
         segs = [segment_best(s, weights, cfg.span) for s in sentences]
     else:
         table = load_scores(Path(args.scores).read_bytes())
-        unknown, past_end = unmatched_rows(table, sentences)
-        if unknown or past_end:
-            print(
-                f"rhesis: warning: {unknown} score rows name no input sentence, "
-                f"{past_end} end past their sentence's last token",
-                file=sys.stderr,
-            )
         segs = [
             segment_by_scores(s, table, cfg.span, epsilon=cfg.score_epsilon)
             for s in sentences
         ]
+        _warn_unscored(table, sentences, segs)
     opts = RenderOptions(format=args.format, include_ids=args.format == "html")
     _emit(render(segs, opts), args.out)
     return 0
+
+
+def _warn_unscored(table, sentences, segs) -> None:
+    """One stderr line counting score rows no segmentation can use and chosen
+    units that had no row (they scored epsilon); nothing when all are zero."""
+    unknown, past_end = unmatched_rows(table, sentences)
+    get = table.probabilities.get
+    epsilon = sum(
+        get((seg.sentence_id, r.start, r.end)) is None for seg in segs for r in seg.rhesis
+    )
+    counts = []
+    if unknown or past_end:
+        counts.append(
+            f"{unknown} score rows name no input sentence, "
+            f"{past_end} end past their sentence's last token"
+        )
+    if epsilon:
+        counts.append(f"{epsilon} chosen units had no score row and scored epsilon")
+    if counts:
+        print("rhesis: warning: " + ", ".join(counts), file=sys.stderr)
 
 
 def _cmd_tune(args, cfg: EngineConfig) -> int:

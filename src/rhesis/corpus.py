@@ -6,10 +6,23 @@ UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag.  A
 ``Sentence`` keeps them as parallel tuples (``forms``, ``upos``, ``heads``,
 ``deprels``, ``miscs``), and lays out its surface text, each token's offsets
 in it and its tree traversal once, when it is built; ``Token`` objects are
-made only when a sentence's ``tokens`` are read.  Gold segmentations travel
-in a plain text format: one rhesis per line, a blank line between sentences,
-``#doc `` lines carrying document labels, and other ``#`` lines ignored as
-comments.
+made only when a sentence's ``tokens`` are read.
+
+``parse_conllu`` reads a document a blank-line block at a time.  A block of
+leading comments and then word rows is cut into cells once, with no
+per-line work, and when its rows pass the column tests (10 columns, ids
+``1..k`` as written once ranges and empty nodes are dropped, non-blank
+forms, integer heads) the five columns are slices of those cells.  Other
+blocks (a comment or blank-looking line between word rows, a row that fails
+a column test), and the whole of a text with a CR in it, go to the per-line
+loop, the only code that raises ``ParseError``, so every error names its
+line.  ``Sentence._build`` tests forms and heads on whole columns, and a
+sentence that fails a test goes to the per-token checks, which name the
+first bad token.  The root count and the cycle check raise directly.
+
+Gold segmentations travel in a plain text format: one rhesis per line, a
+blank line between sentences, ``#doc `` lines carrying document labels, and
+other ``#`` lines ignored as comments.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import add
+from operator import add, eq, methodcaller
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
 
@@ -121,24 +134,22 @@ class Sentence:
 
     @classmethod
     def _build(cls, sent_id: str, forms, upos, heads, deprels, miscs) -> "Sentence":
-        """The sentence the column tuples describe: the one validation, traversal and layout."""
+        """The sentence the column tuples describe: the one validation, traversal and layout.
+
+        The checks run on whole columns; only when one fails does
+        ``_check_tokens`` walk the tokens to name the first bad one.
+        """
         n = len(forms)
         if n == 0:
             raise StructuralError(f"sentence {sent_id!r}: no tokens")
-        for index, (form, head) in enumerate(zip(forms, heads), 1):
-            if not form.strip():
-                raise StructuralError(
-                    f"sentence {sent_id!r}: token {index} has an empty or "
-                    f"whitespace-only form ({form!r})"
-                )
-            if "\n" in form:
-                raise StructuralError(
-                    f"sentence {sent_id!r}: token {index} has a line break in its form ({form!r})"
-                )
-            if not 0 <= head <= n or head == index:
-                raise StructuralError(
-                    f"sentence {sent_id!r}: head {head} of token {index} ({form!r}) out of range"
-                )
+        if (
+            not all(map(str.strip, forms))
+            or "\n" in "".join(forms)
+            or min(heads) < 0
+            or max(heads) > n
+            or any(map(eq, heads, range(1, n + 1)))
+        ):
+            _check_tokens(sent_id, forms, heads)
         roots = heads.count(0)
         if roots != 1:
             raise StructuralError(f"sentence {sent_id!r}: {roots} roots (need exactly 1)")
@@ -185,16 +196,31 @@ class Sentence:
         return self.text[self.starts[start - 1] : self.ends[end - 1]]
 
 
-def _top_down(heads: tuple[int, ...] | tuple[Token, ...]) -> tuple[list[list[int]], list[int]]:
+def _check_tokens(sent_id: str, forms, heads) -> None:
+    """Raise StructuralError for the first token with a blank form, a line break or a bad head."""
+    n = len(forms)
+    for index, (form, head) in enumerate(zip(forms, heads), 1):
+        if not form.strip():
+            raise StructuralError(
+                f"sentence {sent_id!r}: token {index} has an empty or "
+                f"whitespace-only form ({form!r})"
+            )
+        if "\n" in form:
+            raise StructuralError(
+                f"sentence {sent_id!r}: token {index} has a line break in its form ({form!r})"
+            )
+        if not 0 <= head <= n or head == index:
+            raise StructuralError(
+                f"sentence {sent_id!r}: head {head} of token {index} ({form!r}) out of range"
+            )
+
+
+def _top_down(heads: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
     """Each token's dependents in index order (entry 0: the root), and a top-down order.
 
-    ``heads[i - 1]`` governs token ``i``; ``Token`` objects in their order
-    are read through their ``head`` (the reference index in the tests still
-    passes them).  The order lists the tokens the root reaches: every token,
-    in a tree.
+    ``heads[i - 1]`` governs token ``i``.  The order lists the tokens the
+    root reaches: every token, in a tree.
     """
-    if heads and not isinstance(heads[0], int):
-        heads = [tok.head for tok in heads]
     children: list[list[int]] = [[] for _ in range(len(heads) + 1)]
     for index, head in enumerate(heads, 1):
         children[head].append(index)
@@ -306,65 +332,198 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     or only whitespace.  CRLF input is accepted.  Sentences
     without a ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...
     A sentence id that repeats an earlier one, given or ordinal, is an error.
+
+    A block of leading comments and well-formed word rows is read
+    column-wise (see the module docstring); other text goes to the per-line
+    loop ``_line_columns``, which names the line of the first error.
     """
+    text = _decoded(data, ParseError)
+    if "\r" in text:  # CR line ends: the per-line loop reads the whole text
+        blocks = map(_line_columns, _conllu_blocks(text))
+    else:
+        blocks = _text_blocks(text)
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for sent_id, id_line, rows in _conllu_blocks(_decoded(data, ParseError)):
-        forms, upos, heads, deprels, miscs = [], [], [], [], []
-        for lineno, line in rows:
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line=lineno)
-            ident = cols[0]
-            if "-" in ident or "." in ident:
-                continue  # multiword range / empty node: not a syntactic word
-            try:
-                index = int(ident)
-            except ValueError:
-                raise ParseError(f"unreadable token id {ident!r}", line=lineno) from None
-            if index != len(forms) + 1:
-                raise ParseError(
-                    f"token id {index} out of sequence (expected {len(forms) + 1})",
-                    line=lineno,
-                )
-            form = cols[1]
-            if not form.strip():  # rendered, it would read as a sentence break
-                raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
-            try:
-                heads.append(int(cols[6]))
-            except ValueError:
-                raise ParseError(f"unreadable head {cols[6]!r}", line=lineno) from None
-            if not forms and sent_id is None:
-                id_line = lineno  # no sent_id comment: the first word's line
-            forms.append(form)
-            upos.append(cols[3])
-            deprels.append(cols[7])
-            misc = cols[9].strip()
-            miscs.append("" if misc == "_" else misc)
-        if not forms:
+    for sent_id, id_line, columns in blocks:
+        if not columns[0]:
             continue
         name = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
         if name in seen:
             raise ParseError(f"duplicate sentence id {name!r}", line=id_line)
         seen.add(name)
-        sentences.append(
-            Sentence._build(
-                name, tuple(forms), tuple(upos), tuple(heads), tuple(deprels), tuple(miscs)
-            )
-        )
+        sentences.append(Sentence._build(name, *columns))
     return sentences
 
 
-def _conllu_blocks(data: str):
+def _text_blocks(text: str):
+    """Each block of ``text`` (which holds no CR) as ``_line_columns`` gives it.
+
+    A chunk between two ``"\\n\\n"`` is read by ``_chunk_columns`` when it
+    can, else by the per-line loop.
+    """
+    lineno = 1  # the line each chunk starts on
+    for chunk in text.split("\n\n"):
+        blocks = _chunk_columns(chunk, lineno)
+        if blocks is None:
+            blocks = map(_line_columns, _conllu_blocks(chunk, lineno))
+        yield from blocks
+        lineno += chunk.count("\n") + 2
+
+
+def _chunk_columns(chunk: str, lineno: int):
+    """``chunk``'s blocks as ``_line_columns`` gives them, with no per-line work, or None.
+
+    ``chunk`` is text between two ``"\\n\\n"`` that starts on line
+    ``lineno``.  It is read here when it is comment lines and then word rows
+    that ``_word_columns`` accepts, or only comment lines (no block).  Other
+    text (a comment or blank-looking line among the rows, a row it refuses)
+    gives None.
+    """
+    body = chunk.lstrip("\n")
+    lineno += len(chunk) - len(body)
+    body = body.rstrip("\n")
+    sent_id, id_line = None, 0
+    rows = 0  # where the word rows start
+    while body.startswith("#", rows):
+        end = body.find("\n", rows)
+        if end < 0:
+            end = len(body)
+        comment_id = _comment_id(body[rows:end])
+        if comment_id is not None:
+            sent_id, id_line = comment_id, lineno
+        rows = end + 1
+        lineno += 1
+    if rows >= len(body):
+        return ()
+    if body.find("\n#", rows) >= 0:
+        return None
+    words = _word_columns(body[rows:])
+    if words is None:
+        return None
+    first, columns = words
+    return ((sent_id, id_line if sent_id is not None else lineno + first, columns),)
+
+
+_TABS = methodcaller("count", "\t")
+_NO_MISC = {"_": ""}  # _NO_MISC.get(misc, misc): the MISC column as a Sentence keeps it
+# Once every newline of the word rows is cut as a cell of its own start, the
+# ID cells of rows 1, 2, 3, ... read "1", "\n2", "\n3", ...
+_ROW_IDS = ["1", *(f"\n{i}" for i in range(2, 513))]
+
+
+def _row_ids(count: int) -> list[str]:
+    """The ID cells of ``count`` rows numbered from 1, as ``_word_columns`` cuts them."""
+    if count <= len(_ROW_IDS):
+        return _ROW_IDS[:count]
+    return [*_ROW_IDS, *(f"\n{i}" for i in range(len(_ROW_IDS) + 1, count + 1))]
+
+
+def _word_columns(body: str):
+    """Word rows, one a line, read column-wise: (first word's row index, columns), or None.
+
+    The columns are ``_line_columns``' five tuples.  None unless every row
+    has 10 columns, the word ids run ``1..k`` exactly as written once the
+    ranges and empty nodes are dropped, every form is non-blank and every
+    head is an integer: then ``_line_columns`` reads the rows and raises at
+    the first bad one, or reads odd but valid ids such as ``01``.
+    """
+    # Each newline starts a cell, so when the rows' ID cells are exactly
+    # _row_ids(rows) and there are 10 cells a row, every row has 10 columns.
+    rows = body.count("\n") + 1
+    cells = body.replace("\n", "\t\n").split("\t")
+    first = 0
+    if len(cells) != 10 * rows or cells[::10] != _row_ids(rows):
+        # multiword ranges and empty nodes: check every row, then drop them
+        lines = body.split("\n")
+        if set(map(_TABS, lines)) != {9}:
+            return None
+        ids = "\t".join(lines).split("\t")[::10]
+        words = [i for i, ident in enumerate(ids) if "-" not in ident and "." not in ident]
+        if not words:
+            return None
+        first = words[0]
+        cells = "\t\n".join([lines[i] for i in words]).split("\t")
+        if cells[::10] != _row_ids(len(words)):
+            return None
+    forms = cells[1::10]
+    if not all(map(str.strip, forms)):
+        return None
+    try:
+        heads = tuple(map(int, cells[6::10]))
+    except ValueError:
+        return None
+    miscs = list(map(str.strip, cells[9::10]))
+    return first, (
+        tuple(forms),
+        tuple(cells[3::10]),
+        heads,
+        tuple(cells[7::10]),
+        tuple(map(_NO_MISC.get, miscs, miscs)),
+    )
+
+
+def _line_columns(block):
+    """The sentence of one ``_conllu_blocks`` block: ``(sent_id, id line, columns)``.
+
+    Checks the rows in order and raises ParseError at the first bad one.
+    The columns are the five tuples ``Sentence._build`` takes; they are
+    empty when the block holds no syntactic word.  Without a sent_id, the id
+    line is the first word's.
+    """
+    sent_id, id_line, rows = block
+    forms, upos, heads, deprels, miscs = [], [], [], [], []
+    for lineno, line in rows:
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line=lineno)
+        ident = cols[0]
+        if "-" in ident or "." in ident:
+            continue  # multiword range / empty node: not a syntactic word
+        try:
+            index = int(ident)
+        except ValueError:
+            raise ParseError(f"unreadable token id {ident!r}", line=lineno) from None
+        if index != len(forms) + 1:
+            raise ParseError(
+                f"token id {index} out of sequence (expected {len(forms) + 1})",
+                line=lineno,
+            )
+        form = cols[1]
+        if not form.strip():  # rendered, it would read as a sentence break
+            raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
+        try:
+            heads.append(int(cols[6]))
+        except ValueError:
+            raise ParseError(f"unreadable head {cols[6]!r}", line=lineno) from None
+        if not forms and sent_id is None:
+            id_line = lineno  # no sent_id comment: the first word's line
+        forms.append(form)
+        upos.append(cols[3])
+        deprels.append(cols[7])
+        misc = cols[9].strip()
+        miscs.append("" if misc == "_" else misc)
+    return sent_id, id_line, (tuple(forms), tuple(upos), tuple(heads), tuple(deprels), tuple(miscs))
+
+
+def _comment_id(line: str) -> str | None:
+    """The sentence id a ``#`` comment line sets, or None."""
+    body = line[1:].strip()
+    if body.startswith("sent_id") and "=" in body:
+        return body.split("=", 1)[1].strip()
+    return None
+
+
+def _conllu_blocks(data: str, first_line: int = 1):
     """Each blank-line-separated block: its sent_id, that comment's line, its other rows.
 
-    The id is the last ``# sent_id`` comment's (None without one), and the
-    rows are ``(line number, line)`` pairs with any CR stripped.
+    ``data`` starts on line ``first_line``.  The id is the last
+    ``# sent_id`` comment's (None without one), and the rows are
+    ``(line number, line)`` pairs with any CR stripped.
     """
     sent_id: str | None = None
     id_line = 0
     rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(data.split("\n"), start=1):
+    for lineno, raw in enumerate(data.split("\n"), start=first_line):
         line = raw.rstrip("\r")
         if not line.strip():
             if rows:
@@ -372,10 +531,9 @@ def _conllu_blocks(data: str):
                 rows = []
             sent_id = None
         elif line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("sent_id") and "=" in body:
-                sent_id = body.split("=", 1)[1].strip()
-                id_line = lineno
+            comment_id = _comment_id(line)
+            if comment_id is not None:
+                sent_id, id_line = comment_id, lineno
         else:
             rows.append((lineno, line))
     if rows:

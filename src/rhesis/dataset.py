@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._dp import best_cuts, scaled
@@ -86,20 +87,24 @@ def export_candidates(
     for entry in corpus:
         sentence = entry.sentence
         n = len(sentence)
-        last = _Structure(sentence, span).fit_end
-        # every span-feasible (s, e), sorted: the pool the fallback draws from
-        feasible = [(s, e) for s in range(1, n + 1) for e in range(s, last[s] + 1)]
+        last = _Structure(sentence, span).fit_end  # never decreases
+        feasible = None  # every span-feasible (s, e), sorted: built when a pool runs dry
         gold_spans = list(entry.gold.spans())
         used = set(gold_spans)
         for gs, ge in gold_spans:
             examples.append(_example(sentence, gs, ge, 1))
         for gs, ge in gold_spans:
-            smart = [(gs, e) for e in range(gs, n + 1) if e != ge]
-            smart += [(s, ge) for s in range(1, ge + 1) if s != gs]
-            pool = sorted(c for c in smart if c not in used and c[1] <= last[c[0]])
+            # the feasible spans sharing one boundary with (gs, ge), in sorted order:
+            # (s, ge) for s < gs, (gs, e) for e != ge, then (s, ge) for gs < s <= ge
+            pool = [(s, ge) for s in range(bisect_left(last, ge, 1, gs), gs)]
+            pool += [(gs, e) for e in range(gs, last[gs] + 1) if e != ge]
+            pool += [(s, ge) for s in range(bisect_left(last, ge, gs + 1, ge + 1), ge + 1)]
+            pool = [c for c in pool if c not in used]
             chosen = rng.sample(pool, min(negatives_per_positive, len(pool)))
             used.update(chosen)
             if len(chosen) < negatives_per_positive:
+                if feasible is None:
+                    feasible = [(s, e) for s in range(1, n + 1) for e in range(s, last[s] + 1)]
                 fallback = [c for c in feasible if c not in used]
                 extra = rng.sample(
                     fallback, min(negatives_per_positive - len(chosen), len(fallback))

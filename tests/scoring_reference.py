@@ -114,7 +114,7 @@ class _Structure:
 
     @cached_property
     def _tree(self) -> tuple[list[list[int]], list[int]]:
-        return _top_down(self._tokens)
+        return _top_down(tuple(t.head for t in self._tokens))
 
     @cached_property
     def depth(self) -> list[int]:

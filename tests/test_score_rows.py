@@ -4,6 +4,7 @@ when they name an unknown sentence or run past a sentence's end."""
 import pytest
 
 from rhesis import FormatError, load_scores, parse_conllu, unmatched_rows
+from rhesis import RenderOptions, SpanConfig, render, segment_by_scores
 from rhesis.cli import main
 
 from test_cli import CONLLU, SCORES
@@ -59,3 +60,28 @@ class TestSegmentWarning:
 
     def test_silent_when_every_row_matches(self, tmp_path, capsys):
         assert "warning" not in self._run(tmp_path, capsys, SCORES).err
+
+    def test_chosen_units_without_a_row_are_counted_after_segmenting(self, tmp_path, capsys):
+        s1_only = "".join(line + "\n" for line in SCORES.splitlines() if line.startswith("s1\t"))
+        table = load_scores(s1_only)
+        segs = [segment_by_scores(s, table, SpanConfig()) for s in parse_conllu(CONLLU)]
+        unscored = sum(
+            table.get(seg.sentence_id, r.start, r.end) is None for seg in segs for r in seg.rhesis
+        )
+        assert unscored == 1  # s2 fits the span whole: one unit, scored epsilon
+        got = self._run(tmp_path, capsys, s1_only)
+        assert got.out == render(segs, RenderOptions(format="txt"))
+        warnings = [l for l in got.err.splitlines() if l.startswith("rhesis: warning:")]
+        assert warnings == [
+            "rhesis: warning: 1 chosen units had no score row and scored epsilon"
+        ]
+
+    def test_every_count_on_one_line(self, tmp_path, capsys):
+        s1_only = "".join(line + "\n" for line in SCORES.splitlines() if line.startswith("s1\t"))
+        got = self._run(tmp_path, capsys, s1_only + "s7\t1\t2\t0.9\ns1\t8\t9\t0.9\n")
+        warnings = [l for l in got.err.splitlines() if l.startswith("rhesis: warning:")]
+        assert warnings == [
+            "rhesis: warning: 1 score rows name no input sentence, "
+            "1 end past their sentence's last token, "
+            "1 chosen units had no score row and scored epsilon"
+        ]
