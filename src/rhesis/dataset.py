@@ -5,7 +5,8 @@ per gold rhesis, plus "smart" negatives — sub-sections sharing exactly one
 boundary with the gold rhesis they were derived from, so the classifier sees
 near misses rather than arbitrary spans.  Predicted probabilities come back
 as a score table, and a log-probability dynamic program composes them into
-one segmentation per sentence.
+one segmentation per sentence.  The table groups its rows by sentence once,
+on first use, so a sentence costs its admissible spans and its own rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._dp import best_cuts, scaled
 from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded
@@ -153,9 +154,23 @@ def finetune_manifest(
 
 @dataclass(frozen=True, slots=True)
 class ScoreTable:
-    """Probabilities for (sentence_id, start, end) spans, from a classifier."""
+    """Probabilities for (sentence_id, start, end) spans, from a classifier.
+
+    The first segmentation or row count groups the rows by sentence id and
+    keeps that view; do not mutate ``probabilities`` after that.
+    """
 
     probabilities: dict[tuple[str, int, int], float]
+    _grouped: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _rows(self) -> dict[str, list[tuple[int, int, int]]]:
+        """sentence_id -> [(start, end, scaled log-probability)], built once."""
+        if self._grouped is None:
+            grouped: dict[str, list[tuple[int, int, int]]] = {}
+            for (sid, a, b), p in self.probabilities.items():
+                grouped.setdefault(sid, []).append((a, b, scaled(math.log(max(p, 1e-300)))))
+            object.__setattr__(self, "_grouped", grouped)
+        return self._grouped
 
     def get(self, sentence_id: str, start: int, end: int, default=None):
         return self.probabilities.get((sentence_id, start, end), default)
@@ -209,12 +224,12 @@ def unmatched_rows(scores: ScoreTable, sentences: list[Sentence]) -> tuple[int, 
     """
     lengths = {s.sent_id: len(s) for s in sentences}
     unknown = past_end = 0
-    for sentence_id, _, end in scores.probabilities:
+    for sentence_id, rows in scores._rows().items():
         n = lengths.get(sentence_id)
         if n is None:
-            unknown += 1
-        elif end > n:
-            past_end += 1
+            unknown += len(rows)
+        else:
+            past_end += sum(end > n for _, end, _ in rows)
     return unknown, past_end
 
 
@@ -227,20 +242,18 @@ def segment_by_scores(
     """Best segmentation under summed log-probabilities of its rhesis.
 
     Spans missing from the table score ``epsilon``; stored zeros are floored
-    to keep the logarithm finite.  Ties go to fewer rhesis, then the
-    earliest cut set, like the tree segmenter.
+    to keep the logarithm finite.  Every admissible span starts at the
+    ``epsilon`` term, then the sentence's own rows that are admissible
+    overwrite theirs.  Ties go to fewer rhesis, then the earliest cut set,
+    like the tree segmenter.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     struct = _Structure(sentence, span)
     fallback = scaled(math.log(max(epsilon, 1e-300)))
-    get = scores.probabilities.get
-    sid = sentence.sent_id
-    rows = []
-    for a, e in enumerate(struct.fit_end[1:], 1):
-        row = []
-        for b in range(a, max(a, e) + 1):
-            p = get((sid, a, b))
-            row.append(fallback if p is None else scaled(math.log(max(p, 1e-300))))
-        rows.append(row)
-    return _finish(sentence, struct, best_cuts(rows, [0] * (struct.n - 1)))
+    n, last = struct.n, struct.fit_end
+    rows = [[fallback] * (max(a, last[a]) - a + 1) for a in range(1, n + 1)]
+    for a, b, term in scores._rows().get(sentence.sent_id, ()):
+        if 1 <= a <= n and a <= b <= max(a, last[a]):
+            rows[a - 1][b - a] = term
+    return _finish(sentence, struct, best_cuts(rows, [0] * (n - 1)))
