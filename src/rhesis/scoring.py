@@ -16,7 +16,7 @@ import warnings
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from pathlib import Path
 
@@ -119,11 +119,17 @@ def crossing_edges(sentence: Sentence, position: int) -> CutCandidate:
 def _cut_values(
     w: ScoringWeights, deprels: Iterable[str], depths: Iterable[int], crossings: Iterable[int]
 ) -> list[float]:
-    """The score of each cut from its primary edge's deprel and depth and its crossing count."""
+    """The score of each cut from its primary edge's deprel and depth and its crossing count.
+
+    The one cut formula: ``cut_score`` and the tree DP's ``_cut_terms`` both
+    read it.  The deprel table's ``get`` and its default are bound once, so
+    a cut costs one dict lookup.
+    """
     w_dep, w_depth, w_cross, w_count = w.w_dep, w.w_depth, w.w_cross, w.w_count
+    get, default = w.deprel_weights.get, w.default_deprel_weight
     return [
-        w_dep * weight - w_depth * depth - w_cross * (count - 1) - w_count
-        for weight, depth, count in zip(map(w.lookup, deprels), depths, crossings)
+        w_dep * get(label, default) - w_depth * depth - w_cross * (count - 1) - w_count
+        for label, depth, count in zip(deprels, depths, crossings)
     ]
 
 
@@ -150,8 +156,9 @@ class _Structure:
     Everything else is built on first use, so a consumer pays only for what
     it reads.  The span facts: ``fit_end`` (the last end that fits from
     each start), one bisection of ``hi`` per start, and ``measure_rows``,
-    the measure of every admissible segment laid out the way
-    ``_dp.best_cuts`` reads its rows, sliced from ``hi``.  The tree facts,
+    the measure of every admissible segment sliced from ``hi``: the layout
+    the batched tuner reads.  The tree DP reads ``hi``, ``lo`` and
+    ``fit_end`` directly and never builds ``measure_rows``.  The tree facts,
     from the traversal the sentence kept of its cycle check:
     ``depth[i] == token_depth(sentence, i)`` and
     ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
@@ -185,7 +192,7 @@ class _Structure:
     def fit_end(self) -> list[int]:
         """``fit_end[s]``: the last ``e`` with ``measure(s, e) <= max_units``, ``s - 1`` if none.
 
-        An oversized single token does not fit; ``measure_rows`` still lists it alone.
+        An oversized single token does not fit; the DP rows still list it alone.
         """
         hi, lo, cap = self.hi, self.lo, self.max_units
         return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]
@@ -243,21 +250,35 @@ class _Structure:
 
 def _cut_terms(struct: _Structure, w: ScoringWeights) -> list[int]:
     """``scaled(cut_score(crossing_edges(sentence, p), w))`` at index ``p - 1``."""
-    return [scaled(value) for value in _cut_values(w, *struct.cut_features)]
+    return [round(value * SCALE) for value in _cut_values(w, *struct.cut_features)]
+
+
+# One table per weight set and span, shared by every sentence: a bounded cache
+# rather than a ScoringWeights field, which ``asdict`` would write into the
+# weights JSON.  ``typed`` keeps an int weight's exact terms apart from those
+# of an equal float.
+@lru_cache(maxsize=128, typed=True)
+def _balance_table(w_balance: float, target: int, top: int) -> tuple[int, ...]:
+    """The balance term of a segment of measure ``m``, for every ``m`` in ``0..top``."""
+    return tuple(scaled(-w_balance * abs(m - target)) for m in range(top + 1))
 
 
 def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
-    # the balance term depends on the segment only through its measure: a
-    # table over every measure that fits, and one term per oversized token
-    rows = struct.measure_rows
-    top = min(max(row[-1] for row in rows), struct.max_units)
-    table = [scaled(-w.w_balance * abs(m - struct.target)) for m in range(top + 1)]
-    balance = [
-        [table[m] for m in row] if row[-1] <= top
-        else [scaled(-w.w_balance * abs(row[0] - struct.target))]
-        for row in rows
-    ]
-    return best_cuts(balance, _cut_terms(struct, w))
+    # the balance term depends on a segment only through its measure
+    # ``hi[b] - lo[a]``: each row reads the ends ``a..fit_end[a]`` straight
+    # off ``hi`` into one table over ``0..top``, and ``top`` never exceeds the
+    # sentence's own measure, so a huge span costs no more than the sentence;
+    # an oversized token stands alone with its own term
+    hi, lo, target = struct.hi, struct.lo, struct.target
+    table = _balance_table(w.w_balance, target, min(struct.max_units, hi[struct.n] - lo[1]))
+    rows = []
+    for a, e in enumerate(struct.fit_end[1:], 1):
+        base = lo[a]
+        if e < a:
+            rows.append([scaled(-w.w_balance * abs(hi[a] - base - target))])
+        else:
+            rows.append([table[h - base] for h in hi[a : e + 1]])
+    return best_cuts(rows, _cut_terms(struct, w))
 
 
 def _finish(sentence: Sentence, struct: _Structure, cuts: tuple[int, ...]) -> Segmentation:
