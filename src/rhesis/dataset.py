@@ -157,7 +157,8 @@ class ScoreTable:
     """Probabilities for (sentence_id, start, end) spans, from a classifier.
 
     The first segmentation or row count groups the rows by sentence id and
-    keeps that view; do not mutate ``probabilities`` after that.
+    keeps that view; do not mutate ``probabilities`` after that.  Grouping
+    raises ``ValueError`` for a key whose start or end is not an int.
     """
 
     probabilities: dict[tuple[str, int, int], float]
@@ -168,6 +169,8 @@ class ScoreTable:
         if self._grouped is None:
             grouped: dict[str, list[tuple[int, int, int]]] = {}
             for (sid, a, b), p in self.probabilities.items():
+                if not (isinstance(a, int) and isinstance(b, int)):
+                    raise ValueError(f"score key {(sid, a, b)!r}: start and end must be ints")
                 grouped.setdefault(sid, []).append((a, b, scaled(math.log(max(p, 1e-300)))))
             object.__setattr__(self, "_grouped", grouped)
         return self._grouped

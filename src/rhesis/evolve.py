@@ -9,8 +9,10 @@ mutation — driven by one seeded generator, so runs are fully reproducible.
 
 Each generation's new, distinct genomes are scored in one batch: numpy runs
 ``_dp.best_cuts`` on every (genome, sentence) pair at once, and the result
-equals one ``scoring._optimal_cuts`` per pair bit for bit.  That rests on
-four facts.  The float terms are computed in ``cut_score``'s operand order
+equals one ``scoring._optimal_cuts`` per pair bit for bit.  The blocks are
+position-major, genomes on the last axis, so each step of the recurrence
+reads one leading slice of every array.  The equality rests on four facts.
+The float terms are computed in ``cut_score``'s operand order
 (``w_dep * weight - w_depth * depth - w_cross * crossings - w_count``) and
 the balance term's (``-w_balance * |measure - target|``), so each is the same
 IEEE double.  ``np.rint`` rounds half to even, as ``round`` does, so each
@@ -120,6 +122,7 @@ _KEEP = ~((_SEG - 1) ^ (_K - 1))
 _LAST = (1 << 63) - 1  # the key of a segment that is not among the best
 # The balance term of an inadmissible segment: below any score the int64 guard admits.
 _OUT = -(1 << 62)
+_NONE = (1 << 63) - 1  # the measure of an inadmissible segment, above every other
 
 
 class _Block:
@@ -127,71 +130,74 @@ class _Block:
 
     Position ``p`` is the start ``a = n - p``, so every sentence begins its
     suffix recurrence at ``p = 0`` and the sentences still running at ``p``
-    (those with ``n > p``) are a prefix of the block.  ``dep``, ``depth`` and
-    ``cross`` hold the features of the cut before start ``a``.  The measure
-    of segment ``a..a + k`` is ``values[measure[s, p, k]]``, or
-    ``measure[s, p, k] == len(values)`` if the segment is inadmissible, and
-    ``offset[s, p, k]`` is ``k << 20`` plus 1 if it is a gold span.
+    (those with ``n > p``) are a prefix of the block.  ``dep[p, s]``,
+    ``depth[p, s]`` and ``cross[p, s]`` hold the features of the cut before
+    start ``a``.  ``measure[p, k, s]`` is built as ``hi[a + k] - lo[a]``, or
+    ``_NONE`` if segment ``a..a + k`` is inadmissible, and the context ranks
+    it among the corpus's measures.  ``offset[p, k, s, 0]`` is ``_SEG`` plus
+    ``k << 20`` plus 1 if the segment is a gold span.
     """
 
     __slots__ = ("items", "n", "running", "dep", "depth", "cross", "measure", "offset")
 
-    def __init__(self, items, label_id: dict[str, int], values: np.ndarray):
+    def __init__(self, items, label_id: dict[str, int]):
         import numpy as np
         self.items = items
-        n_max = items[0][0].n
-        width = max(len(row) for struct, _ in items for row in struct.measure_rows)
-        dep, depth, cross, measures, gold = [], [], [], [], ([], [], [])
-        out = int(values[-1]) + 1  # sorts after every value
-        for s, (struct, gold_spans) in enumerate(items):
-            deprels, depths, crossings = struct.cut_features
-            pad = [0] * (n_max - len(deprels))
-            dep.append([label_id[label] for label in reversed(deprels)] + pad)
-            depth.append(depths[::-1] + pad)
-            cross.append([c - 1 for c in reversed(crossings)] + pad)
-            rows = struct.measure_rows[::-1] + [[]] * (n_max - struct.n)
-            measures += [row + [out] * (width - len(row)) for row in rows]
-            for a, b in gold_spans:  # an inadmissible one is never chosen
-                if b - a < width:
-                    for axis, i in zip(gold, (s, struct.n - a, b - a)):
-                        axis.append(i)
-        shape = (len(items), n_max, width)
         self.n = np.array([struct.n for struct, _ in items])
+        n_max, lanes = int(self.n[0]), len(items)
         self.running = [int(np.count_nonzero(self.n > p)) for p in range(n_max)]
-        self.dep = np.array(dep, dtype=np.intp)
-        self.depth = np.array(depth, dtype=np.float64)
-        self.cross = np.array(cross, dtype=np.float64)
-        self.measure = np.searchsorted(values, np.array(measures).reshape(shape))
-        self.offset = np.broadcast_to(np.arange(width, dtype=np.int64) * _K, shape).copy()
-        self.offset[gold] += 1
+        self.dep = np.zeros((n_max, lanes), dtype=np.intp)
+        self.depth, self.cross = np.zeros((2, n_max, lanes))
+        hi, lo, last = np.zeros((3, n_max + 1, lanes), dtype=np.int64)
+        gold = []
+        for s, (struct, gold_spans) in enumerate(items):
+            cuts, starts = slice(struct.n - 1), slice(struct.n + 1)
+            deprels, depths, crossings = struct.cut_features
+            self.dep[cuts, s] = [label_id[label] for label in reversed(deprels)]
+            self.depth[cuts, s] = depths[::-1]
+            self.cross[cuts, s] = [c - 1 for c in reversed(crossings)]
+            hi[starts, s], lo[starts, s], last[starts, s] = struct.hi, struct.lo, struct.fit_end
+            gold += [(struct.n - a, b - a, s) for a, b in gold_spans]
+        a = np.arange(n_max + 1)[:, None]  # every start, and every k below the width
+        np.maximum(last, a, out=last)  # an oversized token stands alone
+        width = int((last - a).max()) + 1
+        starts = (self.n - a[:-1]).clip(0)  # starts[p, s]; 0 once sentence s has ended
+        ends = starts[:, None] + a[:width]
+        admissible = (ends <= np.take_along_axis(last, starts, 0)[:, None]) & (starts > 0)[:, None]
+        ends = np.take_along_axis(hi, np.minimum(ends, n_max).reshape(-1, lanes), 0)
+        measure = ends.reshape(admissible.shape) - np.take_along_axis(lo, starts, 0)[:, None]
+        self.measure = np.where(admissible, measure, _NONE)
+        self.offset = np.broadcast_to(a[:width, None] * _K + _SEG, (*admissible.shape, 1)).copy()
+        gold = np.array(gold, dtype=np.intp).reshape(-1, 3)
+        self.offset[tuple(gold[gold[:, 1] < width].T)] += 1  # an inadmissible one is never chosen
 
     def tallies(self, cut: np.ndarray, balance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per genome, the rhesis count and the gold matches of the optimal segmentations.
 
-        ``cut[g, s, p]`` and ``balance[g, v]`` are genome ``g``'s integer cut
+        ``cut[p, s, g]`` and ``balance[v, g]`` are genome ``g``'s integer cut
         and balance terms.  The recurrence is ``_dp.best_cuts`` run on every
-        (genome, sentence) lane at once.  ``tail[..., p + 1]`` is the cut
-        before ``a`` plus the best score of ``a..n``, and ``state[..., p + 1]``
-        packs the segments and gold matches of that cover.  A candidate wins
-        on the higher score, then on the smaller packed key (fewer segments,
-        then the smaller end).
+        (sentence, genome) lane at once.  ``tail[p + 1]`` is the cut before
+        ``a`` plus the best score of ``a..n``, and ``state[p + 1]`` packs the
+        segments and gold matches of that cover.  A candidate wins on the
+        higher score, then on the smaller packed key (fewer segments, then
+        the smaller end).
         """
         import numpy as np
-        genomes, lanes, n_max = cut.shape
-        tail = np.zeros((genomes, lanes, n_max + 1), dtype=np.int64)
+        n_max, lanes, genomes = cut.shape
+        tail = np.zeros((n_max + 1, lanes, genomes), dtype=np.int64)
         state = np.zeros_like(tail)
         for p, run in enumerate(self.running):
-            w = min(p + 1, self.measure.shape[2])
+            w = min(p + 1, self.measure.shape[1])
             ends = slice(p, p - w if p >= w else None, -1)  # k = 0..w-1 reads p - k
-            scores = balance[:, self.measure[:run, p, :w]] + tail[:, :run, ends]
-            best = scores.max(axis=2)
-            keys = np.where(
-                scores == best[..., None], state[:, :run, ends] + self.offset[:run, p, :w], _LAST
-            )
-            tail[:, :run, p + 1] = cut[:, :run, p] + best
-            state[:, :run, p + 1] = (keys.min(axis=2) & _KEEP) + _SEG
-        final = state[:, np.arange(lanes), self.n]
-        return (final >> 40).sum(axis=1), (final & (_K - 1)).sum(axis=1)
+            scores = balance.take(self.measure[p, :w, :run], axis=0)
+            scores += tail[ends, :run]
+            best = np.maximum.reduce(scores)
+            keys = state[ends, :run] + self.offset[p, :w, :run]
+            keys[scores != best] = _LAST
+            np.add(cut[p, :run], best, out=tail[p + 1, :run])
+            np.bitwise_and(np.minimum.reduce(keys), _KEEP, out=state[p + 1, :run])
+        final = state[self.n, np.arange(lanes)]
+        return (final >> 40).sum(axis=0), (final & (_K - 1)).sum(axis=0)
 
 
 class _FitnessContext:
@@ -211,14 +217,17 @@ class _FitnessContext:
         self.metric = metric
         structs = [struct for struct, _ in self.items]
         self.labels = sorted({label for struct in structs for label in struct.cut_features[0]})
-        values = np.array(sorted(set().union(*(row for s in structs for row in s.measure_rows))))
-        self.distance = np.abs(values - span.target_chars)
         label_id = {label: i for i, label in enumerate(self.labels)}
         ranked = sorted(self.items, key=lambda item: -item[0].n)
         self.blocks = [
-            _Block(ranked[k : k + _BLOCK], label_id, values)
-            for k in range(0, len(ranked), _BLOCK)
+            _Block(ranked[k : k + _BLOCK], label_id) for k in range(0, len(ranked), _BLOCK)
         ]
+        # the distinct admissible measures, sorted; np.unique would load numpy.ma
+        values = np.sort(np.concatenate([b.measure[b.measure < _NONE] for b in self.blocks]))
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        self.distance = np.abs(values - span.target_chars)
+        for block in self.blocks:  # _NONE ranks after every value
+            block.measure = np.searchsorted(values, block.measure)
 
     def evaluate_batch(self, batch: Sequence[ScoringWeights]) -> list[float]:
         """The fitness of each weight set, equal to one ``_optimal_cuts`` per sentence."""
@@ -226,29 +235,27 @@ class _FitnessContext:
         if not batch:
             return []
 
-        def scalar(name: str) -> np.ndarray:
-            return np.array([getattr(w, name) for w in batch])[:, None, None]
-
-        # the last column only pads: a corpus of one-token sentences has no labels
-        table = np.array([[*map(w.lookup, self.labels), 0.0] for w in batch])
-        balance = np.rint(-scalar("w_balance")[:, 0] * self.distance * SCALE)
-        terms = np.column_stack([balance.astype(np.int64), np.full(len(batch), _OUT)])
+        scalar = {name: np.array([getattr(w, name) for w in batch]) for name in SCALAR_ORDER}
+        # the last row only pads: a corpus of one-token sentences has no labels
+        table = np.array([[*map(w.lookup, self.labels), 0.0] for w in batch]).T.copy()
+        balance = np.rint(-scalar["w_balance"] * self.distance[:, None] * SCALE)
+        terms = np.concatenate([balance.astype(np.int64), np.full((1, len(batch)), _OUT)])
         matched = np.zeros(len(batch), dtype=np.int64)
         total = np.zeros(len(batch), dtype=np.int64)
         for block in self.blocks:
             cut = np.rint(
                 (
-                    scalar("w_dep") * table[:, block.dep]
-                    - scalar("w_depth") * block.depth
-                    - scalar("w_cross") * block.cross
-                    - scalar("w_count")
+                    scalar["w_dep"] * table[block.dep]
+                    - scalar["w_depth"] * block.depth[..., None]
+                    - scalar["w_cross"] * block.cross[..., None]
+                    - scalar["w_count"]
                 )
                 * SCALE
             )
             # a cover sums at most 2 * n terms, so every score stays within 2**61 of zero
             # and _OUT plus any tail stays below all of them, inside int64; the packed
             # key holds a sentence's segments and matches only below 2**20 tokens
-            n_max = block.dep.shape[1]
+            n_max = block.dep.shape[0]
             if max(np.abs(cut).max(), np.abs(balance).max()) * 4 * n_max < 2.0**62 and n_max < _K:
                 count, hits = block.tallies(cut.astype(np.int64), terms)
             else:

@@ -154,14 +154,12 @@ class _Structure:
     ``__init__``.
 
     Everything else is built on first use, so a consumer pays only for what
-    it reads.  The span facts: ``fit_end`` (the last end that fits from
-    each start), one bisection of ``hi`` per start, and ``measure_rows``,
-    the measure of every admissible segment sliced from ``hi``: the layout
-    the batched tuner reads.  The tree DP reads ``hi``, ``lo`` and
-    ``fit_end`` directly and never builds ``measure_rows``.  The tree facts,
-    from the traversal the sentence kept of its cycle check:
-    ``depth[i] == token_depth(sentence, i)`` and
-    ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
+    it reads.  The span fact: ``fit_end`` (the last end that fits from
+    each start), one bisection of ``hi`` per start; the tree DP and the
+    batched tuner read the measure of each admissible segment straight off
+    ``hi``, ``lo`` and ``fit_end``.  The tree facts, from the traversal the
+    sentence kept of its cycle check: ``depth[i] == token_depth(sentence,
+    i)`` and ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
     ``cut_features``, the three sequences behind ``crossing_edges(sentence,
     p)`` that a cut score reads (the primary edge's deprel, its depth and the
     crossing count, at index ``p - 1``) from one sweep over the edges, in
@@ -196,14 +194,6 @@ class _Structure:
         """
         hi, lo, cap = self.hi, self.lo, self.max_units
         return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]
-
-    @cached_property
-    def measure_rows(self) -> list[list[int]]:
-        """``measure_rows[a - 1][k] == measure(a, a + k)`` for every admissible ``a..a + k``."""
-        hi, lo = self.hi, self.lo
-        return [
-            [h - lo[a] for h in hi[a : max(a, e) + 1]] for a, e in enumerate(self.fit_end[1:], 1)
-        ]
 
     @cached_property
     def depth(self) -> list[int]:

@@ -7,10 +7,12 @@ segmenters must agree with exhaustive enumeration where the span binds.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +36,7 @@ from rhesis import (
 from rhesis import corpus, scoring
 from rhesis._dp import best_cuts, scaled
 from rhesis.corpus import segmentation_from_cuts
-from rhesis.evolve import _Block, _FitnessContext, _spans_from_cuts
+from rhesis.evolve import _NONE, _Block, _FitnessContext, _spans_from_cuts
 from rhesis.scoring import _cut_terms, _optimal_cuts, _Structure
 from rhesis.span import text_measure
 
@@ -122,6 +124,24 @@ def _reshaped(seed: int, forms) -> Sentence:
     return Sentence.from_tokens("t", toks)
 
 
+def _block_rows(index: _Structure) -> list[list[int]]:
+    """The measures the tuner's ``_Block`` lays out for one sentence, one row per start.
+
+    ``rows[a - 1][k]`` is the block's ``measure[n - a, k, 0]`` for every
+    admissible ``a..a + k``; the inadmissible ones, ``_NONE``, must follow
+    them, so the admissible ends from ``a`` are contiguous.
+    """
+    block = _Block([(index, frozenset())], dict.fromkeys(index.cut_features[0], 0))
+    assert block.measure.shape[::2] == (index.n, 1)
+    rows = []
+    for a in range(1, index.n + 1):
+        column = block.measure[index.n - a, :, 0].tolist()
+        row = list(itertools.takewhile(lambda m: m != _NONE, column))
+        assert set(column[len(row) :]) <= {_NONE}
+        rows.append(row)
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=SEEDS,
@@ -129,18 +149,29 @@ def _reshaped(seed: int, forms) -> Sentence:
     mode=st.sampled_from(["characters", "words"]),
     max_units=st.integers(1, 12),
 )
-def test_fit_end_and_measure_rows_equal_a_brute_scan(seed, forms, mode, max_units):
+def test_fit_end_and_block_measures_equal_a_brute_scan(seed, forms, mode, max_units):
     span = SpanConfig(max_chars=max_units, target_chars=1, count_mode=mode)
-    index = _Structure(_reshaped(seed, forms), span)
+    sent = _reshaped(seed, forms)
+    index = _Structure(sent, span)
     n = index.n
-    assert len(index.fit_end) == n + 1 and len(index.measure_rows) == n
+    rows = _block_rows(index)
+    assert len(index.fit_end) == n + 1 and len(rows) == n
+    # the context replaces each measure by its rank among the corpus's values; with
+    # the target at 1 and no measure below it, distance[rank] + 1 is the measure
+    context = _FitnessContext(
+        corpus_from_golds([sent], [random_segmentation(random.Random(seed), sent)]), span, "f1"
+    )
+    (block,) = context.blocks
     for a in range(1, n + 1):
         fitting = [e for e in range(a, n + 1) if index.measure(a, e) <= max_units]
         assert index.fit_end[a] == max(fitting, default=a - 1)
-        row = index.measure_rows[a - 1]
+        row = rows[a - 1]
         assert len(row) == max(len(fitting), 1)  # an oversized token stands alone
+        ranks = block.measure[n - a, :, 0].tolist()
+        assert ranks[len(row) :] == [len(context.distance)] * (len(ranks) - len(row))
         for k, m in enumerate(row):
             assert m == index.measure(a, a + k)
+            assert context.distance[ranks[k]] + 1 == m
 
 
 # Nonzero balance, depth and crossing weights: every term of the index moves the optimum.
@@ -173,7 +204,7 @@ def test_index_equals_the_previous_index(seed, forms, mode, max_units, target, w
     index = _Structure(sent, span)
     reference = scoring_reference._Structure(sent, span)
     assert index.fit_end == reference.fit_end
-    assert index.measure_rows == reference.measure_rows
+    assert _block_rows(index) == reference.measure_rows
     assert index.cut_features == (
         [c.primary_edge[2] for c in reference.candidates],
         [c.depth for c in reference.candidates],
@@ -485,6 +516,75 @@ def test_batched_fitness_spans_several_blocks():
         for _ in range(4)
     ]
     assert context.evaluate_batch(batch) == [_scalar_fitness(context, w) for w in batch]
+
+
+def _population(rng: random.Random, size: int) -> list[ScoringWeights]:
+    """Weight sets as the tuner draws them, after the all-zero and the dep-only ones."""
+    batch = [ScoringWeights(w_dep=0.0), ScoringWeights()]
+    while len(batch) < size:
+        batch.append(ScoringWeights(
+            w_dep=rng.random(), w_count=rng.random(), w_balance=rng.random(),
+            w_depth=rng.random(), w_cross=rng.random(),
+            deprel_weights={d: rng.uniform(-1, 1) for d in DEPRELS},
+        ))
+    return batch
+
+
+def _batched_equals_scalar(sentences, span, rng, metric="precision"):
+    """Fitness of a default-sized population, batched (never the fallback) and scalar."""
+    batch = _population(rng, EvoConfig().population)
+    # half the gold comes from a genome's own optimum, so many spans match exactly
+    golds = [
+        segmentation_from_cuts(s, _optimal_cuts(_Structure(s, span), batch[k % len(batch)]))
+        if k % 2 else random_segmentation(rng, s)
+        for k, s in enumerate(sentences)
+    ]
+    context = _FitnessContext(corpus_from_golds(sentences, golds), span, metric)
+
+    def refused(*args):
+        raise AssertionError("the int64 guard sent the block to the scalar DP")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_FitnessContext, "_scalar_tallies", refused)
+        got = context.evaluate_batch(batch)
+    assert got == [_scalar_fitness(context, w) for w in batch]
+    # the balance terms are those of the admissible measures and no others
+    measures = {
+        struct.hi[b] - struct.lo[a]
+        for struct, _ in context.items
+        for a in range(1, struct.n + 1)
+        for b in range(a, max(a, struct.fit_end[a]) + 1)
+    }
+    assert sorted(context.distance) == sorted(abs(m - span.target_chars) for m in measures)
+    return context
+
+
+_LONG_SPANS = [
+    SpanConfig(),
+    SpanConfig(max_chars=10, target_chars=6),  # the longest forms stand alone
+    SpanConfig(max_chars=6, target_chars=3, count_mode="words"),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, count=st.integers(1, 4), span=st.sampled_from(_LONG_SPANS),
+       metric=st.sampled_from(["precision", "f1"]))
+def test_batched_fitness_equals_the_scalar_dp_on_long_sentences(seed, count, span, metric):
+    rng = random.Random(seed)
+    sentences = [random_sentence(rng, 60, 120, sent_id=f"l{k}") for k in range(count)]
+    _batched_equals_scalar(sentences, span, rng, metric)
+
+
+@pytest.mark.parametrize("span", _LONG_SPANS, ids=["chars45", "chars10", "words6"])
+def test_batched_fitness_on_one_and_hundred_token_sentences_in_one_block(span):
+    rng = random.Random(16)
+    lengths = [1, 100, 1, 1, 100, 1, 100]
+    sentences = [random_sentence(rng, n, n, sent_id=f"m{k}") for k, n in enumerate(lengths)]
+    context = _batched_equals_scalar(sentences, span, rng, "f1")
+    (block,) = context.blocks
+    # the three long sentences run on alone after the first position
+    assert block.running == [7] + [3] * 99
+    assert block.measure.shape[1] > 1
 
 
 def test_int64_guard_falls_back_to_the_scalar_dp(monkeypatch):

@@ -11,8 +11,10 @@ rows once.
 
 import dataclasses
 import random
+import re
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +113,19 @@ def test_the_view_is_built_once_across_calls():
     assert counting.walks == 1
     assert unmatched_rows(table, sentences) == (1, len(sentences))
     assert counting.walks == 1
+
+
+@pytest.mark.parametrize("key", [("s", 1.0, 2), ("s", 1, 2.0), ("s", "1", 2)])
+def test_a_key_that_is_not_int_fails_when_grouped(key):
+    sentence = random_sentence(random.Random(1), 3, 3, sent_id="s")
+    for read in (
+        lambda table: segment_by_scores(sentence, table, SpanConfig()),
+        lambda table: unmatched_rows(table, [sentence]),
+    ):
+        table = ScoreTable(probabilities={("s", 1, 1): 0.5, key: 0.9})
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            read(table)
+    assert len(table) == 2  # building the table checks nothing
 
 
 class TestContract:

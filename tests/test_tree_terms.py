@@ -9,15 +9,13 @@ earlier calls.
 
 import dataclasses
 import random
-from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhesis import ScoringWeights, Sentence, SpanConfig, segment_best, write_weights
+from rhesis import ScoringWeights, Sentence, SpanConfig, segment_best
 from rhesis import scoring
 from rhesis._dp import scaled
-from rhesis.cli import main
 from rhesis.scoring import _balance_table, _cut_terms, _optimal_cuts, _Structure
 from rhesis.span import text_measure
 
@@ -45,7 +43,6 @@ def _agrees(sent: Sentence, span: SpanConfig, w: ScoringWeights) -> None:
         scaled(scoring_reference.cut_score(c, w)) for c in reference.candidates
     ]
     assert _optimal_cuts(index, w) == scoring_reference._optimal_cuts(reference, w)
-    assert "measure_rows" not in vars(index)  # the DP never built the intermediate rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,27 +119,3 @@ def test_the_table_cache_is_bounded_and_keeps_keys_apart():
             )
     assert _balance_table(3**33, 1, 4) != _balance_table(float(3**33), 1, 4)
 
-
-def test_segment_tree_never_builds_measure_rows(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("RHESIS_CONFIG", raising=False)
-    with resources.as_file(resources.files("rhesis").joinpath("data", "fixture.conllu")) as src:
-        conllu = tmp_path / "fixture.conllu"
-        conllu.write_bytes(src.read_bytes())
-    weights = tmp_path / "weights.json"
-    write_weights(weights, ScoringWeights(w_dep=1.0, w_count=0.1, w_balance=0.05, w_depth=0.02,
-                                          w_cross=0.01, deprel_weights={"conj": 0.9, "det": -0.8}))
-    outputs = []
-    for patched in (False, True):
-        out = tmp_path / f"tree-{patched}.out"
-        with monkeypatch.context() as m:
-            if patched:
-                def forbidden(self):
-                    raise AssertionError("the tree DP built measure_rows")
-
-                m.setattr(_Structure, "measure_rows", property(forbidden))
-            code = main(["segment", "--input", str(conllu), "--method", "tree",
-                         "--weights", str(weights), "--out", str(out)])
-        assert code == 0
-        outputs.append((capsys.readouterr().out, out.read_bytes()))
-    assert outputs[1] == outputs[0]
-    assert outputs[0][1]
