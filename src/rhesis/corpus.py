@@ -8,17 +8,18 @@ UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag.  A
 in it and its tree traversal once, when it is built; ``Token`` objects are
 made only when a sentence's ``tokens`` are read.
 
-``parse_conllu`` reads a document a blank-line block at a time.  A block of
-leading comments and then word rows is cut into cells once, with no
-per-line work, and when its rows pass the column tests (10 columns, ids
-``1..k`` as written once ranges and empty nodes are dropped, non-blank
-forms, integer heads) the five columns are slices of those cells.  Other
-blocks (a comment or blank-looking line between word rows, a row that fails
-a column test), and the whole of a text with a CR in it, go to the per-line
-loop, the only code that raises ``ParseError``, so every error names its
-line.  ``Sentence._build`` tests forms and heads on whole columns, and a
-sentence that fails a test goes to the per-token checks, which name the
-first bad token.  The root count and the cycle check raise directly.
+``parse_conllu`` turns CRLF line ends into LF, then reads a document a
+blank-line block at a time, and ``_word_columns`` is the one reader of word
+rows.  It cuts a block's rows into cells once, with no per-line work, and
+when they pass the column tests (10 columns, word ids that read as ``1..k``
+once ranges and empty nodes are dropped, non-blank forms, integer heads)
+the five columns are slices of those cells.  A block with a comment or a
+blank-looking line among its rows is first sorted line by line, comments
+lifted out.  Rows the reader refuses are walked only to raise ``ParseError``
+at the first bad one, so every error names its line.  ``Sentence._build``
+tests forms and heads on whole columns, and a sentence that fails a test
+goes to the per-token checks, which name the first bad token.  The root
+count and the cycle check raise directly.
 
 Gold segmentations travel in a plain text format: one rhesis per line, a
 blank line between sentences, ``#doc `` lines carrying document labels, and
@@ -329,22 +330,22 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
 
     Multiword-token ranges (``3-4``) and empty nodes (``8.1``) are skipped;
     only syntactic words are kept, and each needs a form that is not empty
-    or only whitespace.  CRLF input is accepted.  Sentences
-    without a ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...
-    A sentence id that repeats an earlier one, given or ordinal, is an error.
+    or only whitespace.  CRLF input is accepted.  Sentences without a
+    ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...  A sentence id
+    that repeats an earlier one, given or ordinal, is an error.
 
-    A block of leading comments and well-formed word rows is read
-    column-wise (see the module docstring); other text goes to the per-line
-    loop ``_line_columns``, which names the line of the first error.
+    Every block's word rows are read column-wise by ``_word_columns`` (see
+    the module docstring); the rows of a block it refuses are walked only to
+    name the line of the first error.
     """
     text = _decoded(data, ParseError)
-    if "\r" in text:  # CR line ends: the per-line loop reads the whole text
-        blocks = map(_line_columns, _conllu_blocks(text))
-    else:
-        blocks = _text_blocks(text)
+    if "\r" in text:  # far cheaper than a replace that finds nothing
+        # A CR this leaves (one of a run, or ending the text) changes nothing: a
+        # row's last cell and a comment's id are stripped, and a line of CRs is blank.
+        text = text.replace("\r\n", "\n")
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for sent_id, id_line, columns in blocks:
+    for sent_id, id_line, columns in _blocks(text):
         if not columns[0]:
             continue
         name = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
@@ -355,53 +356,46 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     return sentences
 
 
-def _text_blocks(text: str):
-    """Each block of ``text`` (which holds no CR) as ``_line_columns`` gives it.
+def _blocks(text: str):
+    """Each block of ``text``: ``(sent_id, id line, columns)``.
 
-    A chunk between two ``"\\n\\n"`` is read by ``_chunk_columns`` when it
-    can, else by the per-line loop.
+    A chunk between two ``"\\n\\n"`` that is comment lines and then word
+    rows ``_word_columns`` accepts is one block.  Any other chunk is sorted
+    into blocks by ``_line_blocks``, whose rows go to the reader again; rows
+    it refuses go to ``_raise_bad_row``.  The id is the last ``# sent_id``
+    comment's (None without one); without one, the id line is the first
+    word's.
     """
-    lineno = 1  # the line each chunk starts on
+    start = 1  # the line the next chunk starts on
     for chunk in text.split("\n\n"):
-        blocks = _chunk_columns(chunk, lineno)
-        if blocks is None:
-            blocks = map(_line_columns, _conllu_blocks(chunk, lineno))
-        yield from blocks
-        lineno += chunk.count("\n") + 2
-
-
-def _chunk_columns(chunk: str, lineno: int):
-    """``chunk``'s blocks as ``_line_columns`` gives them, with no per-line work, or None.
-
-    ``chunk`` is text between two ``"\\n\\n"`` that starts on line
-    ``lineno``.  It is read here when it is comment lines and then word rows
-    that ``_word_columns`` accepts, or only comment lines (no block).  Other
-    text (a comment or blank-looking line among the rows, a row it refuses)
-    gives None.
-    """
-    body = chunk.lstrip("\n")
-    lineno += len(chunk) - len(body)
-    body = body.rstrip("\n")
-    sent_id, id_line = None, 0
-    rows = 0  # where the word rows start
-    while body.startswith("#", rows):
-        end = body.find("\n", rows)
-        if end < 0:
-            end = len(body)
-        comment_id = _comment_id(body[rows:end])
-        if comment_id is not None:
-            sent_id, id_line = comment_id, lineno
-        rows = end + 1
-        lineno += 1
-    if rows >= len(body):
-        return ()
-    if body.find("\n#", rows) >= 0:
-        return None
-    words = _word_columns(body[rows:])
-    if words is None:
-        return None
-    first, columns = words
-    return ((sent_id, id_line if sent_id is not None else lineno + first, columns),)
+        first_line, start = start, start + chunk.count("\n") + 2
+        body = chunk.lstrip("\n")
+        lineno = first_line + len(chunk) - len(body)
+        body = body.rstrip("\n")
+        sent_id, id_line = None, 0
+        rows = 0  # where the word rows start
+        while body.startswith("#", rows):
+            end = body.find("\n", rows)
+            if end < 0:
+                end = len(body)
+            comment_id = _comment_id(body[rows:end])
+            if comment_id is not None:
+                sent_id, id_line = comment_id, lineno
+            rows = end + 1
+            lineno += 1
+        if rows >= len(body):
+            continue
+        words = None if body.find("\n#", rows) >= 0 else _word_columns(body[rows:])
+        if words is not None:
+            first, columns = words
+            yield sent_id, id_line if sent_id is not None else lineno + first, columns
+            continue
+        for sent_id, id_line, linenos, lines in _line_blocks(chunk, first_line):
+            words = _word_columns("\n".join(lines))
+            if words is None:
+                _raise_bad_row(zip(linenos, lines))
+            first, columns = words
+            yield sent_id, id_line if sent_id is not None else linenos[first], columns
 
 
 _TABS = methodcaller("count", "\t")
@@ -421,11 +415,11 @@ def _row_ids(count: int) -> list[str]:
 def _word_columns(body: str):
     """Word rows, one a line, read column-wise: (first word's row index, columns), or None.
 
-    The columns are ``_line_columns``' five tuples.  None unless every row
-    has 10 columns, the word ids run ``1..k`` exactly as written once the
-    ranges and empty nodes are dropped, every form is non-blank and every
-    head is an integer: then ``_line_columns`` reads the rows and raises at
-    the first bad one, or reads odd but valid ids such as ``01``.
+    The columns are the five tuples ``Sentence._build`` takes, empty when
+    every row is a multiword range or an empty node.  None exactly when
+    ``_raise_bad_row`` raises on the rows: a row without 10 columns, word
+    ids that ``int`` does not read as ``1..k``, a blank form or a head that
+    is not an integer.
     """
     # Each newline starts a cell, so when the rows' ID cells are exactly
     # _row_ids(rows) and there are 10 cells a row, every row has 10 columns.
@@ -433,17 +427,21 @@ def _word_columns(body: str):
     cells = body.replace("\n", "\t\n").split("\t")
     first = 0
     if len(cells) != 10 * rows or cells[::10] != _row_ids(rows):
-        # multiword ranges and empty nodes: check every row, then drop them
+        # multiword ranges, empty nodes or ids such as "01": check every row,
+        # drop the ranges and empty nodes, and read the ids with int
         lines = body.split("\n")
         if set(map(_TABS, lines)) != {9}:
             return None
         ids = "\t".join(lines).split("\t")[::10]
         words = [i for i, ident in enumerate(ids) if "-" not in ident and "." not in ident]
         if not words:
-            return None
+            return first, ((), (), (), (), ())
         first = words[0]
         cells = "\t\n".join([lines[i] for i in words]).split("\t")
-        if cells[::10] != _row_ids(len(words)):
+        try:
+            if list(map(int, cells[::10])) != list(range(1, len(words) + 1)):
+                return None
+        except ValueError:
             return None
     forms = cells[1::10]
     if not all(map(str.strip, forms)):
@@ -462,16 +460,12 @@ def _word_columns(body: str):
     )
 
 
-def _line_columns(block):
-    """The sentence of one ``_conllu_blocks`` block: ``(sent_id, id line, columns)``.
+def _raise_bad_row(rows):
+    """Raise ParseError at the first bad row of ``(line number, line)`` pairs.
 
-    Checks the rows in order and raises ParseError at the first bad one.
-    The columns are the five tuples ``Sentence._build`` takes; they are
-    empty when the block holds no syntactic word.  Without a sent_id, the id
-    line is the first word's.
+    Called only on rows ``_word_columns`` refused, so one of them is bad.
     """
-    sent_id, id_line, rows = block
-    forms, upos, heads, deprels, miscs = [], [], [], [], []
+    expected = 1  # the next word's id
     for lineno, line in rows:
         cols = line.split("\t")
         if len(cols) != 10:
@@ -483,26 +477,18 @@ def _line_columns(block):
             index = int(ident)
         except ValueError:
             raise ParseError(f"unreadable token id {ident!r}", line=lineno) from None
-        if index != len(forms) + 1:
+        if index != expected:
             raise ParseError(
-                f"token id {index} out of sequence (expected {len(forms) + 1})",
-                line=lineno,
+                f"token id {index} out of sequence (expected {expected})", line=lineno
             )
-        form = cols[1]
-        if not form.strip():  # rendered, it would read as a sentence break
+        if not cols[1].strip():  # rendered, it would read as a sentence break
             raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
         try:
-            heads.append(int(cols[6]))
+            int(cols[6])
         except ValueError:
             raise ParseError(f"unreadable head {cols[6]!r}", line=lineno) from None
-        if not forms and sent_id is None:
-            id_line = lineno  # no sent_id comment: the first word's line
-        forms.append(form)
-        upos.append(cols[3])
-        deprels.append(cols[7])
-        misc = cols[9].strip()
-        miscs.append("" if misc == "_" else misc)
-    return sent_id, id_line, (tuple(forms), tuple(upos), tuple(heads), tuple(deprels), tuple(miscs))
+        expected += 1
+    raise AssertionError("_word_columns refused rows that hold no bad row")
 
 
 def _comment_id(line: str) -> str | None:
@@ -513,31 +499,32 @@ def _comment_id(line: str) -> str | None:
     return None
 
 
-def _conllu_blocks(data: str, first_line: int = 1):
-    """Each blank-line-separated block: its sent_id, that comment's line, its other rows.
+def _line_blocks(chunk: str, first_line: int):
+    """Each blank-line-separated block of ``chunk``: sent_id, its line, row numbers, rows.
 
-    ``data`` starts on line ``first_line``.  The id is the last
-    ``# sent_id`` comment's (None without one), and the rows are
-    ``(line number, line)`` pairs with any CR stripped.
+    ``chunk`` starts on line ``first_line``.  Comment lines are lifted out:
+    the id is the last ``# sent_id`` comment's (None without one), and the
+    rows are the other lines, with their line numbers.
     """
     sent_id: str | None = None
     id_line = 0
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(data.split("\n"), start=first_line):
-        line = raw.rstrip("\r")
-        if not line.strip():
+    linenos: list[int] = []
+    rows: list[str] = []
+    for lineno, line in enumerate(chunk.split("\n"), start=first_line):
+        if not line or line.isspace():
             if rows:
-                yield sent_id, id_line, rows
-                rows = []
+                yield sent_id, id_line, linenos, rows
+                linenos, rows = [], []
             sent_id = None
         elif line.startswith("#"):
             comment_id = _comment_id(line)
             if comment_id is not None:
                 sent_id, id_line = comment_id, lineno
         else:
-            rows.append((lineno, line))
+            linenos.append(lineno)
+            rows.append(line)
     if rows:
-        yield sent_id, id_line, rows
+        yield sent_id, id_line, linenos, rows
 
 
 def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:

@@ -1,11 +1,13 @@
-"""``parse_conllu`` reads well-formed word rows column-wise, without the line loop.
+"""``parse_conllu`` reads every block's word rows column-wise, with one reader.
 
-With the line-by-line reading (``_conllu_blocks`` and the per-line loop
-``_line_columns``) and ``Sentence._build``'s per-token checks
-(``_check_tokens``) patched to raise, well-formed documents must still
-parse, so the block path cannot go dead unnoticed.  Documents that leave
-the block path (CR line ends, a comment between word rows) must parse to
-the same sentences.
+With the line sorter (``_line_blocks``), the error namer (``_raise_bad_row``)
+and ``Sentence._build``'s per-token checks (``_check_tokens``) patched to
+raise, well-formed documents must still parse, so the block path cannot go
+dead unnoticed.  Documents the line sorter cuts (a comment between word rows,
+a blank-looking separator line), CRLF text, odd but valid ids and blocks of
+only ranges must parse to the reference's sentences with only the namer and
+the per-token checks patched.  ``_word_columns`` refuses exactly the rows on
+which the namer raises.
 """
 
 from importlib import resources
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import corpus_reference
 from rhesis import RhesisError, Sentence, Token, corpus
+from rhesis.errors import ParseError
 from rhesis.corpus import parse_conllu
 
 
@@ -81,8 +84,8 @@ def no_line_loop(monkeypatch):
     def forbidden(*args, **kwargs):
         raise _LineLoop
 
-    monkeypatch.setattr(corpus, "_conllu_blocks", forbidden)
-    monkeypatch.setattr(corpus, "_line_columns", forbidden)
+    monkeypatch.setattr(corpus, "_line_blocks", forbidden)
+    monkeypatch.setattr(corpus, "_raise_bad_row", forbidden)
     monkeypatch.setattr(corpus, "_check_tokens", forbidden)
 
 
@@ -151,7 +154,7 @@ def test_a_long_block_past_the_id_table(no_line_loop):
 
 
 def test_odd_but_valid_ids_and_heads_parse_as_the_reference_does():
-    # ids the column test refuses go to the line loop; heads int() reads still count
+    # "01", " 2" and "+2" are ids and heads as int() reads them
     data = "\n".join([_row("01", "a", "+2"), _row(" 2", "b", 0), _row(3, "c", " 2")]) + "\n"
     assert _column_facts(parse_conllu(data)) == _reference_facts(data)
     assert parse_conllu(data.replace("01", "1").replace(" 2\tb", "2\tb"))[0].heads == (2, 0, 2)
@@ -194,3 +197,182 @@ def _built(cls, tokens):
 @given(tokens=_tokens())
 def test_column_checks_and_layout_agree_with_the_per_token_reference(tokens):
     assert _built(Sentence, tokens) == _built(corpus_reference.Sentence, tokens)
+
+
+@pytest.fixture
+def no_error_namer(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise _LineLoop
+
+    monkeypatch.setattr(corpus, "_raise_bad_row", forbidden)
+    monkeypatch.setattr(corpus, "_check_tokens", forbidden)
+
+
+# ids as int() reads them, in a block that also holds a range and an empty node
+ODD_IDS = "\n".join([
+    "# sent_id = odd",
+    _row("+1", "a", "02"),
+    _row("1-2", "ab", "_"),
+    _row("02", "b", 0),
+    _row("2.1", "e", "_"),
+    _row(" 3", "c", "+2"),
+    _row("4 ", "d", " 2"),
+]) + "\n"
+
+# blocks of only ranges and empty nodes hold no sentence, and their sent_id names none
+ONLY_RANGES = "\n".join([
+    "# sent_id = r1",
+    _row("1-2", "du", "_"),
+    _row("1.1", "e", "_"),
+    "",
+    "# sent_id = r1",
+    _row(1, "a", 0),
+    "",
+    _row("0.1", "e", "_"),
+    "",
+    _row(1, "b", 0),
+]) + "\n"
+
+
+def _documents():
+    plain = {"fixture": _fixture(), "ranges": RANGES, "unnamed": UNNAMED}
+    docs = {}
+    for name, data in plain.items():
+        docs[f"{name}-crlf"] = data.replace("\n", "\r\n")
+        docs[f"{name}-crcrlf"] = data.replace("\n", "\r\r\n")
+        docs[f"{name}-comment"] = _comment_between(data)
+        docs[f"{name}-space-line"] = data.replace("\n\n", "\n \n")
+        docs[f"{name}-tab-line"] = data.replace("\n\n", "\n\t\n")
+    docs["cr-inside-a-form"] = RANGES.replace("marché", "mar\rché").replace("\n", "\r\n")
+    docs["cr-ending-the-text"] = UNNAMED.replace("\n", "\r\n") + "\r"
+    docs["odd-ids"] = ODD_IDS
+    docs["odd-ids-crlf"] = ODD_IDS.replace("\n", "\r\n")
+    docs["only-ranges"] = ONLY_RANGES
+    docs["only-ranges-comment"] = ONLY_RANGES.replace(_row("1-2", "du", "_"), _row("1-2", "du", "_") + "\n# c")
+    return docs
+
+
+@pytest.mark.parametrize("name", ["fixture", "ranges", "unnamed"])
+def test_crlf_documents_take_the_block_path(name, no_line_loop):
+    data = {"fixture": _fixture(), "ranges": RANGES, "unnamed": UNNAMED}[name].replace("\n", "\r\n")
+    assert _column_facts(parse_conllu(data)) == _reference_facts(data)
+
+
+@pytest.mark.parametrize("name", sorted(_documents()))
+def test_every_valid_document_is_read_by_the_column_reader(name, no_error_namer):
+    data = _documents()[name]
+    assert _column_facts(parse_conllu(data)) == _reference_facts(data)
+
+
+_GOOD_IDS = ["{i}", "{i}", "{i}", "0{i}", " {i}", "{i} ", "+{i}"]
+_BAD_IDS = ["x", "", " ", "{j}", "{k}", "1_a"]
+_GOOD_HEADS = ["0", "1", "7", "-1", "+2", " 3", "02"]
+_BAD_HEADS = ["h", "", " ", "1.5", "_"]
+_GOOD_FORMS = ["a", " b", "c ", "\xa0d", "#e", "-", "."]
+_BAD_FORMS = ["", " ", "\xa0", "  "]
+_SKIPPED = ["1-2", "3.1", "-", ".", "x-y", "0.5"]  # ranges and empty nodes, any id with - or .
+
+
+@st.composite
+def _word_rows(draw):
+    """Word rows with ranges, empty nodes and every kind of bad row, mostly well formed."""
+    rows = []
+    word = 0
+    for _ in range(draw(st.integers(1, 7))):
+        cols = ["_"] * 10
+        kind = draw(st.sampled_from(["word"] * 6 + ["skipped", "bad_id", "bad_form", "bad_head",
+                                                    "nine", "eleven"]))
+        if kind == "skipped":
+            cols[0] = draw(st.sampled_from(_SKIPPED))
+            cols[1] = draw(st.sampled_from(_GOOD_FORMS + _BAD_FORMS))
+            cols[6] = draw(st.sampled_from(_GOOD_HEADS + _BAD_HEADS))
+        else:
+            word += 1
+            ids = _BAD_IDS if kind == "bad_id" else _GOOD_IDS
+            cols[0] = draw(st.sampled_from(ids)).format(i=word, j=word + 1, k=word - 1)
+            cols[1] = draw(st.sampled_from(_BAD_FORMS if kind == "bad_form" else _GOOD_FORMS))
+            cols[6] = draw(st.sampled_from(_BAD_HEADS if kind == "bad_head" else _GOOD_HEADS))
+        cols[3] = draw(st.sampled_from(["X", "_"]))
+        cols[9] = draw(st.sampled_from(["_", " _ ", "SpaceAfter=No", ""]))
+        if kind == "nine":
+            cols = cols[:9]
+        elif kind == "eleven":
+            cols.append("_")
+        rows.append("\t".join(cols))
+    return rows
+
+
+def _agreement(rows):
+    """The reader's outcome on ``rows``, after checking that the error namer agrees with it."""
+    numbered = list(enumerate(rows, 5))
+    words = corpus._word_columns("\n".join(rows))
+    try:
+        corpus._raise_bad_row(numbered)
+    except ParseError as exc:
+        named = exc.line
+    except AssertionError:
+        named = None  # the guard: no bad row
+    assert (words is None) == (named is not None)
+    if words is None:
+        return None
+    # the columns are what a per-row reading gives
+    cells = [row.split("\t") for row in rows]
+    kept = [i for i, c in enumerate(cells) if "-" not in c[0] and "." not in c[0]]
+    first, columns = words
+    assert first == (kept[0] if kept else 0)
+    assert columns == (
+        tuple(cells[i][1] for i in kept),
+        tuple(cells[i][3] for i in kept),
+        tuple(int(cells[i][6]) for i in kept),
+        tuple(cells[i][7] for i in kept),
+        tuple("" if cells[i][9].strip() == "_" else cells[i][9].strip() for i in kept),
+    )
+    return words
+
+
+@settings(max_examples=1500, deadline=None)
+@given(rows=_word_rows())
+def test_the_reader_refuses_exactly_the_rows_the_namer_names(rows):
+    _agreement(rows)
+
+
+def _with(row: str, column: int, cell: str) -> str:
+    cells = row.split("\t")
+    cells[column] = cell
+    return "\t".join(cells)
+
+
+def test_every_bad_row_kind_at_every_place_is_refused_and_named():
+    good = [_row(1, "a", 0), _row("1-2", "ab", "_"), _row(2, "b", 1), _row("2.1", "e", "_"),
+            _row(3, "c", 2)]
+    assert _agreement(good) is not None
+    assert _agreement([good[1], good[3]]) == (0, ((), (), (), (), ()))
+    bad = {
+        "nine": lambda r: r.rsplit("\t", 1)[0],
+        "eleven": lambda r: r + "\t_",
+        "bad_id": lambda r: _with(r, 0, "x"),
+        "skip_id": lambda r: _with(r, 0, "9"),
+        "bad_form": lambda r: _with(r, 1, " "),
+        "bad_head": lambda r: _with(r, 6, "h"),
+    }
+    for kind, spoil in bad.items():
+        for place in (0, 2, 4):
+            rows = list(good)
+            rows[place] = spoil(rows[place])
+            assert _agreement(rows) is None, (kind, place)
+            with pytest.raises(ParseError) as exc:
+                corpus._raise_bad_row(list(enumerate(rows, 5)))
+            assert exc.value.line == 5 + place, (kind, place)
+
+
+@pytest.mark.parametrize("between", [[], ["# c"]])
+def test_a_repeated_ordinal_id_names_the_first_word_line_past_an_empty_node(between):
+    # the second block has no sent_id, so it is s2 again; with "# c" it is sorted line by line
+    data = "\n".join(["# sent_id = s2", _row(1, "a", 0), "", _row("0.1", "e", "_"), *between,
+                      _row(1, "b", 0)]) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_conllu(data)
+    with pytest.raises(ParseError) as ref:
+        corpus_reference.parse_conllu(data)
+    assert (str(exc.value), exc.value.line) == (str(ref.value), ref.value.line)
+    assert exc.value.line == 5 + len(between)
