@@ -7,7 +7,8 @@ whole sentence, found at most once per sentence.  A segment that already
 fits is left alone; otherwise the first level with a position inside it
 splits it and the smaller pieces continue down the cascade.  A greedy
 regrouping pass can then merge adjacent rhesis back together while they
-still fit, which undoes over-eager cuts.
+still fit, which undoes over-eager cuts.  Both passes read each fit off the
+sentence index, ``hi[b] - lo[a]``, which equals ``text_measure`` of the text.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from .corpus import Segmentation, Sentence, segmentation_from_spans
 from .errors import OversizedTokenWarning
 from .scoring import _Structure
-from .span import SpanConfig, fits_span
+from .span import SpanConfig
 
 __all__ = [
     "CutLevel",
@@ -174,37 +175,41 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
     Each piece that does not fit the span is split at the first level (from
     its current position in the cascade) that proposes cuts; pieces continue
     with the next level.  A piece no level can split is emitted as-is with
-    an OversizedTokenWarning.  Each level is one sorted, sentence-wide list
-    of positions, found at most once per sentence; a piece reads its cuts
-    as the slice of that list between its bounds.
+    an OversizedTokenWarning naming the caller.  Each level is one sorted,
+    sentence-wide list of positions, found at most once per sentence; a
+    piece reads its cuts as the slice of that list between its bounds.
     """
     spans: list[tuple[int, int]] = []
+    oversized: list[tuple[int, int]] = []
     index = _Structure(sentence, config.span)
-    found: dict[CutLevel, list[int]] = {}
+    hi, lo, cap = index.hi, index.lo, index.max_units
+    found: dict[int, list[int]] = {}
 
-    def descend(lo: int, hi: int, level_index: int) -> None:
-        if index.measure(lo, hi) <= index.max_units:
-            spans.append((lo, hi))
+    def descend(a: int, b: int, level_index: int) -> None:
+        if hi[b] - lo[a] <= cap:
+            spans.append((a, b))
             return
         for next_index, level in enumerate(CUT_LEVELS[level_index:], level_index + 1):
-            if level not in found:
-                found[level] = sorted(_level_cuts(sentence, level, config, index))
-            positions = found[level]
-            cuts = positions[bisect_left(positions, lo) : bisect_left(positions, hi)]
+            if next_index not in found:
+                found[next_index] = sorted(_level_cuts(sentence, level, config, index))
+            positions = found[next_index]
+            cuts = positions[bisect_left(positions, a) : bisect_left(positions, b)]
             if cuts:
-                bounds = [lo - 1, *cuts, hi]
-                for a, b in zip(bounds, bounds[1:]):
-                    descend(a + 1, b, next_index)
+                bounds = [a - 1, *cuts, b]
+                for start, end in zip(bounds, bounds[1:]):
+                    descend(start + 1, end, next_index)
                 return
-        spans.append((lo, hi))
-        warnings.warn(
-            f"sentence {sentence.sent_id!r}: {sentence.span_text(lo, hi)!r} "
-            f"exceeds the span and cannot be split further",
-            OversizedTokenWarning,
-            stacklevel=3,
-        )
+        spans.append((a, b))
+        oversized.append((a, b))
 
     descend(1, len(sentence), 0)
+    for a, b in oversized:
+        warnings.warn(
+            f"sentence {sentence.sent_id!r}: {sentence.span_text(a, b)!r} "
+            f"exceeds the span and cannot be split further",
+            OversizedTokenWarning,
+            stacklevel=2,
+        )
     return segmentation_from_spans(sentence, spans)
 
 
@@ -213,16 +218,21 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
 
     Scans left to right, repeatedly absorbing the next rhesis into the
     current one while the merged text fits the span; never merges across a
-    sentence-final punctuation mark (., !, ?).
+    sentence-final punctuation mark (., !, ?).  Each merge is decided by the
+    sentence index: ``hi[end] - lo[start]`` is ``text_measure`` of the merged text.
     """
     if not seg.rhesis:
         return seg
+    if seg.token_count > len(sentence):
+        raise ValueError(f"segmentation runs to token {seg.token_count} of {len(sentence)}")
+    index = _Structure(sentence, config.span)
+    hi, lo, cap = index.hi, index.lo, index.max_units
     merged: list[tuple[int, int]] = []
     cur_start, cur_end = seg.rhesis[0].start, seg.rhesis[0].end
     for nxt in seg.rhesis[1:]:
         last = cur_end - 1
         blocked = sentence.upos[last] == "PUNCT" and sentence.forms[last] in _FINAL_PUNCTUATION
-        if not blocked and fits_span(sentence.span_text(cur_start, nxt.end), config.span):
+        if not blocked and hi[nxt.end] - lo[cur_start] <= cap:
             cur_end = nxt.end
         else:
             merged.append((cur_start, cur_end))

@@ -293,16 +293,18 @@ def segmentation_from_spans(
     """Build a Segmentation from 1-based inclusive spans over ``sentence``.
 
     The spans must tile the sentence: start at 1, end at the token count, and
-    each span must begin right after its predecessor ends.
+    each span must begin right after its predecessor ends.  Texts are sliced
+    from ``text``, ``starts`` and ``ends``; no other column is read.
     """
+    text, starts, ends, n = sentence.text, sentence.starts, sentence.ends, len(sentence)
     expected = 1
     rhesis = []
     for start, end in spans:
-        if start != expected or end < start:
+        if not expected == start <= end <= n:
             raise ValueError(f"spans do not tile the sentence at ({start}, {end})")
-        rhesis.append(Rhesis(start=start, end=end, text=sentence.span_text(start, end)))
+        rhesis.append(Rhesis(start, end, text[starts[start - 1] : ends[end - 1]]))
         expected = end + 1
-    if expected != len(sentence) + 1:
+    if expected != n + 1:
         raise ValueError("spans do not cover the sentence")
     return Segmentation(sentence_id=sentence.sent_id, rhesis=tuple(rhesis))
 

@@ -139,7 +139,7 @@ def cut_score(cand: CutCandidate, w: ScoringWeights) -> float:
 
 
 class _Structure:
-    """The per-sentence index read by every segmenter, the export and the tuner.
+    """The per-sentence index read by every segmenter, ``regroup``, the export and the tuner.
 
     ``measure(a, b) == text_measure(sentence.span_text(a, b), span)`` without
     building the slice: it is ``hi[b] - lo[a]``.  In characters mode ``lo``
@@ -258,15 +258,15 @@ def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     # ``hi[b] - lo[a]``: each row reads the ends ``a..fit_end[a]`` straight
     # off ``hi`` into one table over ``0..top``, and ``top`` never exceeds the
     # sentence's own measure, so a huge span costs no more than the sentence;
-    # an oversized token stands alone with its own term
+    # an oversized token stands alone in every segmentation: its term is 0
     hi, lo, target = struct.hi, struct.lo, struct.target
     table = _balance_table(w.w_balance, target, min(struct.max_units, hi[struct.n] - lo[1]))
     rows = []
     for a, e in enumerate(struct.fit_end[1:], 1):
-        base = lo[a]
         if e < a:
-            rows.append([scaled(-w.w_balance * abs(hi[a] - base - target))])
+            rows.append([0])
         else:
+            base = lo[a]
             rows.append([table[h - base] for h in hi[a : e + 1]])
     return best_cuts(rows, _cut_terms(struct, w))
 

@@ -13,6 +13,8 @@ from rhesis import (
     CascadeConfig,
     CutLevel,
     OversizedTokenWarning,
+    Rhesis,
+    Segmentation,
     Sentence,
     SpanConfig,
     Token,
@@ -299,6 +301,18 @@ class TestRegroup:
         grouped = regroup(sent, pieces, cfg)
         assert grouped.spans() == ((1, 3), (4, 4))
 
+    @pytest.mark.parametrize(
+        "spans",
+        [[(1, 3), (4, 7)], [(1, 7)], [(1, 7), (8, 9)], [(1, 2), (3, 7), (8, 8)]],
+        ids=["last-merge", "single", "first", "middle"],
+    )
+    def test_units_past_the_last_token_raise_value_error(self, spans):
+        rows = [(f"m{i}", "X", 0 if i == 1 else 1, "dep", True) for i in range(1, 7)]
+        sent = _sent("six", rows)
+        foreign = Segmentation("six", tuple(Rhesis(a, b, "x") for a, b in spans))
+        with pytest.raises(ValueError):
+            regroup(sent, foreign, CFG)
+
     def test_idempotent_on_random_cascade_output(self):
         rng = random.Random(5150)
         with warnings.catch_warnings():
@@ -369,7 +383,7 @@ def _run(segment, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         seg = segment(*args)
-    return seg, sum(issubclass(w.category, OversizedTokenWarning) for w in caught)
+    return seg, [str(w.message) for w in caught if issubclass(w.category, OversizedTokenWarning)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -384,9 +398,9 @@ def test_sentence_wide_levels_equal_the_per_piece_cascade(seed, odd, inventory, 
     cfg = CascadeConfig(span=span, **inventory)
     got, got_warned = _run(cascade_segment, sent, cfg)
     want, want_warned = _run(cascade_reference.cascade_segment, sent, cfg)
-    assert got.spans() == want.spans()
+    assert got == want
     assert got_warned == want_warned
-    assert regroup(sent, got, cfg).spans() == cascade_reference.regroup(sent, want, cfg).spans()
+    assert regroup(sent, got, cfg) == cascade_reference.regroup(sent, want, cfg)
     pieces = random_segmentation(random.Random(seed), sent)
     assert regroup(sent, pieces, cfg) == cascade_reference.regroup(sent, pieces, cfg)
     n = len(sent.tokens)

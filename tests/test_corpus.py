@@ -25,6 +25,7 @@ from rhesis import (
 )
 from rhesis.scoring import _Structure
 
+import corpus_reference
 from helpers import random_sentence
 
 SAMPLE = """\
@@ -203,6 +204,14 @@ class TestSegmentationHelpers:
             segmentation_from_spans(self.sent, [(2, 4)])  # missing start
         with pytest.raises(ValueError):
             segmentation_from_spans(self.sent, [])
+        with pytest.raises(ValueError):
+            segmentation_from_spans(self.sent, [(1, 2), (3, 2), (3, 4)])  # reversed
+        with pytest.raises(ValueError):
+            segmentation_from_spans(self.sent, [(1, 2), (3, 5)])  # end past the last token
+        with pytest.raises(ValueError):
+            segmentation_from_spans(self.sent, [(1, 4), (5, 5)])  # wholly past it
+        with pytest.raises(ValueError):
+            segmentation_from_spans(self.sent, [(1, 2), (3, 3)])  # cover stops short
 
 
 class TestParseGold:
@@ -400,3 +409,20 @@ def test_cycle_check_names_the_first_looping_token(drawn):
         with pytest.raises(StructuralError) as caught:
             Sentence.from_tokens("c", toks)
         assert str(caught.value) == f"sentence 'c': cycle through token {looping}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ARBITRARY_FORMS, _MISC), min_size=1, max_size=8), st.data())
+def test_segmentation_texts_are_the_span_texts(drawn, data):
+    # the reference sentence has no columns: the constructor reads only the
+    # token count, the id, the text and the offsets
+    toks = [_tok(i, form, i - 1, misc=misc) for i, (form, misc) in enumerate(drawn, 1)]
+    n = len(toks)
+    cuts = data.draw(st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set()))
+    bounds = [0, *sorted(cuts), n]
+    spans = [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+    for sent in (Sentence.from_tokens("h", toks), corpus_reference.Sentence.from_tokens("h", toks)):
+        seg = segmentation_from_spans(sent, spans)
+        assert seg.sentence_id == "h"
+        assert seg.spans() == tuple(spans)
+        assert [r.text for r in seg.rhesis] == [sent.span_text(a, b) for a, b in spans]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhesis import (
+    CascadeConfig,
     CutCandidate,
     FormatError,
     OversizedTokenWarning,
@@ -18,6 +19,7 @@ from rhesis import (
     Sentence,
     SpanConfig,
     Token,
+    cascade_segment,
     crossing_edges,
     cut_score,
     enumerate_all,
@@ -362,6 +364,28 @@ _SEGMENTERS = {
     "tree": lambda sent, span: segment_best(sent, ScoringWeights(), span),
     "scores": lambda sent, span: segment_by_scores(sent, ScoreTable({}), span),
 }
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [
+        lambda sent, span: cascade_segment(sent, CascadeConfig(span=span)),
+        *_SEGMENTERS.values(),
+    ],
+    ids=["cascade", *_SEGMENTERS],
+)
+def test_oversized_warnings_name_the_caller_in_order(segment):
+    # no punctuation, clause or preposition level applies, so the cascade
+    # reaches each oversized token one level below the whole sentence
+    forms = ["Il", "dit", "x" * 60, "puis", "y" * 50, "."]
+    sent = _chain([0, 1, 2, 3, 4, 5], forms=forms)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        segment(sent, SpanConfig())
+    oversized = [w for w in caught if issubclass(w.category, OversizedTokenWarning)]
+    assert [w.filename for w in oversized] == [__file__, __file__]
+    assert repr(forms[2]) in str(oversized[0].message)
+    assert repr(forms[4]) in str(oversized[1].message)
 
 
 @pytest.mark.parametrize("method", sorted(_SEGMENTERS))
