@@ -81,14 +81,21 @@ class CascadeConfig:
                 raise ValueError(f"{name} must not be empty")
 
 
-def _clause_onsets(sentence: Sentence, config: CascadeConfig, index: _Structure) -> set[int]:
+def _clause_onsets(sentence: Sentence, config: CascadeConfig) -> set[int]:
     """Cut positions before tokens that introduce a clause.
 
     A subordinating conjunction, a coordinating conjunction attached to a
     verbal head, or any token bearing a clause-level relation marks a clause;
-    the cut lands before the leftmost token of that clause's subtree.
+    the cut lands before the leftmost token of that clause's subtree.  Each
+    subtree's left edge comes from one bottom-up pass over the traversal the
+    sentence kept of its cycle check.
     """
-    extents, upos, heads, deprels = index.extents, sentence.upos, sentence.heads, sentence.deprels
+    upos, heads, deprels = sentence.upos, sentence.heads, sentence.deprels
+    left = list(range(len(sentence) + 1))
+    for node in reversed(sentence._tree[1]):
+        head = heads[node - 1]
+        if left[node] < left[head]:
+            left[head] = left[node]
     cuts = set()
     for i, pos in enumerate(upos, 1):
         if pos == "SCONJ":
@@ -98,7 +105,7 @@ def _clause_onsets(sentence: Sentence, config: CascadeConfig, index: _Structure)
         else:
             matched = deprels[i - 1] in config.clause_deprels
         if matched:
-            cuts.add(extents[i][0] - 1)
+            cuts.add(left[i] - 1)
     return cuts
 
 
@@ -113,17 +120,20 @@ def find_cuts_at_level(
     A position ``i`` separates token ``i`` from token ``i + 1``; valid
     positions for a segment ``(lo, hi)`` are ``lo <= i <= hi - 1``.
     """
+    lo, hi = _checked(sentence, segment)
+    return {c for c in _level_cuts(sentence, level, config) if lo <= c < hi}
+
+
+def _checked(sentence: Sentence, segment: tuple[int, int]) -> tuple[int, int]:
+    """``segment`` as ``(lo, hi)``, refused unless ``1 <= lo <= hi <= len(sentence)``."""
     lo, hi = segment
     n = len(sentence)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad segment ({lo}, {hi}) for {n} tokens")
-    cuts = _level_cuts(sentence, level, config, _Structure(sentence, config.span))
-    return {c for c in cuts if lo <= c < hi}
+    return lo, hi
 
 
-def _level_cuts(
-    sentence: Sentence, level: CutLevel, config: CascadeConfig, index: _Structure
-) -> set[int]:
+def _level_cuts(sentence: Sentence, level: CutLevel, config: CascadeConfig) -> set[int]:
     """The level's cut positions over the whole sentence; ``(lo, hi)`` holds ``lo <= c < hi``."""
     upos, forms = sentence.upos, sentence.forms
     name = level.name
@@ -131,7 +141,7 @@ def _level_cuts(
         marks = config.cut_punctuation
         return {i for i, pos in enumerate(upos, 1) if pos == "PUNCT" and forms[i - 1] in marks}
     if name == "clause":
-        return _clause_onsets(sentence, config, index)
+        return _clause_onsets(sentence, config)
     if name in ("priority_preposition", "other_preposition"):
         priority = name == "priority_preposition"
         return {
@@ -154,7 +164,7 @@ def chunk_boundaries(
     Two neighbours stay glued when one governs the other through a glue
     relation, or when they share a head and both bear glue relations.
     """
-    lo, hi = segment
+    lo, hi = _checked(sentence, segment)
     heads, deprels, glue = sentence.heads, sentence.deprels, config.glue_deprels
     cuts = set()
     for i in range(lo, hi):  # left token i, right token i + 1
@@ -191,7 +201,7 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
             return
         for next_index, level in enumerate(CUT_LEVELS[level_index:], level_index + 1):
             if next_index not in found:
-                found[next_index] = sorted(_level_cuts(sentence, level, config, index))
+                found[next_index] = sorted(_level_cuts(sentence, level, config))
             positions = found[next_index]
             cuts = positions[bisect_left(positions, a) : bisect_left(positions, b)]
             if cuts:

@@ -87,10 +87,11 @@ class Sentence:
     ``""`` for ``_``).  ``text[starts[i - 1]:ends[i - 1]]`` is that form, and
     one space follows every token but the last unless its MISC says
     ``SpaceAfter=No``.  ``_tree`` keeps the ``_top_down`` traversal of the
-    cycle check for the per-sentence index and the tree queries; it is read,
-    never changed.  The offsets and the traversal follow from the columns:
-    ``==``, ``hash`` and ``repr`` skip them.  ``tokens`` gives the same
-    sentence as ``Token`` objects, built on first read.
+    cycle check for the per-sentence index, the cascade's clause level and
+    the tree queries; it is read, never changed.  The offsets and the
+    traversal follow from the columns: ``==``, ``hash`` and ``repr`` skip
+    them.  ``tokens`` gives the same sentence as ``Token`` objects, built on
+    first read.
     """
 
     sent_id: str

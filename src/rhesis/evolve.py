@@ -44,6 +44,8 @@ if TYPE_CHECKING:
 
 __all__ = ["Genome", "EvoConfig", "corpus_labels", "fitness", "evolve"]
 
+_METRICS = ("precision", "f1")
+
 
 @dataclass(frozen=True, slots=True)
 class Genome:
@@ -97,8 +99,8 @@ class EvoConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.mutation_sigma <= 0:
             raise ValueError("mutation_sigma must be positive")
-        if self.fitness_metric not in ("precision", "f1"):
-            raise ValueError("fitness_metric must be 'precision' or 'f1'")
+        if self.fitness_metric not in _METRICS:
+            raise ValueError(f"fitness_metric must be in {_METRICS}, got {self.fitness_metric!r}")
 
 
 def corpus_labels(corpus: AlignedCorpus) -> tuple[str, ...]:
@@ -209,14 +211,15 @@ class _FitnessContext:
         import numpy as np
         if not corpus.entries:
             raise ValueError("empty corpus")
+        if metric not in _METRICS:
+            raise ValueError(f"fitness_metric must be in {_METRICS}, got {metric!r}")
         self.items = [
             (_Structure(entry.sentence, span), frozenset(entry.gold.spans()))
             for entry in corpus
         ]
         self.gold_total = sum(len(spans) for _, spans in self.items)
         self.metric = metric
-        structs = [struct for struct, _ in self.items]
-        self.labels = sorted({label for struct in structs for label in struct.cut_features[0]})
+        self.labels = corpus_labels(corpus)
         label_id = {label: i for i, label in enumerate(self.labels)}
         ranked = sorted(self.items, key=lambda item: -item[0].n)
         self.blocks = [
@@ -236,8 +239,7 @@ class _FitnessContext:
             return []
 
         scalar = {name: np.array([getattr(w, name) for w in batch]) for name in SCALAR_ORDER}
-        # the last row only pads: a corpus of one-token sentences has no labels
-        table = np.array([[*map(w.lookup, self.labels), 0.0] for w in batch]).T.copy()
+        table = np.array([list(map(w.lookup, self.labels)) for w in batch]).T.copy()
         balance = np.rint(-scalar["w_balance"] * self.distance[:, None] * SCALE)
         terms = np.concatenate([balance.astype(np.int64), np.full((1, len(batch)), _OUT)])
         matched = np.zeros(len(batch), dtype=np.int64)
@@ -327,7 +329,7 @@ def evolve(
     """
     import numpy as np
     context = _FitnessContext(corpus, span, cfg.fitness_metric)
-    labels = corpus_labels(corpus)
+    labels = context.labels
     dim = len(SCALAR_ORDER) + len(labels)
     rng = np.random.default_rng(cfg.seed)
 
@@ -353,29 +355,23 @@ def evolve(
         memo.update(zip(fresh, context.evaluate_batch(list(fresh.values()))))
         return [memo[vec.tobytes()] for vec in pop]
 
-    fits = evaluate_all(population)
-    best_fit = fits[0]
-    best_vec = population[0].copy()
-    for vec, fit in zip(population, fits):
-        if fit > best_fit:
-            best_fit, best_vec = fit, vec.copy()
-    trace = [best_fit]
-
-    for _ in range(cfg.generations):
-        ranked = sorted(range(len(population)), key=lambda i: (-fits[i], i))
-        next_pop = [population[i].copy() for i in ranked[: cfg.elitism]]
-        while len(next_pop) < cfg.population:
-            a = _tournament(rng, fits, cfg.tournament_k)
-            b = _tournament(rng, fits, cfg.tournament_k)
-            if rng.random() < cfg.crossover_rate:
-                mask = rng.random(dim) < 0.5
-                child = np.where(mask, population[a], population[b])
-            else:
-                child = population[a].copy()
-            mutate = rng.random(dim) < cfg.mutation_rate
-            child = child + rng.normal(0.0, cfg.mutation_sigma, dim) * mutate
-            next_pop.append(_clamped(child))
-        population = next_pop
+    best_fit, best_vec, trace = float("-inf"), population[0], []
+    for generation in range(cfg.generations + 1):
+        if generation:  # generation 0 is the initial population
+            ranked = sorted(range(len(population)), key=lambda i: (-fits[i], i))
+            next_pop = [population[i].copy() for i in ranked[: cfg.elitism]]
+            while len(next_pop) < cfg.population:
+                a = _tournament(rng, fits, cfg.tournament_k)
+                b = _tournament(rng, fits, cfg.tournament_k)
+                if rng.random() < cfg.crossover_rate:
+                    mask = rng.random(dim) < 0.5
+                    child = np.where(mask, population[a], population[b])
+                else:
+                    child = population[a].copy()
+                mutate = rng.random(dim) < cfg.mutation_rate
+                child = child + rng.normal(0.0, cfg.mutation_sigma, dim) * mutate
+                next_pop.append(_clamped(child))
+            population = next_pop
         fits = evaluate_all(population)
         for vec, fit in zip(population, fits):
             if fit > best_fit:

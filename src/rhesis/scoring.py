@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
@@ -62,6 +62,8 @@ class ScoringWeights:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not isinstance(self.deprel_weights, Mapping):
+            raise TypeError(f"deprel_weights must be a mapping, got {self.deprel_weights!r}")
         for label, value in self.deprel_weights.items():
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"deprel weight for {label!r} must be in [-1, 1], got {value}")
@@ -153,22 +155,23 @@ class _Structure:
     decreases or ``b`` grows, and the count mode matters only here in
     ``__init__``.
 
-    Everything else is built on first use, so a consumer pays only for what
-    it reads.  The span fact: ``fit_end`` (the last end that fits from
-    each start), one bisection of ``hi`` per start; the tree DP and the
-    batched tuner read the measure of each admissible segment straight off
-    ``hi``, ``lo`` and ``fit_end``.  The tree facts, from the traversal the
-    sentence kept of its cycle check: ``depth[i] == token_depth(sentence,
-    i)`` and ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
+    Every fact the index holds has at least two readers.  The cascade and
+    ``regroup`` read ``hi``, ``lo`` and ``max_units``; both DPs warn through
+    ``measure``.  The rest is built on first use, so a consumer pays only
+    for what it reads.  The span fact: ``fit_end`` (the last end that fits
+    from each start), one bisection of ``hi`` per start; both DPs, the
+    batched tuner and the export read the measure of each admissible segment
+    straight off ``hi``, ``lo`` and ``fit_end``.  The tree fact:
     ``cut_features``, the three sequences behind ``crossing_edges(sentence,
     p)`` that a cut score reads (the primary edge's deprel, its depth and the
-    crossing count, at index ``p - 1``) from one sweep over the edges, in
-    O(n + total arc length).  None of these depends on the weights, so the
-    tuner builds them once per sentence.
+    crossing count, at index ``p - 1``), read by the tree DP and the tuner.
+    It takes each token's depth from one pass over the traversal the
+    sentence kept of its cycle check, then sweeps the edges once, in O(n +
+    total arc length).  None of these depends on the weights, so the tuner
+    builds them once per sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
-        self._heads = sentence.heads
         self._deprels = sentence.deprels
         self._tree = sentence._tree
         self.n = len(sentence)
@@ -196,37 +199,19 @@ class _Structure:
         return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]
 
     @cached_property
-    def depth(self) -> list[int]:
-        children, order = self._tree
-        depth = [0] * (self.n + 1)
+    def cut_features(self) -> tuple[list[str], list[int], list[int]]:
+        """Per boundary ``p`` at index ``p - 1``: the primary deprel, its depth, the crossing count."""
+        n, deprels, (children, order) = self.n, self._deprels, self._tree
+        depth = [0] * (n + 1)
         for node in order:
             for child in children[node]:
                 depth[child] = depth[node] + 1
-        return depth
-
-    @cached_property
-    def extents(self) -> list[tuple[int, int]]:
-        lo = list(range(self.n + 1))
-        hi = list(range(self.n + 1))
-        heads = self._heads
-        for node in reversed(self._tree[1]):
-            head = heads[node - 1]
-            if lo[node] < lo[head]:
-                lo[head] = lo[node]
-            if hi[node] > hi[head]:
-                hi[head] = hi[node]
-        return list(zip(lo, hi))
-
-    @cached_property
-    def cut_features(self) -> tuple[list[str], list[int], list[int]]:
-        """Per boundary ``p`` at index ``p - 1``: the primary deprel, its depth, the crossing count."""
-        n, deprels, depth = self.n, self._deprels, self.depth
         deprel = [""] * n
         shallowest = [n] * n
         opened = [0] * (n + 1)  # edges that start crossing at p, less those that stop
         # edges in (head, dependent) order: the first shallowest edge is the primary one
-        for head, children in enumerate(self._tree[0][1:], 1):
-            for dep in children:
+        for head, dependents in enumerate(children[1:], 1):
+            for dep in dependents:
                 lo, hi = (head, dep) if head < dep else (dep, head)
                 opened[lo] += 1
                 opened[hi] -= 1

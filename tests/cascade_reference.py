@@ -41,7 +41,7 @@ def find_cuts_at_level(
         raise ValueError(f"bad segment ({lo}, {hi}) for {n} tokens")
     return _level_cuts(
         sentence, segment, level, config,
-        lambda: _clause_onsets(sentence, config, _Structure(sentence, config.span)),
+        lambda: _clause_onsets(sentence, config),
     )
 
 
@@ -89,7 +89,7 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
     """
     spans: list[tuple[int, int]] = []
     index = _Structure(sentence, config.span)
-    clause_onsets = cache(lambda: _clause_onsets(sentence, config, index))
+    clause_onsets = cache(lambda: _clause_onsets(sentence, config))
 
     def descend(lo: int, hi: int, level_index: int) -> None:
         if index.measure(lo, hi) <= index.max_units:

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import warnings
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from rhesis import (
     cascade_segment,
     chunk_boundaries,
     find_cuts_at_level,
+    parse_conllu,
     regroup,
     segmentation_from_spans,
 )
@@ -162,6 +164,16 @@ class TestChunkBoundaries:
         ]
         sent = _sent("pair", rows)
         assert chunk_boundaries(sent, (1, 5), CFG) == {1, 4}
+
+    @pytest.mark.parametrize("segment", [(0, 9), (1, 10), (5, 2)])
+    def test_segment_outside_the_sentence_is_refused(self, segment):
+        # the bundled fixture's first sentence has 9 tokens
+        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+        sent = parse_conllu(fixture.read_bytes())[0]
+        assert len(sent) == 9
+        lo, hi = segment
+        with pytest.raises(ValueError, match=rf"bad segment \({lo}, {hi}\) for 9 tokens"):
+            chunk_boundaries(sent, segment, CFG)
 
 
 class TestCascadeSegment:

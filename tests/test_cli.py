@@ -220,6 +220,17 @@ class TestDataErrors:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("table", ["[]", '"conj"'], ids=["list", "string"])
+    def test_weight_file_whose_deprel_table_is_not_an_object(self, data, tmp_path, table, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"w_dep": 1.0, "deprel_weights": {table}}}', encoding="utf-8")
+        code = main(["segment", "--input", data["conllu"], "--method", "tree",
+                     "--weights", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "rhesis: error: bad weight file: deprel_weights must be a mapping" in captured.err
+
     def test_malformed_config(self, data, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[span]\nmax_chars = many\n", encoding="utf-8")

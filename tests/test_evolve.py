@@ -108,6 +108,18 @@ class TestFitness:
         )
         assert fitness(genome, corpus, SPAN) == 1.0
 
+    @pytest.mark.parametrize("metric", ["recall", "bogus", "F1"])
+    def test_unknown_metric_is_refused_like_the_config(self, metric):
+        data = resources.files("rhesis").joinpath("data")
+        sentences = parse_conllu(data.joinpath("fixture.conllu").read_bytes())
+        corpus = align_gold(sentences, parse_gold(data.joinpath("fixture.rhz").read_bytes()))
+        genome = Genome(labels=(), values=(1.0, 0.0, 0.0, 0.0, 0.0))
+        assert 0 < fitness(genome, corpus, SpanConfig(), "f1") < 1
+        with pytest.raises(ValueError, match=f"fitness_metric must be in .*{metric!r}"):
+            fitness(genome, corpus, SpanConfig(), metric)
+        with pytest.raises(ValueError, match=f"fitness_metric must be in .*{metric!r}"):
+            EvoConfig(fitness_metric=metric)
+
     def test_empty_corpus_rejected(self):
         genome = Genome(labels=(), values=(1.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Properties of the per-sentence index and the suffix DP.
 
 The index (``scoring._Structure``) must agree with the reference tree and
-span queries it replaces, ``_dp.best_cuts`` must agree with a full scan of
-every start, which is kept here as the reference, and both optimizing
-segmenters must agree with exhaustive enumeration where the span binds.
+span queries it replaces, the cascade's clause onsets with the subtree
+spans, ``_dp.best_cuts`` with a full scan of every start, which is kept
+here as the reference, and both optimizing segmenters with exhaustive
+enumeration where the span binds.
 """
 
 import dataclasses
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhesis import (
+    CUT_LEVELS,
+    CascadeConfig,
     EvoConfig,
     ScoreTable,
     ScoringWeights,
@@ -28,13 +31,14 @@ from rhesis import (
     enumerate_all,
     evolve,
     export_candidates,
+    find_cuts_at_level,
     segment_best,
     segment_by_scores,
     subtree_span,
-    token_depth,
 )
-from rhesis import corpus, scoring
+from rhesis import cascade, corpus, scoring
 from rhesis._dp import best_cuts, scaled
+from rhesis.cascade import _clause_onsets
 from rhesis.corpus import segmentation_from_cuts
 from rhesis.evolve import _NONE, _Block, _FitnessContext, _spans_from_cuts
 from rhesis.scoring import _cut_terms, _optimal_cuts, _Structure
@@ -66,26 +70,28 @@ def test_cut_features_equal_crossing_edges(seed):
 def test_index_reads_the_traversal_the_sentence_kept(monkeypatch):
     sent = _tree(3)
     assert "_tree" not in repr(sent)
+    features = _Structure(sent, SpanConfig()).cut_features
+    onsets = find_cuts_at_level(sent, (1, len(sent)), CUT_LEVELS[1], CascadeConfig())
 
     def walked(*args):
         raise AssertionError("the tree was traversed a second time")
 
     monkeypatch.setattr(corpus, "_top_down", walked)
     monkeypatch.setattr(scoring, "_top_down", walked, raising=False)
-    index = _Structure(sent, SpanConfig())
-    assert index.depth[1:] == [token_depth(sent, i) for i in range(1, len(sent) + 1)]
-    assert index.extents[1:] == [subtree_span(sent, i) for i in range(1, len(sent) + 1)]
-    assert len(index.cut_features[0]) == len(sent) - 1
+    monkeypatch.setattr(cascade, "_top_down", walked, raising=False)
+    assert _Structure(sent, SpanConfig()).cut_features == features
+    assert find_cuts_at_level(sent, (1, len(sent)), CUT_LEVELS[1], CascadeConfig()) == onsets
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=SEEDS)
-def test_depth_and_extents_equal_the_reference_queries(seed):
-    sent = _tree(seed)
-    index = _Structure(sent, SpanConfig())
-    for i in range(1, len(sent) + 1):
-        assert index.depth[i] == token_depth(sent, i)
-        assert index.extents[i] == subtree_span(sent, i)
+def test_clause_onsets_are_the_subtree_left_edges(seed):
+    # every token marks a clause through its label alone, so every subtree's left edge is cut
+    nouns = [dataclasses.replace(tok, upos="NOUN") for tok in _tree(seed).tokens]
+    sent = Sentence.from_tokens("c", nouns)
+    config = CascadeConfig(clause_deprels=frozenset([*DEPRELS, "root"]))
+    want = {subtree_span(sent, i)[0] - 1 for i in range(1, len(sent) + 1)}
+    assert _clause_onsets(sent, config) == want
 
 
 # Spaced forms and forms longer than the span budget; never blank.

@@ -286,6 +286,13 @@ class TestWeightsJson:
         with pytest.raises(FormatError):
             weights_from_json('{"deprel_weights": {"conj": 7.0}}')
 
+    @pytest.mark.parametrize("table", ['[]', '["conj", 0.5]', '"conj"'])
+    def test_deprel_table_that_is_not_an_object_rejected(self, table):
+        with pytest.raises(FormatError, match="deprel_weights must be a mapping"):
+            weights_from_json(f'{{"deprel_weights": {table}}}')
+        with pytest.raises(TypeError, match="deprel_weights must be a mapping"):
+            ScoringWeights(deprel_weights=json.loads(table))
+
 
 def test_segmentation_score_is_order_independent():
     # summing per-cut and per-segment terms on an integer grid: permuting
