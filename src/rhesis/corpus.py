@@ -8,18 +8,25 @@ UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag.  A
 in it and its tree traversal once, when it is built; ``Token`` objects are
 made only when a sentence's ``tokens`` are read.
 
-``parse_conllu`` turns CRLF line ends into LF, then reads a document a
-blank-line block at a time, and ``_word_columns`` is the one reader of word
-rows.  It cuts a block's rows into cells once, with no per-line work, and
-when they pass the column tests (10 columns, word ids that read as ``1..k``
-once ranges and empty nodes are dropped, non-blank forms, integer heads)
-the five columns are slices of those cells.  A block with a comment or a
-blank-looking line among its rows is first sorted line by line, comments
-lifted out.  Rows the reader refuses are walked only to raise ``ParseError``
-at the first bad one, so every error names its line.  ``Sentence._build``
-tests forms and heads on whole columns, and a sentence that fails a test
-goes to the per-token checks, which name the first bad token.  The root
-count and the cycle check raise directly.
+``parse_conllu`` turns CRLF line ends into LF, then reads the word rows of
+consecutive blank-line blocks a batch at a time, up to ``_BATCH_ROWS``
+rows: one ``replace`` and one ``split`` cut the whole batch into cells,
+with no per-line work.  When they pass the column tests (10 columns, each
+block's word ids ``1..k`` as written, non-blank forms, integer heads),
+each block's five columns and its forms' spacing are slices of the
+batch's.  A comment is a block's id only when its key before ``=`` is
+exactly ``sent_id``.  A block with a comment among its rows is first
+sorted line by line, comments lifted out.  A batch the reader refuses is
+read again a block at a time, in order: a block whose ids read ``1..k``
+takes its columns from the batch's cells when every row has 10, and any
+other goes to ``_word_columns``, which also reads multiword ranges, empty
+nodes and ids such as ``01``.  A chunk it refuses is sorted line by line
+(a blank-looking line may split it), and rows it still refuses are walked
+only to raise ``ParseError`` at the first bad one, so every error names
+its line.  ``Sentence._build`` tests
+heads on whole columns, and a sentence that fails a test goes to the
+per-token checks, which name the first bad token.  The root count and the
+cycle check raise directly.
 
 Gold segmentations travel in a plain text format: one rhesis per line, a
 blank line between sentences, ``#doc `` lines carrying document labels, and
@@ -30,8 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add, eq, methodcaller
+from itertools import accumulate, chain
+from operator import add, eq
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
 
@@ -135,22 +142,23 @@ class Sentence:
         return sentence
 
     @classmethod
-    def _build(cls, sent_id: str, forms, upos, heads, deprels, miscs) -> "Sentence":
+    def _build(cls, sent_id: str, forms, upos, heads, deprels, miscs, parts=None) -> "Sentence":
         """The sentence the column tuples describe: the one validation, traversal and layout.
 
-        The checks run on whole columns; only when one fails does
-        ``_check_tokens`` walk the tokens to name the first bad one.
+        ``parts`` is ``_parts(forms, miscs)``, given only by the CoNLL-U
+        reader, which has proved every form non-blank and free of line
+        breaks; without it the forms are checked here.  The checks run on
+        whole columns; only when one fails does ``_check_tokens`` walk the
+        tokens to name the first bad one.
         """
         n = len(forms)
         if n == 0:
             raise StructuralError(f"sentence {sent_id!r}: no tokens")
-        if (
-            not all(map(str.strip, forms))
-            or "\n" in "".join(forms)
-            or min(heads) < 0
-            or max(heads) > n
-            or any(map(eq, heads, range(1, n + 1)))
-        ):
+        if parts is None:
+            if not all(map(str.strip, forms)) or "\n" in "".join(forms):
+                _check_tokens(sent_id, forms, heads)
+            parts = _parts(forms, miscs)
+        if min(heads) < 0 or max(heads) > n or any(map(eq, heads, range(1, n + 1))):
             _check_tokens(sent_id, forms, heads)
         roots = heads.count(0)
         if roots != 1:
@@ -165,14 +173,12 @@ class Sentence:
             reached = set(order)
             looping = next(i for i in range(1, n + 1) if i not in reached)
             raise StructuralError(f"sentence {sent_id!r}: cycle through token {looping}")
-        parts = [
-            form + " " if not misc or _space_after(misc) else form
-            for form, misc in zip(forms, miscs)
-        ]
         starts = tuple(accumulate(map(len, parts[:-1]), initial=0))
         ends = tuple(map(add, starts, map(len, forms)))
         text = "".join(parts)[: ends[-1]]  # no space after the last token
-        return cls(sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree)
+        return _sentence(
+            cls, sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree
+        )
 
     @property
     def tokens(self) -> tuple[Token, ...]:
@@ -215,6 +221,38 @@ def _check_tokens(sent_id: str, forms, heads) -> None:
             raise StructuralError(
                 f"sentence {sent_id!r}: head {head} of token {index} ({form!r}) out of range"
             )
+
+
+def _parts(forms, miscs) -> list[str]:
+    """The pieces of the text: each form with the space after it, if its MISC allows one."""
+    gaps = {misc: " " if _space_after(misc) else "" for misc in set(miscs)}
+    return list(map(add, forms, map(gaps.__getitem__, miscs)))
+
+
+def _sentence(cls, sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree):
+    """A ``cls`` (a Sentence) holding these fields and no token view yet, made past ``__init__``.
+
+    The frozen ``__init__`` sets each of the 11 slots through
+    ``object.__setattr__``; calling the slots' own setters costs about half.
+    """
+    sentence = object.__new__(cls)
+    (s_id, s_forms, s_upos, s_heads, s_deprels, s_miscs,
+     s_text, s_starts, s_ends, s_tree, s_tokens) = _SENTENCE_SLOTS
+    s_id(sentence, sent_id)
+    s_forms(sentence, forms)
+    s_upos(sentence, upos)
+    s_heads(sentence, heads)
+    s_deprels(sentence, deprels)
+    s_miscs(sentence, miscs)
+    s_text(sentence, text)
+    s_starts(sentence, starts)
+    s_ends(sentence, ends)
+    s_tree(sentence, tree)
+    s_tokens(sentence, None)
+    return sentence
+
+
+_SENTENCE_SLOTS = tuple(getattr(Sentence, name).__set__ for name in Sentence.__slots__)
 
 
 def _top_down(heads: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
@@ -334,12 +372,13 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     Multiword-token ranges (``3-4``) and empty nodes (``8.1``) are skipped;
     only syntactic words are kept, and each needs a form that is not empty
     or only whitespace.  CRLF input is accepted.  Sentences without a
-    ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...  A sentence id
-    that repeats an earlier one, given or ordinal, is an error.
+    ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...; a comment is
+    a sentence id only when its key before ``=`` is exactly ``sent_id``.  A
+    sentence id that repeats an earlier one, given or ordinal, is an error.
 
-    Every block's word rows are read column-wise by ``_word_columns`` (see
-    the module docstring); the rows of a block it refuses are walked only to
-    name the line of the first error.
+    The word rows of consecutive blocks are read column-wise a batch at a
+    time (see the module docstring); the rows of a block the reader refuses
+    are walked only to name the line of the first error.
     """
     text = _decoded(data, ParseError)
     if "\r" in text:  # far cheaper than a replace that finds nothing
@@ -348,9 +387,7 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
         text = text.replace("\r\n", "\n")
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for sent_id, id_line, columns in _blocks(text):
-        if not columns[0]:
-            continue
+    for sent_id, id_line, *columns in _blocks(text):
         name = sent_id if sent_id is not None else f"s{len(sentences) + 1}"
         if name in seen:
             raise ParseError(f"duplicate sentence id {name!r}", line=id_line)
@@ -359,16 +396,23 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     return sentences
 
 
-def _blocks(text: str):
-    """Each block of ``text``: ``(sent_id, id line, columns)``.
+# Word rows read with one cut, at most (a longer block is a batch alone):
+# bounds the cells a batch holds at once.
+_BATCH_ROWS = 4096
 
-    A chunk between two ``"\\n\\n"`` that is comment lines and then word
-    rows ``_word_columns`` accepts is one block.  Any other chunk is sorted
-    into blocks by ``_line_blocks``, whose rows go to the reader again; rows
-    it refuses go to ``_raise_bad_row``.  The id is the last ``# sent_id``
+
+def _blocks(text: str):
+    """Each block of ``text`` that holds words: ``(sent_id, id line, *columns, parts)``.
+
+    A chunk between two ``"\\n\\n"`` that is comment lines and then rows is
+    one block; a chunk with a comment among its rows is sorted into blocks
+    by ``_line_blocks`` first.  Consecutive blocks go to ``_batch`` up to
+    ``_BATCH_ROWS`` rows at a time.  The id is the last ``# sent_id``
     comment's (None without one); without one, the id line is the first
     word's.
     """
+    batch: list[tuple] = []
+    rows = 0  # in the batch
     start = 1  # the line the next chunk starts on
     for chunk in text.split("\n\n"):
         first_line, start = start, start + chunk.count("\n") + 2
@@ -376,91 +420,161 @@ def _blocks(text: str):
         lineno = first_line + len(chunk) - len(body)
         body = body.rstrip("\n")
         sent_id, id_line = None, 0
-        rows = 0  # where the word rows start
-        while body.startswith("#", rows):
-            end = body.find("\n", rows)
+        head = 0  # where the word rows start
+        while body.startswith("#", head):
+            end = body.find("\n", head)
             if end < 0:
                 end = len(body)
-            comment_id = _comment_id(body[rows:end])
+            comment_id = _comment_id(body[head:end])
             if comment_id is not None:
                 sent_id, id_line = comment_id, lineno
-            rows = end + 1
+            head = end + 1
             lineno += 1
-        if rows >= len(body):
+        if head >= len(body):
             continue
-        words = None if body.find("\n#", rows) >= 0 else _word_columns(body[rows:])
-        if words is not None:
-            first, columns = words
-            yield sent_id, id_line if sent_id is not None else lineno + first, columns
-            continue
+        if body.find("\n#", head) < 0:
+            linenos = range(lineno, lineno + body.count("\n", head) + 1)
+            blocks = [(sent_id, id_line, linenos, body[head:], chunk, first_line)]
+        else:
+            blocks = [(*b[:3], "\n".join(b[3]), None, 0) for b in _line_blocks(chunk, first_line)]
+        for block in blocks:
+            rows += len(block[2])
+            if rows > _BATCH_ROWS and batch:
+                yield from _batch(batch)
+                batch, rows = [], len(block[2])
+            batch.append(block)
+    if batch:
+        yield from _batch(batch)
+
+
+def _batch(blocks: list[tuple]):
+    """``_blocks``' output for ``blocks``, whose rows are cut into cells at once.
+
+    A block is ``(sent_id, id line, its rows' line numbers, rows, chunk,
+    the chunk's first line)``; the chunk is None once sorted.  When every
+    block's ids read ``1..k`` as written (up to 512), every form is
+    non-blank and every head an integer, each block's columns and text
+    pieces are slices of the batch's.  Otherwise the blocks are read one at
+    a time, in order, so the first error in the document is the one raised:
+    a block whose ids read ``1..k`` takes its columns from the batch's
+    cells, when every row has 10 of them, and any other goes to
+    ``_read_alone``.
+    """
+    counts = [len(block[2]) for block in blocks]
+    rows = sum(counts)
+    cells = _cells("\n".join([block[3] for block in blocks]))
+    ids = cells[1::10]
+    plain: list[str] = []
+    for count in counts:
+        plain += _ROW_IDS[:count]
+    # A cell starts with a newline exactly when it starts a row, so matching
+    # ids at every tenth cell also proves 10 columns in every row.
+    columns = _columns(cells) if len(cells) == 10 * rows + 1 and ids == plain else None
+    if columns is not None:
+        forms, upos, heads, deprels, miscs = columns
+        parts = _parts(forms, miscs)  # laid out once for the batch
+        for (sent_id, id_line, linenos, *_), b in zip(blocks, accumulate(counts)):
+            a = b - len(linenos)
+            id_line = id_line if sent_id is not None else linenos[0]
+            yield (sent_id, id_line, forms[a:b], upos[a:b], heads[a:b], deprels[a:b],
+                   miscs[a:b], parts[a:b])
+        return
+    aligned = len(cells) == 10 * rows + 1 and "".join(ids).count("\n") == rows
+    for block, b in zip(blocks, accumulate(counts)):
+        a = b - len(block[2])
+        words = None
+        if aligned and ids[a:b] == _ROW_IDS[: b - a]:
+            columns = _columns(cells[10 * a : 10 * b + 1])
+            words = None if columns is None else (0, columns)
+        yield from _read_alone(*block, words)
+
+
+def _read_alone(sent_id, id_line, linenos, rows, chunk, first_line, words=None):
+    """``_batch``'s output for one block: ``words`` is what ``_word_columns`` reads, if known.
+
+    A chunk whose rows it refuses is sorted line by line first (a
+    blank-looking line may split it); rows it refuses once sorted go to
+    ``_raise_bad_row``.
+    """
+    if words is None:
+        words = _word_columns(rows)
+    if words is None:
+        if chunk is None:
+            _raise_bad_row(zip(linenos, rows.split("\n")))
         for sent_id, id_line, linenos, lines in _line_blocks(chunk, first_line):
-            words = _word_columns("\n".join(lines))
-            if words is None:
-                _raise_bad_row(zip(linenos, lines))
-            first, columns = words
-            yield sent_id, id_line if sent_id is not None else linenos[first], columns
+            yield from _read_alone(sent_id, id_line, linenos, "\n".join(lines), None, 0)
+    elif words[1][0]:  # not only multiword ranges and empty nodes
+        first, columns = words
+        id_line = id_line if sent_id is not None else linenos[first]
+        yield sent_id, id_line, *columns, _parts(columns[0], columns[4])
 
 
-_TABS = methodcaller("count", "\t")
 _NO_MISC = {"_": ""}  # _NO_MISC.get(misc, misc): the MISC column as a Sentence keeps it
-# Once every newline of the word rows is cut as a cell of its own start, the
-# ID cells of rows 1, 2, 3, ... read "1", "\n2", "\n3", ...
-_ROW_IDS = ["1", *(f"\n{i}" for i in range(2, 513))]
+# Rows cut by _cells: the ID cells of rows 1, 2, 3, ... read "\n1", "\n2", "\n3", ...
+_ROW_IDS = [f"\n{i}" for i in range(1, 513)]
+_HEADS = {str(i): i for i in range(513)}  # the HEAD cells of heads 0..512, as written
 
 
-def _row_ids(count: int) -> list[str]:
-    """The ID cells of ``count`` rows numbered from 1, as ``_word_columns`` cuts them."""
-    if count <= len(_ROW_IDS):
-        return _ROW_IDS[:count]
-    return [*_ROW_IDS, *(f"\n{i}" for i in range(len(_ROW_IDS) + 1, count + 1))]
+def _cells(rows: str) -> list[str]:
+    """``rows`` cut at tabs, each newline starting a row's ID cell: cells 1, 11, 21, ..."""
+    return ("\n" + rows).replace("\n", "\t\n").split("\t")
+
+
+def _columns(cells: list[str]):
+    """The five columns of rows cut by ``_cells``; None for a blank form or a non-integer head."""
+    forms = cells[2::10]
+    if not all(map(str.strip, forms)):
+        return None
+    heads = cells[7::10]
+    try:
+        heads = tuple(map(_HEADS.__getitem__, heads))
+    except KeyError:  # a head past the table, or written otherwise for int ("+2", "02")
+        try:
+            heads = tuple(map(int, heads))
+        except ValueError:
+            return None
+    miscs = list(map(str.strip, cells[10::10]))
+    return (
+        tuple(forms),
+        tuple(cells[4::10]),
+        heads,
+        tuple(cells[8::10]),
+        tuple(map(_NO_MISC.get, miscs, miscs)),
+    )
 
 
 def _word_columns(body: str):
     """Word rows, one a line, read column-wise: (first word's row index, columns), or None.
 
-    The columns are the five tuples ``Sentence._build`` takes, empty when
-    every row is a multiword range or an empty node.  None exactly when
-    ``_raise_bad_row`` raises on the rows: a row without 10 columns, word
-    ids that ``int`` does not read as ``1..k``, a blank form or a head that
-    is not an integer.
+    The reader of one block.  The columns are the five tuples
+    ``Sentence._build`` takes, empty when every row is a multiword range or
+    an empty node.  None exactly when ``_raise_bad_row`` raises on the
+    rows: a row without 10 columns, word ids that ``int`` does not read as
+    ``1..k``, a blank form or a head that is not an integer.
     """
-    # Each newline starts a cell, so when the rows' ID cells are exactly
-    # _row_ids(rows) and there are 10 cells a row, every row has 10 columns.
     rows = body.count("\n") + 1
-    cells = body.replace("\n", "\t\n").split("\t")
+    cells = _cells(body)
+    ids = cells[1::10]
+    # every row has 10 cells exactly when there are 10 a row and each tenth starts one
+    if len(cells) != 10 * rows + 1 or "".join(ids).count("\n") != rows:
+        return None
     first = 0
-    if len(cells) != 10 * rows or cells[::10] != _row_ids(rows):
-        # multiword ranges, empty nodes or ids such as "01": check every row,
+    if ids != _ROW_IDS[:rows]:
+        # multiword ranges, empty nodes, ids such as "01" or past the table:
         # drop the ranges and empty nodes, and read the ids with int
-        lines = body.split("\n")
-        if set(map(_TABS, lines)) != {9}:
-            return None
-        ids = "\t".join(lines).split("\t")[::10]
-        words = [i for i, ident in enumerate(ids) if "-" not in ident and "." not in ident]
+        words = [r for r, ident in enumerate(ids) if "-" not in ident and "." not in ident]
         if not words:
-            return first, ((), (), (), (), ())
+            return 0, ((), (), (), (), ())
         first = words[0]
-        cells = "\t\n".join([lines[i] for i in words]).split("\t")
+        if len(words) < rows:
+            cells = ["", *chain.from_iterable(cells[10 * r + 1 : 10 * r + 11] for r in words)]
         try:
-            if list(map(int, cells[::10])) != list(range(1, len(words) + 1)):
+            if list(map(int, cells[1::10])) != list(range(1, len(words) + 1)):
                 return None
         except ValueError:
             return None
-    forms = cells[1::10]
-    if not all(map(str.strip, forms)):
-        return None
-    try:
-        heads = tuple(map(int, cells[6::10]))
-    except ValueError:
-        return None
-    miscs = list(map(str.strip, cells[9::10]))
-    return first, (
-        tuple(forms),
-        tuple(cells[3::10]),
-        heads,
-        tuple(cells[7::10]),
-        tuple(map(_NO_MISC.get, miscs, miscs)),
-    )
+    columns = _columns(cells)
+    return None if columns is None else (first, columns)
 
 
 def _raise_bad_row(rows):
@@ -496,10 +610,8 @@ def _raise_bad_row(rows):
 
 def _comment_id(line: str) -> str | None:
     """The sentence id a ``#`` comment line sets, or None."""
-    body = line[1:].strip()
-    if body.startswith("sent_id") and "=" in body:
-        return body.split("=", 1)[1].strip()
-    return None
+    key, equals, value = line[1:].partition("=")
+    return value.strip() if equals and key.strip() == "sent_id" else None
 
 
 def _line_blocks(chunk: str, first_line: int):
@@ -610,21 +722,21 @@ def align_gold(
         )
     entries = []
     for sentence, (label, lines) in zip(sentences, gold):
-        seg = _align_sentence(sentence, lines)
-        entries.append(AlignedEntry(sentence=sentence, gold=seg, doc_label=label))
+        entries.append(AlignedEntry(sentence, _align_sentence(sentence, lines), label))
     return AlignedCorpus(entries=tuple(entries))
 
 
 def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
-    """The gold spans of ``lines``: each line read as the exact text of its tokens, if it is.
+    """The segmentation ``lines`` give: each line read as the exact text of its tokens, if it is.
 
     A line that is not (other whitespace, a boundary inside a token, too
     little or too much text) sends the whole sentence to
     ``_align_normalized``, which accepts every such exact reading too.
+    Each exact line is its rhesis's text.
     """
     text, starts, ends = sentence.text, sentence.starts, sentence.ends
     n = len(ends)
-    spans: list[tuple[int, int]] = []
+    rhesis = []
     tok = 0  # tokens fully consumed so far
     for line in lines:
         if tok == n:
@@ -632,13 +744,13 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
         p = starts[tok]
         e = p + len(line)
         j = bisect_left(ends, e, tok)
-        if j == n or ends[j] != e or text[p:e] != line:
+        if j == n or ends[j] != e or not text.startswith(line, p):
             return _align_normalized(sentence, lines)
-        spans.append((tok + 1, j + 1))
+        rhesis.append(Rhesis(tok + 1, j + 1, line))
         tok = j + 1
     if tok != n:
         return _align_normalized(sentence, lines)
-    return segmentation_from_spans(sentence, spans)
+    return Segmentation(sentence.sent_id, tuple(rhesis))
 
 
 def _align_normalized(sentence: Sentence, lines: list[str]) -> Segmentation:

@@ -59,20 +59,27 @@ class ScoringWeights:
 
     def __post_init__(self) -> None:
         for name in _SCALAR_FIELDS:
-            value = getattr(self, name)
+            value = _not_bool(name, getattr(self, name))
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not isinstance(self.deprel_weights, Mapping):
             raise TypeError(f"deprel_weights must be a mapping, got {self.deprel_weights!r}")
         for label, value in self.deprel_weights.items():
-            if not -1.0 <= value <= 1.0:
+            if not -1.0 <= _not_bool(f"deprel weight for {label!r}", value) <= 1.0:
                 raise ValueError(f"deprel weight for {label!r} must be in [-1, 1], got {value}")
-        if not -1.0 <= self.default_deprel_weight <= 1.0:
+        if not -1.0 <= _not_bool("default_deprel_weight", self.default_deprel_weight) <= 1.0:
             raise ValueError("default_deprel_weight must be in [-1, 1]")
         object.__setattr__(self, "deprel_weights", dict(self.deprel_weights))
 
     def lookup(self, deprel: str) -> float:
         return self.deprel_weights.get(deprel, self.default_deprel_weight)
+
+
+def _not_bool(name: str, value):
+    """``value``, unless it is a bool: a JSON ``true`` or ``false`` is not a weight."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be a number, got {value}")
+    return value
 
 
 # The nonnegative scalar weights, in declaration order (the tuner's gene order).

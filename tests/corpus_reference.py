@@ -142,7 +142,7 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
             id_line = lineno
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("sent_id") and "=" in body:
+            if "=" in body and body.split("=", 1)[0].strip() == "sent_id":
                 sent_id = body.split("=", 1)[1].strip()
                 id_line = lineno
             continue
