@@ -11,22 +11,23 @@ made only when a sentence's ``tokens`` are read.
 ``parse_conllu`` turns CRLF line ends into LF, then reads the word rows of
 consecutive blank-line blocks a batch at a time, up to ``_BATCH_ROWS``
 rows: one ``replace`` and one ``split`` cut the whole batch into cells,
-with no per-line work.  When they pass the column tests (10 columns, each
-block's word ids ``1..k`` as written, non-blank forms, integer heads),
-each block's five columns and its forms' spacing are slices of the
-batch's.  A comment is a block's id only when its key before ``=`` is
-exactly ``sent_id``.  A block with a comment among its rows is first
-sorted line by line, comments lifted out.  A batch the reader refuses is
-read again a block at a time, in order: a block whose ids read ``1..k``
-takes its columns from the batch's cells when every row has 10, and any
-other goes to ``_word_columns``, which also reads multiword ranges, empty
-nodes and ids such as ``01``.  A chunk it refuses is sorted line by line
-(a blank-looking line may split it), and rows it still refuses are walked
-only to raise ``ParseError`` at the first bad one, so every error names
-its line.  ``Sentence._build`` tests
-heads on whole columns, and a sentence that fails a test goes to the
-per-token checks, which name the first bad token.  The root count and the
-cycle check raise directly.
+with no per-line work.  A comment is a block's id only when its key before
+``=`` is exactly ``sent_id``.  A block is read one of three ways:
+
+- accepted batch: when the cells pass the column tests (10 columns, each
+  block's word ids ``1..k`` and heads ``0..512`` as written, non-blank
+  forms), each block's five columns and its forms' spacing are slices of
+  the batch's;
+- slice of a refused batch: a block whose rows have 10 cells each and whose
+  ids read ``1..k`` still takes its columns from the batch's cells;
+- line reader: any other block goes to ``_read_lines``, in order.  It lifts
+  out comments among the rows, ends a block at a blank-looking line, skips
+  multiword ranges and empty nodes, reads ids and heads with ``int`` and
+  raises ``ParseError`` at the first bad row, so every error names its line.
+
+``Sentence._build`` tests heads on whole columns, and a sentence that fails
+a test goes to the per-token checks, which name the first bad token.  The
+root count and the cycle check raise directly.
 
 Gold segmentations travel in a plain text format: one rhesis per line, a
 blank line between sentences, ``#doc `` lines carrying document labels, and
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, eq
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
@@ -146,10 +147,11 @@ class Sentence:
         """The sentence the column tuples describe: the one validation, traversal and layout.
 
         ``parts`` is ``_parts(forms, miscs)``, given only by the CoNLL-U
-        reader, which has proved every form non-blank and free of line
-        breaks; without it the forms are checked here.  The checks run on
-        whole columns; only when one fails does ``_check_tokens`` walk the
-        tokens to name the first bad one.
+        reader's batch reads, which have proved every form non-blank and
+        free of line breaks; without it (``from_tokens``, the line reader)
+        the forms are checked here.  The checks run on whole columns; only
+        when one fails does ``_check_tokens`` walk the tokens to name the
+        first bad one.
         """
         n = len(forms)
         if n == 0:
@@ -377,8 +379,8 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     sentence id that repeats an earlier one, given or ordinal, is an error.
 
     The word rows of consecutive blocks are read column-wise a batch at a
-    time (see the module docstring); the rows of a block the reader refuses
-    are walked only to name the line of the first error.
+    time; a block the batch refuses is read line by line, and the first
+    bad row raises at its line (see the module docstring).
     """
     text = _decoded(data, ParseError)
     if "\r" in text:  # far cheaper than a replace that finds nothing
@@ -404,12 +406,10 @@ _BATCH_ROWS = 4096
 def _blocks(text: str):
     """Each block of ``text`` that holds words: ``(sent_id, id line, *columns, parts)``.
 
-    A chunk between two ``"\\n\\n"`` that is comment lines and then rows is
-    one block; a chunk with a comment among its rows is sorted into blocks
-    by ``_line_blocks`` first.  Consecutive blocks go to ``_batch`` up to
-    ``_BATCH_ROWS`` rows at a time.  The id is the last ``# sent_id``
-    comment's (None without one); without one, the id line is the first
-    word's.
+    A chunk between two ``"\\n\\n"`` is leading comment lines, then rows;
+    consecutive chunks with rows go to ``_batch`` up to ``_BATCH_ROWS`` rows
+    at a time.  The id is the last leading ``# sent_id`` comment's (None
+    without one); without one, the id line is the first row's.
     """
     batch: list[tuple] = []
     rows = 0  # in the batch
@@ -420,7 +420,7 @@ def _blocks(text: str):
         lineno = first_line + len(chunk) - len(body)
         body = body.rstrip("\n")
         sent_id, id_line = None, 0
-        head = 0  # where the word rows start
+        head = 0  # where the rows start
         while body.startswith("#", head):
             end = body.find("\n", head)
             if end < 0:
@@ -432,17 +432,12 @@ def _blocks(text: str):
             lineno += 1
         if head >= len(body):
             continue
-        if body.find("\n#", head) < 0:
-            linenos = range(lineno, lineno + body.count("\n", head) + 1)
-            blocks = [(sent_id, id_line, linenos, body[head:], chunk, first_line)]
-        else:
-            blocks = [(*b[:3], "\n".join(b[3]), None, 0) for b in _line_blocks(chunk, first_line)]
-        for block in blocks:
-            rows += len(block[2])
-            if rows > _BATCH_ROWS and batch:
-                yield from _batch(batch)
-                batch, rows = [], len(block[2])
-            batch.append(block)
+        count = body.count("\n", head) + 1
+        rows += count
+        if rows > _BATCH_ROWS and batch:
+            yield from _batch(batch)
+            batch, rows = [], count
+        batch.append((sent_id, id_line or lineno, count, body[head:], chunk, first_line))
     if batch:
         yield from _batch(batch)
 
@@ -450,17 +445,12 @@ def _blocks(text: str):
 def _batch(blocks: list[tuple]):
     """``_blocks``' output for ``blocks``, whose rows are cut into cells at once.
 
-    A block is ``(sent_id, id line, its rows' line numbers, rows, chunk,
-    the chunk's first line)``; the chunk is None once sorted.  When every
-    block's ids read ``1..k`` as written (up to 512), every form is
-    non-blank and every head an integer, each block's columns and text
-    pieces are slices of the batch's.  Otherwise the blocks are read one at
-    a time, in order, so the first error in the document is the one raised:
-    a block whose ids read ``1..k`` takes its columns from the batch's
-    cells, when every row has 10 of them, and any other goes to
-    ``_read_alone``.
+    A block is ``(sent_id, id line, row count, rows, chunk, the chunk's
+    first line)``.  A batch ``_columns`` refuses is read a block at a time,
+    in order, so the first error in the document is the one raised (the
+    three reads are in the module docstring).
     """
-    counts = [len(block[2]) for block in blocks]
+    counts = [block[2] for block in blocks]
     rows = sum(counts)
     cells = _cells("\n".join([block[3] for block in blocks]))
     ids = cells[1::10]
@@ -473,40 +463,22 @@ def _batch(blocks: list[tuple]):
     if columns is not None:
         forms, upos, heads, deprels, miscs = columns
         parts = _parts(forms, miscs)  # laid out once for the batch
-        for (sent_id, id_line, linenos, *_), b in zip(blocks, accumulate(counts)):
-            a = b - len(linenos)
-            id_line = id_line if sent_id is not None else linenos[0]
+        for (sent_id, id_line, count, *_), b in zip(blocks, accumulate(counts)):
+            a = b - count
             yield (sent_id, id_line, forms[a:b], upos[a:b], heads[a:b], deprels[a:b],
                    miscs[a:b], parts[a:b])
         return
-    aligned = len(cells) == 10 * rows + 1 and "".join(ids).count("\n") == rows
-    for block, b in zip(blocks, accumulate(counts)):
-        a = b - len(block[2])
-        words = None
-        if aligned and ids[a:b] == _ROW_IDS[: b - a]:
-            columns = _columns(cells[10 * a : 10 * b + 1])
-            words = None if columns is None else (0, columns)
-        yield from _read_alone(*block, words)
-
-
-def _read_alone(sent_id, id_line, linenos, rows, chunk, first_line, words=None):
-    """``_batch``'s output for one block: ``words`` is what ``_word_columns`` reads, if known.
-
-    A chunk whose rows it refuses is sorted line by line first (a
-    blank-looking line may split it); rows it refuses once sorted go to
-    ``_raise_bad_row``.
-    """
-    if words is None:
-        words = _word_columns(rows)
-    if words is None:
-        if chunk is None:
-            _raise_bad_row(zip(linenos, rows.split("\n")))
-        for sent_id, id_line, linenos, lines in _line_blocks(chunk, first_line):
-            yield from _read_alone(sent_id, id_line, linenos, "\n".join(lines), None, 0)
-    elif words[1][0]:  # not only multiword ranges and empty nodes
-        first, columns = words
-        id_line = id_line if sent_id is not None else linenos[first]
-        yield sent_id, id_line, *columns, _parts(columns[0], columns[4])
+    end = 0  # the last cell of the rows so far
+    for sent_id, id_line, count, body, chunk, first_line in blocks:
+        start, end = end, end + body.count("\t") + count
+        columns = None
+        # 10 cells a row exactly when each tenth cell starts a row ("\n1", "\n2", ...)
+        if end - start == 10 * count and cells[start + 1 : end : 10] == _ROW_IDS[:count]:
+            columns = _columns(cells[start : end + 1])
+        if columns is None:
+            yield from _read_lines(chunk, first_line)
+        else:
+            yield sent_id, id_line, *columns, _parts(columns[0], columns[4])
 
 
 _NO_MISC = {"_": ""}  # _NO_MISC.get(misc, misc): the MISC column as a Sentence keeps it
@@ -521,18 +493,14 @@ def _cells(rows: str) -> list[str]:
 
 
 def _columns(cells: list[str]):
-    """The five columns of rows cut by ``_cells``; None for a blank form or a non-integer head."""
+    """The five columns of rows cut by ``_cells``; None for a blank form or a head off the table."""
     forms = cells[2::10]
     if not all(map(str.strip, forms)):
         return None
-    heads = cells[7::10]
     try:
-        heads = tuple(map(_HEADS.__getitem__, heads))
-    except KeyError:  # a head past the table, or written otherwise for int ("+2", "02")
-        try:
-            heads = tuple(map(int, heads))
-        except ValueError:
-            return None
+        heads = tuple(map(_HEADS.__getitem__, cells[7::10]))
+    except KeyError:  # past 512, written otherwise for int ("+2", "02"), or no integer
+        return None
     miscs = list(map(str.strip, cells[10::10]))
     return (
         tuple(forms),
@@ -543,103 +511,57 @@ def _columns(cells: list[str]):
     )
 
 
-def _word_columns(body: str):
-    """Word rows, one a line, read column-wise: (first word's row index, columns), or None.
+def _read_lines(chunk: str, first_line: int):
+    """``_blocks``' output for ``chunk``, which starts on line ``first_line``, read line by line.
 
-    The reader of one block.  The columns are the five tuples
-    ``Sentence._build`` takes, empty when every row is a multiword range or
-    an empty node.  None exactly when ``_raise_bad_row`` raises on the
-    rows: a row without 10 columns, word ids that ``int`` does not read as
-    ``1..k``, a blank form or a head that is not an integer.
+    Comments are lifted out wherever they stand, and a blank-looking line
+    ends a block.  Multiword ranges and empty nodes are skipped, ids and
+    heads are read with ``int``, and the first bad row raises ParseError at
+    its line.  The id is the last ``# sent_id`` comment's (None without
+    one); without one, the id line is the first word's.
     """
-    rows = body.count("\n") + 1
-    cells = _cells(body)
-    ids = cells[1::10]
-    # every row has 10 cells exactly when there are 10 a row and each tenth starts one
-    if len(cells) != 10 * rows + 1 or "".join(ids).count("\n") != rows:
-        return None
-    first = 0
-    if ids != _ROW_IDS[:rows]:
-        # multiword ranges, empty nodes, ids such as "01" or past the table:
-        # drop the ranges and empty nodes, and read the ids with int
-        words = [r for r, ident in enumerate(ids) if "-" not in ident and "." not in ident]
-        if not words:
-            return 0, ((), (), (), (), ())
-        first = words[0]
-        if len(words) < rows:
-            cells = ["", *chain.from_iterable(cells[10 * r + 1 : 10 * r + 11] for r in words)]
-        try:
-            if list(map(int, cells[1::10])) != list(range(1, len(words) + 1)):
-                return None
-        except ValueError:
-            return None
-    columns = _columns(cells)
-    return None if columns is None else (first, columns)
-
-
-def _raise_bad_row(rows):
-    """Raise ParseError at the first bad row of ``(line number, line)`` pairs.
-
-    Called only on rows ``_word_columns`` refused, so one of them is bad.
-    """
-    expected = 1  # the next word's id
-    for lineno, line in rows:
+    sent_id, id_line, words = None, 0, []
+    for lineno, line in enumerate([*chunk.split("\n"), ""], first_line):  # "": the block ends
+        if not line or line.isspace():
+            if words:
+                yield sent_id, id_line, *zip(*words), None
+            sent_id, words = None, []
+            continue
+        if line.startswith("#"):
+            comment_id = _comment_id(line)
+            if comment_id is not None:
+                sent_id, id_line = comment_id, lineno
+            continue
         cols = line.split("\t")
         if len(cols) != 10:
             raise ParseError(f"expected 10 tab-separated columns, got {len(cols)}", line=lineno)
-        ident = cols[0]
+        ident, form, _, upos, _, _, head, deprel, _, misc = cols
         if "-" in ident or "." in ident:
             continue  # multiword range / empty node: not a syntactic word
         try:
             index = int(ident)
         except ValueError:
             raise ParseError(f"unreadable token id {ident!r}", line=lineno) from None
-        if index != expected:
+        if index != len(words) + 1:
             raise ParseError(
-                f"token id {index} out of sequence (expected {expected})", line=lineno
+                f"token id {index} out of sequence (expected {len(words) + 1})", line=lineno
             )
-        if not cols[1].strip():  # rendered, it would read as a sentence break
+        if not form.strip():  # rendered, it would read as a sentence break
             raise ParseError(f"token {index} has an empty or whitespace-only form", line=lineno)
         try:
-            int(cols[6])
+            head = int(head)
         except ValueError:
-            raise ParseError(f"unreadable head {cols[6]!r}", line=lineno) from None
-        expected += 1
-    raise AssertionError("_word_columns refused rows that hold no bad row")
+            raise ParseError(f"unreadable head {head!r}", line=lineno) from None
+        if not words and sent_id is None:
+            id_line = lineno
+        misc = misc.strip()
+        words.append((form, upos, head, deprel, _NO_MISC.get(misc, misc)))
 
 
 def _comment_id(line: str) -> str | None:
     """The sentence id a ``#`` comment line sets, or None."""
     key, equals, value = line[1:].partition("=")
     return value.strip() if equals and key.strip() == "sent_id" else None
-
-
-def _line_blocks(chunk: str, first_line: int):
-    """Each blank-line-separated block of ``chunk``: sent_id, its line, row numbers, rows.
-
-    ``chunk`` starts on line ``first_line``.  Comment lines are lifted out:
-    the id is the last ``# sent_id`` comment's (None without one), and the
-    rows are the other lines, with their line numbers.
-    """
-    sent_id: str | None = None
-    id_line = 0
-    linenos: list[int] = []
-    rows: list[str] = []
-    for lineno, line in enumerate(chunk.split("\n"), start=first_line):
-        if not line or line.isspace():
-            if rows:
-                yield sent_id, id_line, linenos, rows
-                linenos, rows = [], []
-            sent_id = None
-        elif line.startswith("#"):
-            comment_id = _comment_id(line)
-            if comment_id is not None:
-                sent_id, id_line = comment_id, lineno
-        else:
-            linenos.append(lineno)
-            rows.append(line)
-    if rows:
-        yield sent_id, id_line, linenos, rows
 
 
 def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:

@@ -122,7 +122,14 @@ _TSV_HEADER = "sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel"
 
 
 def candidates_to_tsv(examples: list[CandidateExample]) -> str:
-    """Serialize examples as UTF-8 TSV with a header line."""
+    """Serialize examples as UTF-8 TSV with a header line.
+
+    Raises ValueError naming a sentence id that holds a tab or a line
+    break: its rows would not read back as six fields.
+    """
+    for sentence_id in dict.fromkeys(ex.sentence_id for ex in examples):
+        if "\t" in sentence_id or "\n" in sentence_id or "\r" in sentence_id:
+            raise ValueError(f"sentence id {sentence_id!r} holds a tab or a line break")
     lines = [_TSV_HEADER]
     for ex in examples:
         lines.append(

@@ -8,8 +8,10 @@ parse to ``corpus_reference``'s sentences, offsets and traversals
 included.  With one defect put into one block (a bad row, a duplicate id,
 two roots, a cycle or a blank form) they must raise the reference's
 exception with its message and line.  A clean document is read with one
-reader call per batch, and a comment is a sentence id only under the
-exact key ``sent_id``.
+reader call per batch and never line by line, a refused batch sends only
+its irregular blocks to the line reader (a range row, a comment between
+rows), and a comment is a sentence id only under the exact key
+``sent_id``.
 """
 
 from importlib import resources
@@ -199,46 +201,64 @@ def test_a_clean_document_is_read_with_one_reader_call_per_batch(between, monkey
     data, counts = _fixture_blocks(200, between)
     expected = _batches(counts, corpus._BATCH_ROWS)
     assert len(expected) >= 3 and max(expected) <= corpus._BATCH_ROWS
-    calls = []
-    reader = corpus._columns
+    if not between:  # a comment between rows sends its batch to the line reader
+        calls = []
+        reader = corpus._columns
 
-    def counted(cells):
-        calls.append((len(cells) - 1) // 10)  # rows read by this call
-        return reader(cells)
+        def counted(cells):
+            calls.append((len(cells) - 1) // 10)  # rows read by this call
+            return reader(cells)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a clean batch was read block by block")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a clean batch was read block by block")
 
-    monkeypatch.setattr(corpus, "_columns", counted)
-    for name in ("_read_alone", "_word_columns", "_raise_bad_row", "_check_tokens"):
-        monkeypatch.setattr(corpus, name, forbidden)
-    sentences = parse_conllu(data)
-    assert calls == expected
-    assert len(sentences) == len(counts)
-    monkeypatch.undo()
+        monkeypatch.setattr(corpus, "_columns", counted)
+        for name in ("_read_lines", "_check_tokens"):
+            monkeypatch.setattr(corpus, name, forbidden)
+        sentences = parse_conllu(data)
+        assert calls == expected
+        assert len(sentences) == len(counts)
+        monkeypatch.undo()
     assert _outcome(parse_conllu, data) == _outcome(corpus_reference.parse_conllu, data)
 
 
-def test_a_refused_batch_reads_only_its_irregular_blocks_alone(monkeypatch):
-    # a range row in every third block: the other blocks still take their
-    # columns from the batch's cells
-    data, counts = _fixture_blocks(20)
+def _line_reads(monkeypatch, row: str, at: int) -> tuple[list[str], int]:
+    """Line ``at`` of each chunk the line reader gets, ``row`` put there in every third block.
+
+    Also returns how many blocks got ``row``; the document must parse as the
+    reference parses it.
+    """
+    data, _ = _fixture_blocks(20)
     blocks = data.split("\n\n")
     for k in range(0, len(blocks), 3):
         lines = blocks[k].split("\n")
-        lines.insert(1, "\t".join(["1-2", "du", *["_"] * 8]))
+        lines.insert(at, row)
         blocks[k] = "\n".join(lines)
     data = "\n\n".join(blocks)
     alone = []
-    reader = corpus._word_columns
+    reader = corpus._read_lines
 
-    def counted(body):
-        alone.append(body.split("\t", 1)[0])
-        return reader(body)
+    def counted(chunk, first_line):
+        alone.append(chunk.split("\n")[at])
+        return reader(chunk, first_line)
 
-    monkeypatch.setattr(corpus, "_word_columns", counted)
+    monkeypatch.setattr(corpus, "_read_lines", counted)
     assert _outcome(parse_conllu, data) == _outcome(corpus_reference.parse_conllu, data)
-    assert alone == ["1-2"] * len(range(0, len(blocks), 3))
+    return alone, len(range(0, len(blocks), 3))
+
+
+def test_a_refused_batch_reads_only_its_irregular_blocks_alone(monkeypatch):
+    # a range row in every third block, under its sent_id: the other blocks
+    # still take their columns from the batch's cells
+    row = "\t".join(["1-2", "du", *["_"] * 8])
+    alone, irregular = _line_reads(monkeypatch, row, 1)
+    assert alone == [row] * irregular
+
+
+def test_a_comment_between_rows_sends_only_its_own_block_to_the_line_reader(monkeypatch):
+    # a one-cell row puts the batch's cells out of step with its rows
+    alone, irregular = _line_reads(monkeypatch, "# between the rows", 2)
+    assert alone == ["# between the rows"] * irregular
 
 
 def test_a_defect_past_the_first_batch_is_named_at_its_line():

@@ -1,13 +1,14 @@
-"""``parse_conllu`` reads every block's word rows column-wise, with one reader.
+"""``parse_conllu`` reads plain blocks from batch cells and every other block line by line.
 
-With the line sorter (``_line_blocks``), the error namer (``_raise_bad_row``)
-and ``Sentence._build``'s per-token checks (``_check_tokens``) patched to
-raise, well-formed documents must still parse, so the block path cannot go
-dead unnoticed.  Documents the line sorter cuts (a comment between word rows,
-a blank-looking separator line), CRLF text, odd but valid ids and blocks of
-only ranges must parse to the reference's sentences with only the namer and
-the per-token checks patched.  ``_word_columns`` refuses exactly the rows on
-which the namer raises.
+With the line reader (``_read_lines``) and ``Sentence._build``'s per-token
+checks (``_check_tokens``) patched to raise, the bundled fixture and the
+unnamed documents, LF or CRLF, must still parse, so the batch path cannot go
+dead unnoticed.  Documents the line reader takes (multiword ranges and empty
+nodes, a comment between word rows, a blank-looking separator line, odd but
+valid ids, a block past the id table, blocks of only ranges) must parse to
+the reference's sentences with only the per-token checks patched.  Rows
+with every kind of bad row, through the public parser, raise the
+reference's error at its line.
 """
 
 from importlib import resources
@@ -84,8 +85,7 @@ def no_line_loop(monkeypatch):
     def forbidden(*args, **kwargs):
         raise _LineLoop
 
-    monkeypatch.setattr(corpus, "_line_blocks", forbidden)
-    monkeypatch.setattr(corpus, "_raise_bad_row", forbidden)
+    monkeypatch.setattr(corpus, "_read_lines", forbidden)
     monkeypatch.setattr(corpus, "_check_tokens", forbidden)
 
 
@@ -110,16 +110,19 @@ def _reference_facts(data):
 
 
 @pytest.mark.parametrize("name", ["fixture", "ranges", "unnamed"])
-def test_well_formed_documents_take_the_block_path(name, no_line_loop):
+def test_well_formed_documents_take_the_block_path(name, request):
+    if name != "ranges":  # range blocks go to the line reader
+        request.getfixturevalue("no_line_loop")
     data = {"fixture": _fixture(), "ranges": RANGES, "unnamed": UNNAMED}[name]
     assert _column_facts(parse_conllu(data)) == _reference_facts(data)
 
 
-def test_ranges_and_empty_nodes_are_dropped(no_line_loop):
+def test_ranges_and_empty_nodes_are_dropped():
     r1, r2 = parse_conllu(RANGES)
     assert r1.forms == ("Il", "va", "de", "le", "marché", "à", "le", "port", ".")
     assert r1.text == "Il va de le marché à le port."
     assert r2.forms == ("De", "le", "pain", ".")
+    assert _column_facts([r1, r2]) == _reference_facts(RANGES)
 
 
 def test_unnamed_sentences_get_ordinal_ids(no_line_loop):
@@ -145,12 +148,13 @@ def test_documents_off_the_block_path_parse_to_the_same_sentences(name, variant)
     assert _column_facts(parse_conllu(other)) == _reference_facts(other)
 
 
-def test_a_long_block_past_the_id_table(no_line_loop):
+def test_a_long_block_past_the_id_table():
     n = 600
     data = "\n".join(_row(i, f"w{i}", 0 if i == 1 else i - 1) for i in range(1, n + 1)) + "\n"
     [sentence] = parse_conllu(data)
     assert sentence.heads == (0, *range(1, n))
     assert sentence.text == " ".join(f"w{i}" for i in range(1, n + 1))
+    assert _column_facts([sentence]) == _reference_facts(data)
 
 
 def test_odd_but_valid_ids_and_heads_parse_as_the_reference_does():
@@ -204,7 +208,6 @@ def no_error_namer(monkeypatch):
     def forbidden(*args, **kwargs):
         raise _LineLoop
 
-    monkeypatch.setattr(corpus, "_raise_bad_row", forbidden)
     monkeypatch.setattr(corpus, "_check_tokens", forbidden)
 
 
@@ -253,13 +256,21 @@ def _documents():
 
 
 @pytest.mark.parametrize("name", ["fixture", "ranges", "unnamed"])
-def test_crlf_documents_take_the_block_path(name, no_line_loop):
+def test_crlf_documents_take_the_block_path(name, request):
+    if name != "ranges":  # range blocks go to the line reader
+        request.getfixturevalue("no_line_loop")
     data = {"fixture": _fixture(), "ranges": RANGES, "unnamed": UNNAMED}[name].replace("\n", "\r\n")
     assert _column_facts(parse_conllu(data)) == _reference_facts(data)
 
 
+# the variants of the fixture and the unnamed document that every batch accepts
+_BATCH_READ = {"fixture-crlf", "unnamed-crlf", "cr-ending-the-text"}
+
+
 @pytest.mark.parametrize("name", sorted(_documents()))
-def test_every_valid_document_is_read_by_the_column_reader(name, no_error_namer):
+def test_every_valid_document_is_read_by_the_column_reader(name, no_error_namer, request):
+    if name in _BATCH_READ:
+        request.getfixturevalue("no_line_loop")
     data = _documents()[name]
     assert _column_facts(parse_conllu(data)) == _reference_facts(data)
 
@@ -302,37 +313,28 @@ def _word_rows(draw):
     return rows
 
 
-def _agreement(rows):
-    """The reader's outcome on ``rows``, after checking that the error namer agrees with it."""
-    numbered = list(enumerate(rows, 5))
-    words = corpus._word_columns("\n".join(rows))
+def _outcome(data: str):
+    """``parse_conllu``'s sentences, or its error's class, message and line."""
     try:
-        corpus._raise_bad_row(numbered)
-    except ParseError as exc:
-        named = exc.line
-    except AssertionError:
-        named = None  # the guard: no bad row
-    assert (words is None) == (named is not None)
-    if words is None:
-        return None
-    # the columns are what a per-row reading gives
-    cells = [row.split("\t") for row in rows]
-    kept = [i for i, c in enumerate(cells) if "-" not in c[0] and "." not in c[0]]
-    first, columns = words
-    assert first == (kept[0] if kept else 0)
-    assert columns == (
-        tuple(cells[i][1] for i in kept),
-        tuple(cells[i][3] for i in kept),
-        tuple(int(cells[i][6]) for i in kept),
-        tuple(cells[i][7] for i in kept),
-        tuple("" if cells[i][9].strip() == "_" else cells[i][9].strip() for i in kept),
-    )
-    return words
+        return _column_facts(parse_conllu(data))
+    except RhesisError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _agreement(rows):
+    """``_outcome`` of ``rows`` put at line 5, past a one-word block: the reference's, checked."""
+    data = "\n".join([_row(1, "a", 0), "", "# sent_id = w", "# text = t", *rows]) + "\n"
+    outcome = _outcome(data)
+    try:
+        assert outcome == _reference_facts(data)
+    except RhesisError as exc:
+        assert outcome == (type(exc), str(exc), getattr(exc, "line", None))
+    return outcome
 
 
 @settings(max_examples=1500, deadline=None)
 @given(rows=_word_rows())
-def test_the_reader_refuses_exactly_the_rows_the_namer_names(rows):
+def test_the_parser_refuses_exactly_the_rows_the_reference_refuses(rows):
     _agreement(rows)
 
 
@@ -345,8 +347,10 @@ def _with(row: str, column: int, cell: str) -> str:
 def test_every_bad_row_kind_at_every_place_is_refused_and_named():
     good = [_row(1, "a", 0), _row("1-2", "ab", "_"), _row(2, "b", 1), _row("2.1", "e", "_"),
             _row(3, "c", 2)]
-    assert _agreement(good) is not None
-    assert _agreement([good[1], good[3]]) == (0, ((), (), (), (), ()))
+    first = _agreement([])
+    assert len(first) == 1
+    assert [s[0] for s in _agreement(good)] == ["s1", "w"]
+    assert _agreement([good[1], good[3]]) == first  # only ranges: no sentence
     bad = {
         "nine": lambda r: r.rsplit("\t", 1)[0],
         "eleven": lambda r: r + "\t_",
@@ -359,10 +363,8 @@ def test_every_bad_row_kind_at_every_place_is_refused_and_named():
         for place in (0, 2, 4):
             rows = list(good)
             rows[place] = spoil(rows[place])
-            assert _agreement(rows) is None, (kind, place)
-            with pytest.raises(ParseError) as exc:
-                corpus._raise_bad_row(list(enumerate(rows, 5)))
-            assert exc.value.line == 5 + place, (kind, place)
+            outcome = _agreement(rows)
+            assert outcome[0] is ParseError and outcome[2] == 5 + place, (kind, place)
 
 
 @pytest.mark.parametrize("between", [[], ["# c"]])

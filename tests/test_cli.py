@@ -338,6 +338,22 @@ class TestExportDataset:
         assert manifest["examples"]["positive"] == 4
         assert "examples ->" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\rb"], ids=["tab", "cr"])
+    def test_a_sentence_id_that_would_spoil_its_rows_writes_no_file(
+        self, data, tmp_path, name, capsys
+    ):
+        conllu = tmp_path / "odd-id.conllu"
+        conllu.write_text(CONLLU.replace("# sent_id = s1", f"# sent_id = {name}"),
+                          encoding="utf-8")
+        out = tmp_path / "candidates.tsv"
+        code = main(["export-dataset", "--conllu", str(conllu), "--gold", data["gold"],
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"rhesis: error: sentence id {name!r} holds a tab or a line break" in err
+        assert not out.exists()
+        assert not (tmp_path / "candidates.tsv.manifest.json").exists()
+
 
 class TestStats:
     def test_length_table(self, data, capsys):
