@@ -190,7 +190,6 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
     piece reads its cuts as the slice of that list between its bounds.
     """
     spans: list[tuple[int, int]] = []
-    oversized: list[tuple[int, int]] = []
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units
     found: dict[int, list[int]] = {}
@@ -209,17 +208,17 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
                 for start, end in zip(bounds, bounds[1:]):
                     descend(start + 1, end, next_index)
                 return
-        spans.append((a, b))
-        oversized.append((a, b))
+        spans.append((a, b))  # no level cuts it: it does not fit
 
     descend(1, len(sentence), 0)
-    for a, b in oversized:
-        warnings.warn(
-            f"sentence {sentence.sent_id!r}: {sentence.span_text(a, b)!r} "
-            f"exceeds the span and cannot be split further",
-            OversizedTokenWarning,
-            stacklevel=2,
-        )
+    for a, b in spans:
+        if hi[b] - lo[a] > cap:
+            warnings.warn(
+                f"sentence {sentence.sent_id!r}: {sentence.span_text(a, b)!r} "
+                f"exceeds the span and cannot be split further",
+                OversizedTokenWarning,
+                stacklevel=2,
+            )
     return segmentation_from_spans(sentence, spans)
 
 
@@ -230,9 +229,12 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     current one while the merged text fits the span; never merges across a
     sentence-final punctuation mark (., !, ?).  Each merge is decided by the
     sentence index: ``hi[end] - lo[start]`` is ``text_measure`` of the merged text.
+    Raises ValueError unless ``seg`` is a tiling of ``sentence`` under its id.
     """
     if not seg.rhesis:
         return seg
+    if seg.sentence_id != sentence.sent_id:
+        raise ValueError(f"segmentation of {seg.sentence_id!r} given for {sentence.sent_id!r}")
     if seg.token_count > len(sentence):
         raise ValueError(f"segmentation runs to token {seg.token_count} of {len(sentence)}")
     index = _Structure(sentence, config.span)
@@ -240,6 +242,8 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     merged: list[tuple[int, int]] = []
     cur_start, cur_end = seg.rhesis[0].start, seg.rhesis[0].end
     for nxt in seg.rhesis[1:]:
+        if not cur_end + 1 == nxt.start <= nxt.end:
+            raise ValueError(f"spans do not tile the sentence at ({nxt.start}, {nxt.end})")
         last = cur_end - 1
         blocked = sentence.upos[last] == "PUNCT" and sentence.forms[last] in _FINAL_PUNCTUATION
         if not blocked and hi[nxt.end] - lo[cur_start] <= cap:

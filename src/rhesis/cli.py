@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .cascade import cascade_segment, regroup
-from .config import EngineConfig, effective_config, load_config
+from .config import EngineConfig, _with_max_chars, effective_config, load_config
 from .corpus import align_gold, parse_conllu, parse_gold
 from .dataset import (
     candidates_to_tsv,
@@ -108,10 +108,7 @@ def _emit(text: str, out: str | None) -> None:
 def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
     span = getattr(args, "span", None)
     if span is not None:
-        new_span = replace(
-            cfg.span, max_chars=span, target_chars=min(cfg.span.target_chars, span)
-        )
-        cfg = replace(cfg, span=new_span)
+        cfg = replace(cfg, span=_with_max_chars(cfg.span, span))
     seed = getattr(args, "seed", None)
     generations = getattr(args, "generations", None)
     if args.command == "tune" and (seed is not None or generations is not None):

@@ -127,11 +127,20 @@ def load_config(path: str | os.PathLike | None = None) -> EngineConfig:
             for label, raw in parser.items(_DEPREL_SECTION)
         }
 
+    span = given["span"]
+    budget = span.pop("max_chars", None) if "target_chars" not in span else None
     try:
         parts = {attr: cls(**given[attr]) for attr, cls in _SECTIONS.values()}
+        if budget is not None:
+            parts["span"] = _with_max_chars(parts["span"], budget)
         return EngineConfig(**parts, **given[""])
     except ValueError as exc:
         raise FormatError(f"config {path}: {exc}") from None
+
+
+def _with_max_chars(span: SpanConfig, max_chars: int) -> SpanConfig:
+    """``span`` with the budget ``max_chars`` and its target lowered to fit: the one clamp rule."""
+    return replace(span, max_chars=max_chars, target_chars=min(span.target_chars, max_chars))
 
 
 def effective_config(cfg: EngineConfig) -> dict:

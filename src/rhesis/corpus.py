@@ -624,19 +624,16 @@ class AlignedCorpus:
         return iter(self.entries)
 
 
-def _normalize(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim the ends."""
-    return " ".join(text.split())
-
-
 def align_gold(
     sentences: list[Sentence], gold: list[tuple[str, list[str]]]
 ) -> AlignedCorpus:
     """Match gold rhesis lines onto parsed sentences, producing token spans.
 
-    The two inputs must cover the same sentences in the same order.  Matching
-    is whitespace-normalized; every rhesis must start and end on a token
-    boundary, and together they must consume the whole sentence.
+    The two inputs must cover the same sentences in the same order.  Each
+    line is read once, from the token after the previous line's, exactly or
+    whitespace-normalized (``_align_sentence``); every rhesis must start and
+    end on a token boundary, and together they must consume the whole
+    sentence.
     """
     if len(sentences) != len(gold):
         raise AlignmentError(
@@ -649,58 +646,50 @@ def align_gold(
 
 
 def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
-    """The segmentation ``lines`` give: each line read as the exact text of its tokens, if it is.
+    """The segmentation ``lines`` give, each line read from the token after the last line's.
 
-    A line that is not (other whitespace, a boundary inside a token, too
-    little or too much text) sends the whole sentence to
-    ``_align_normalized``, which accepts every such exact reading too.
-    Each exact line is its rhesis's text.
+    A line that is the exact text of the tokens from there on is matched by
+    offset and kept as its rhesis's text.  Any other line is matched form by
+    form with whitespace runs read as one space (the forms are normalized
+    once, at the first such line), and its rhesis's text is its tokens'.
+    The normalized reading of an exact line ends on the same token, so
+    neither the spans nor the errors depend on which reading a line takes.
+    Coverage of the whole sentence is checked once, after the last line.
     """
-    text, starts, ends = sentence.text, sentence.starts, sentence.ends
+    sent_id, text, starts, ends = sentence.sent_id, sentence.text, sentence.starts, sentence.ends
     n = len(ends)
+    forms = None  # normalized, built at the first inexact line
     rhesis = []
     tok = 0  # tokens fully consumed so far
     for line in lines:
-        if tok == n:
-            return _align_normalized(sentence, lines)
-        p = starts[tok]
-        e = p + len(line)
-        j = bisect_left(ends, e, tok)
-        if j == n or ends[j] != e or not text.startswith(line, p):
-            return _align_normalized(sentence, lines)
-        rhesis.append(Rhesis(tok + 1, j + 1, line))
-        tok = j + 1
-    if tok != n:
-        return _align_normalized(sentence, lines)
-    return Segmentation(sentence.sent_id, tuple(rhesis))
-
-
-def _align_normalized(sentence: Sentence, lines: list[str]) -> Segmentation:
-    forms = [_normalize(form) for form in sentence.forms]
-    text, starts = sentence.text, sentence.starts
-    spans: list[tuple[int, int]] = []
-    tok = 0  # tokens fully consumed so far
-    for line in lines:
-        target = _normalize(line)
+        if tok < n:
+            e = starts[tok] + len(line)
+            j = bisect_left(ends, e, tok)
+            if j < n and ends[j] == e and text.startswith(line, starts[tok]):
+                rhesis.append(Rhesis(tok + 1, j + 1, line))
+                tok = j + 1
+                continue
+        if forms is None:
+            forms = [" ".join(form.split()) for form in sentence.forms]
+        target = " ".join(line.split())
         if not target:
-            raise AlignmentError(f"sentence {sentence.sent_id!r}: empty gold rhesis line")
-        start = tok + 1
+            raise AlignmentError(f"sentence {sent_id!r}: empty gold rhesis line")
+        first = tok
         pos = 0
         while True:
-            if tok >= len(forms):
+            if tok == n:
                 raise AlignmentError(
-                    f"sentence {sentence.sent_id!r}: gold text {target!r} "
-                    f"continues past the last token"
+                    f"sentence {sent_id!r}: gold text {target!r} continues past the last token"
                 )
             form = forms[tok]
             if target[pos : pos + len(form)] != form:
                 if form.startswith(target[pos:]):
                     raise AlignmentError(
-                        f"sentence {sentence.sent_id!r}: rhesis boundary falls "
+                        f"sentence {sent_id!r}: rhesis boundary falls "
                         f"inside token {tok + 1} ({sentence.forms[tok]!r})"
                     )
                 raise AlignmentError(
-                    f"sentence {sentence.sent_id!r}: gold text {target!r} does not "
+                    f"sentence {sent_id!r}: gold text {target!r} does not "
                     f"match token {tok + 1} ({sentence.forms[tok]!r}) at offset {pos}"
                 )
             pos += len(form)
@@ -709,18 +698,14 @@ def _align_normalized(sentence: Sentence, lines: list[str]) -> Segmentation:
                 break
             # normalized, whitespace at the joint (the space after a token, or
             # either form's edge) reads as one space
-            if tok < len(forms) and (
-                text[starts[tok] - 1].isspace() or text[starts[tok]].isspace()
-            ):
+            if tok < n and (text[starts[tok] - 1].isspace() or text[starts[tok]].isspace()):
                 if target[pos] != " ":
                     raise AlignmentError(
-                        f"sentence {sentence.sent_id!r}: missing space in gold "
+                        f"sentence {sent_id!r}: missing space in gold "
                         f"text {target!r} at offset {pos}"
                     )
                 pos += 1
-        spans.append((start, tok))
-    if tok != len(forms):
-        raise AlignmentError(
-            f"sentence {sentence.sent_id!r}: gold covers {tok} of {len(forms)} tokens"
-        )
-    return segmentation_from_spans(sentence, spans)
+        rhesis.append(Rhesis(first + 1, tok, text[starts[first] : ends[tok - 1]]))
+    if tok != n:
+        raise AlignmentError(f"sentence {sent_id!r}: gold covers {tok} of {n} tokens")
+    return Segmentation(sent_id, tuple(rhesis))

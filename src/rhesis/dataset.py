@@ -124,12 +124,15 @@ _TSV_HEADER = "sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel"
 def candidates_to_tsv(examples: list[CandidateExample]) -> str:
     """Serialize examples as UTF-8 TSV with a header line.
 
-    Raises ValueError naming a sentence id that holds a tab or a line
-    break: its rows would not read back as six fields.
+    Raises ValueError naming a sentence whose id or text holds a tab or a
+    line break: its rows would not read back as six fields.  A candidate's
+    text is a slice of its sentence's, so checking the sentence covers it.
     """
-    for sentence_id in dict.fromkeys(ex.sentence_id for ex in examples):
+    for sentence_id, text in dict.fromkeys((ex.sentence_id, ex.sentence_text) for ex in examples):
         if "\t" in sentence_id or "\n" in sentence_id or "\r" in sentence_id:
             raise ValueError(f"sentence id {sentence_id!r} holds a tab or a line break")
+        if "\t" in text or "\n" in text or "\r" in text:
+            raise ValueError(f"sentence {sentence_id!r}: its text holds a tab or a line break")
     lines = [_TSV_HEADER]
     for ex in examples:
         lines.append(

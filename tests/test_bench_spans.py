@@ -12,7 +12,9 @@ import types
 from importlib import resources
 from pathlib import Path
 
-from rhesis import parse_conllu
+import pytest
+
+from rhesis import ScoringWeights, parse_conllu, write_weights
 from rhesis.cli import main
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -45,3 +47,38 @@ def test_cascade_cli_reaches_both_cascade_layers_once_per_sentence(capsys):
     names = [s["name"] for s in recorder.spans]
     assert names.count("cascade.cascade_segment") == n_sentences
     assert names.count("cascade.regroup") == n_sentences
+
+
+def test_eval_cli_reaches_align_gold_twice_per_call(capsys):
+    spans = _spans_module()
+    recorder = spans.Recorder()
+    conllu = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    gold = resources.files("rhesis").joinpath("data", "fixture.rhz")
+    with resources.as_file(conllu) as conllu_path, resources.as_file(gold) as gold_path:
+        with spans.traced_cli(recorder):
+            code = main(["eval", "--auto", str(gold_path), "--gold", str(gold_path),
+                         "--conllu", str(conllu_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert [s["name"] for s in recorder.spans].count("corpus.align_gold") == 2
+
+
+@pytest.mark.parametrize(
+    "method, layer", [("tree", "scoring.segment_best"), ("scores", "dataset.segment_by_scores")]
+)
+def test_dp_cli_reaches_its_segmenter_once_per_sentence(method, layer, tmp_path, capsys):
+    spans = _spans_module()
+    fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    sentences = parse_conllu(fixture.read_bytes())
+    weights = tmp_path / "weights.json"
+    write_weights(weights, ScoringWeights())
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(f"{s.sent_id}\t1\t{len(s)}\t0.9\n" for s in sentences),
+                      encoding="utf-8")
+    recorder = spans.Recorder()
+    with resources.as_file(fixture) as path, spans.traced_cli(recorder):
+        code = main(["segment", "--input", str(path), "--method", method,
+                     "--weights", str(weights), "--scores", str(scores)])
+    capsys.readouterr()
+    assert code == 0
+    assert [s["name"] for s in recorder.spans].count(layer) == len(sentences)

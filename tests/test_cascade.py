@@ -325,6 +325,23 @@ class TestRegroup:
         with pytest.raises(ValueError):
             regroup(sent, foreign, CFG)
 
+    @pytest.mark.parametrize(
+        "sent_id, spans, match",
+        [
+            ("conte1-s01", [(1, 2), (4, 9)], r"do not tile the sentence at \(4, 9\)"),
+            ("conte1-s01", [(1, 2), (2, 9)], r"do not tile the sentence at \(2, 9\)"),
+            ("other", [(1, 2), (3, 9)], "segmentation of 'other' given for 'conte1-s01'"),
+        ],
+        ids=["gap", "overlap", "foreign-id"],
+    )
+    def test_a_segmentation_that_does_not_tile_the_sentence_raises(self, sent_id, spans, match):
+        # each of these would merge into one unit, so no later check sees the fault
+        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+        sent = parse_conllu(fixture.read_bytes())[0]
+        seg = Segmentation(sent_id, tuple(Rhesis(a, b, sent.span_text(a, b)) for a, b in spans))
+        with pytest.raises(ValueError, match=match):
+            regroup(sent, seg, CFG)
+
     def test_idempotent_on_random_cascade_output(self):
         rng = random.Random(5150)
         with warnings.catch_warnings():

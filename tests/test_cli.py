@@ -338,19 +338,31 @@ class TestExportDataset:
         assert manifest["examples"]["positive"] == 4
         assert "examples ->" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["a\tb", "a\rb"], ids=["tab", "cr"])
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("# sent_id = s1", "# sent_id = a\tb", "sentence id 'a\\tb' holds"),
+            ("# sent_id = s1", "# sent_id = a\rb", "sentence id 'a\\rb' holds"),
+            ("chat", "mar\rché", "sentence 's1': its text holds"),
+            ("lit", "lit\r", "sentence 's2': its text holds"),
+        ],
+        ids=["tab", "cr", "cr-in-form", "cr-ending-form"],
+    )
     def test_a_sentence_id_that_would_spoil_its_rows_writes_no_file(
-        self, data, tmp_path, name, capsys
+        self, tmp_path, old, new, error, capsys
     ):
-        conllu = tmp_path / "odd-id.conllu"
-        conllu.write_text(CONLLU.replace("# sent_id = s1", f"# sent_id = {name}"),
-                          encoding="utf-8")
+        # a CR inside a form (not before a line end) is kept by the reader and
+        # by the gold lines, so the sentence aligns and reaches the export
+        conllu = tmp_path / "odd.conllu"
+        conllu.write_text(CONLLU.replace(old, new), encoding="utf-8")
+        gold = tmp_path / "odd.rhz"
+        gold.write_text(GOLD.replace(old, new), encoding="utf-8")
         out = tmp_path / "candidates.tsv"
-        code = main(["export-dataset", "--conllu", str(conllu), "--gold", data["gold"],
+        code = main(["export-dataset", "--conllu", str(conllu), "--gold", str(gold),
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"rhesis: error: sentence id {name!r} holds a tab or a line break" in err
+        assert f"rhesis: error: {error} a tab or a line break" in err
         assert not out.exists()
         assert not (tmp_path / "candidates.tsv.manifest.json").exists()
 

@@ -108,6 +108,13 @@ class TestFileLoading:
         assert cfg.weights == defaults.weights
         assert cfg.evo == defaults.evo
 
+    def test_a_budget_without_a_target_lowers_the_target_as_span_does(self, tmp_path):
+        cfg = load_config(_write(tmp_path, "[span]\nmax_chars = 20\n"))
+        assert cfg.span == SpanConfig(max_chars=20, target_chars=20)
+        assert cfg.cascade.span == cfg.span
+        with pytest.raises(FormatError, match="max_chars must be positive, got 0"):
+            load_config(_write(tmp_path, "[span]\nmax_chars = 0\n"))
+
     def test_comma_can_be_a_punctuation_item(self, tmp_path):
         cfg = load_config(_write(tmp_path, "[cascade]\npunctuation = , —\n"))
         assert cfg.cascade.cut_punctuation == {",", "—"}

@@ -6,7 +6,8 @@ CRLF, ``SpaceAfter=No``, comments, ``sent_id`` lines, and every kind of bad
 row or tree), both parsers must give equal sentences, offsets and traversals
 included, or the same exception with the same message and line.  Over gold
 lines that are exact, re-spaced, cut inside a token, too short or too long,
-both aligners must give the same spans or the same error.
+both aligners must give the same spans or the same error, and each aligned
+text must be its tokens' text.
 """
 
 from hypothesis import example, given, settings
@@ -206,9 +207,14 @@ def _spans_or_error(align, sentence, lines):
 @given(drawn=_sentence_and_lines())
 def test_align_equals_the_normalizing_align(drawn):
     new, old, lines = drawn
-    assert _spans_or_error(_align_sentence, new, lines) == _spans_or_error(
-        corpus_reference._align_sentence, old, lines
-    )
+    try:
+        seg = _align_sentence(new, lines)
+    except RhesisError as exc:
+        got = type(exc), str(exc)
+    else:
+        got = seg.spans()
+        assert [r.text for r in seg.rhesis] == [new.span_text(r.start, r.end) for r in seg.rhesis]
+    assert got == _spans_or_error(corpus_reference._align_sentence, old, lines)
 
 
 _MISSES = (

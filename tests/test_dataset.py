@@ -140,6 +140,12 @@ class TestCandidatesToTsv:
             "sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel\n"
         )
 
+    def test_a_tab_in_a_form_is_refused_not_written_as_a_field(self):
+        sentence = _words("s1", ["a\tb", "cc"])
+        examples = export_candidates(_corpus((sentence, (1,))), 1, seed=0, span=WIDE)
+        with pytest.raises(ValueError, match="sentence 's1': its text holds a tab"):
+            candidates_to_tsv(examples)
+
 
 class TestFinetuneManifest:
     def test_recommended_settings(self):
