@@ -231,11 +231,9 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     sentence index: ``hi[end] - lo[start]`` is ``text_measure`` of the merged text.
     Raises ValueError unless ``seg`` is a tiling of ``sentence`` under its id.
     """
-    if not seg.rhesis:
-        return seg
     if seg.sentence_id != sentence.sent_id:
         raise ValueError(f"segmentation of {seg.sentence_id!r} given for {sentence.sent_id!r}")
-    if seg.token_count > len(sentence):
+    if not 0 < seg.token_count <= len(sentence):
         raise ValueError(f"segmentation runs to token {seg.token_count} of {len(sentence)}")
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units

@@ -268,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return _HANDLERS[args.command](args, cfg)
-    except (RhesisError, ValueError) as exc:
-        print(f"rhesis: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RhesisError, ValueError, OSError) as exc:
         print(f"rhesis: error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Engine configuration: INI files, the RHESIS_CONFIG variable, defaults.
 
-A config file has up to five sections — [span], [cascade], [tree],
-[tree.deprel_weights], and [evo].  Word and label lists are comma- or
+A config file has up to four sections — [span], [cascade], [tree] and
+[evo].  Tree weights are not config: they come from a weight file (see
+``scoring.read_weights``).  Word and label lists are comma- or
 whitespace-separated; the punctuation list is whitespace-separated (so the
 comma can appear as an item).  Anything not set falls back to the built-in
 defaults, and unknown sections or keys are rejected rather than ignored.
@@ -23,7 +24,6 @@ from pathlib import Path
 from .cascade import CascadeConfig
 from .errors import FormatError
 from .evolve import EvoConfig
-from .scoring import ScoringWeights
 from .span import SpanConfig
 
 __all__ = ["EngineConfig", "load_config", "effective_config"]
@@ -36,7 +36,6 @@ class EngineConfig:
 
     span: SpanConfig = field(default_factory=SpanConfig)
     cascade: CascadeConfig = field(default_factory=CascadeConfig)
-    weights: ScoringWeights = field(default_factory=ScoringWeights)
     evo: EvoConfig = field(default_factory=EvoConfig)
     score_epsilon: float = 0.01
 
@@ -49,18 +48,16 @@ class EngineConfig:
 
 # INI section -> the EngineConfig attribute it fills.  Every field of that
 # attribute's dataclass is a key of the section under its own name, except:
-# [cascade] punctuation fills cut_punctuation; [tree] score_epsilon belongs to
-# EngineConfig itself (attribute ""); CascadeConfig.span is not a key, and
-# ScoringWeights.deprel_weights is the [tree.deprel_weights] section.
+# [cascade] punctuation fills cut_punctuation and CascadeConfig.span is not a
+# key.  [tree] holds only score_epsilon, which belongs to EngineConfig itself
+# (attribute "").
 _SECTIONS = {
     "span": ("span", SpanConfig),
     "cascade": ("cascade", CascadeConfig),
-    "tree": ("weights", ScoringWeights),
     "evo": ("evo", EvoConfig),
 }
 _RENAMED = {"cut_punctuation": "punctuation"}
-_NOT_KEYS = {"span", "deprel_weights"}
-_DEPREL_SECTION = "tree.deprel_weights"
+_NOT_KEYS = {"span"}
 
 # section -> INI key -> (EngineConfig attribute, field name, type of the default)
 _KEYS = {
@@ -71,7 +68,7 @@ _KEYS = {
     }
     for section, (attr, cls) in _SECTIONS.items()
 }
-_KEYS["tree"]["score_epsilon"] = ("", "score_epsilon", float)
+_KEYS["tree"] = {"score_epsilon": ("", "score_epsilon", float)}
 
 
 def _parse(section: str, key: str, raw: str, kind: type):
@@ -97,19 +94,19 @@ def load_config(path: str | os.PathLike | None = None) -> EngineConfig:
         path = os.environ.get("RHESIS_CONFIG") or None
     if path is None:
         return EngineConfig()
-    # "=" only: with ":" as a delimiter, subtyped labels such as acl:relcl
-    # could never appear as keys under [tree.deprel_weights]
+    # "=" is the only delimiter and keys keep their case, so "max_chars: 45"
+    # and "Max_Chars = 45" are refused rather than read as max_chars
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str  # deprel labels are case-sensitive
+    parser.optionxform = str
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # one leading BOM is dropped
         parser.read_string(text)
     except UnicodeDecodeError as exc:
         raise FormatError(f"config {path}: not valid UTF-8: {exc}") from None
     except configparser.Error as exc:
         raise FormatError(f"config {path}: {exc}") from None
 
-    unknown = set(parser.sections()) - set(_KEYS) - {_DEPREL_SECTION}
+    unknown = set(parser.sections()) - set(_KEYS)
     if unknown:
         raise FormatError(f"unknown config sections: {sorted(unknown)}")
     # keyword arguments per EngineConfig attribute: only the keys the file sets
@@ -121,11 +118,6 @@ def load_config(path: str | os.PathLike | None = None) -> EngineConfig:
         for key, raw in parser.items(section):
             attr, name, kind = _KEYS[section][key]
             given[attr][name] = _parse(section, key, raw, kind)
-    if parser.has_section(_DEPREL_SECTION):
-        given["weights"]["deprel_weights"] = {
-            label: _parse(_DEPREL_SECTION, label, raw, float)
-            for label, raw in parser.items(_DEPREL_SECTION)
-        }
 
     span = given["span"]
     budget = span.pop("max_chars", None) if "target_chars" not in span else None
@@ -151,5 +143,4 @@ def effective_config(cfg: EngineConfig) -> dict:
         for key, (attr, name, kind) in keys.items():
             value = getattr(getattr(cfg, attr) if attr else cfg, name)
             view[section][key] = sorted(value) if kind is frozenset else value
-    view["tree"]["deprel_weights"] = dict(sorted(cfg.weights.deprel_weights.items()))
     return view

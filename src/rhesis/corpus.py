@@ -359,13 +359,14 @@ def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> 
 
 
 def _decoded(data: str | bytes, error: type[RhesisError]) -> str:
-    """``data`` as text; bytes must be UTF-8, else ``error`` is raised."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"not valid UTF-8: {exc}") from None
+    """``data`` as text, less one leading byte-order mark; bytes must be UTF-8,
+    else ``error`` is raised."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"not valid UTF-8: {exc}") from None
+    return data[1:] if data.startswith("\ufeff") else data
 
 
 def parse_conllu(data: str | bytes) -> list[Sentence]:

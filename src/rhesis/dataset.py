@@ -195,12 +195,14 @@ class ScoreTable:
 def load_scores(data: str | bytes) -> ScoreTable:
     """Parse a TSV score stream: sentence_id, start, end, probability.
 
-    Blank lines are skipped.  Duplicate keys keep the last value and warn;
-    malformed lines, spans that are not ``1 <= start <= end`` and
-    out-of-range probabilities fail with the line number.
+    Blank lines are skipped.  Duplicate keys keep the last value, and one
+    warning counts them; malformed lines, spans that are not
+    ``1 <= start <= end`` and out-of-range probabilities fail with the line
+    number.
     """
     data = _decoded(data, FormatError)
     table: dict[tuple[str, int, int], float] = {}
+    duplicates, first = 0, 0
     for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
@@ -224,8 +226,13 @@ def load_scores(data: str | bytes) -> ScoreTable:
             )
         key = (sentence_id, start, end)
         if key in table:
-            warnings.warn(f"line {lineno}: duplicate score for {key}, keeping the last")
+            duplicates += 1
+            first = first or lineno
         table[key] = probability
+    if duplicates:
+        warnings.warn(
+            f"{duplicates} duplicate score rows (the first on line {first}), keeping the last"
+        )
     return ScoreTable(probabilities=table)
 
 

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 
 class RhesisError(Exception):
-    """Base class for data and format errors raised by this package."""
+    """Base class for data and format errors raised by this package.
 
-
-class ParseError(RhesisError):
-    """Malformed CoNLL-U input (wrong column count, unreadable field)."""
+    A ``line`` given is kept as ``.line`` and prefixes the message as ``line N: ``.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ParseError(RhesisError):
+    """Malformed CoNLL-U input (wrong column count, unreadable field)."""
 
 
 class StructuralError(RhesisError):
@@ -23,12 +26,6 @@ class StructuralError(RhesisError):
 
 class FormatError(RhesisError):
     """Malformed gold, score-table, or configuration input."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class AlignmentError(RhesisError):

@@ -99,6 +99,8 @@ class EvoConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.mutation_sigma <= 0:
             raise ValueError("mutation_sigma must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.fitness_metric not in _METRICS:
             raise ValueError(f"fitness_metric must be in {_METRICS}, got {self.fitness_metric!r}")
 

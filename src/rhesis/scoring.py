@@ -351,7 +351,7 @@ def weights_from_json(text: str) -> ScoringWeights:
 
 
 def read_weights(path: str | Path) -> ScoringWeights:
-    return weights_from_json(Path(path).read_text(encoding="utf-8"))
+    return weights_from_json(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_weights(path: str | Path, w: ScoringWeights) -> None:

@@ -342,6 +342,17 @@ class TestRegroup:
         with pytest.raises(ValueError, match=match):
             regroup(sent, seg, CFG)
 
+    @pytest.mark.parametrize("sent_id, match", [
+        ("conte1-s01", "runs to token 0 of"),
+        ("other", "segmentation of 'other' given for 'conte1-s01'"),
+    ], ids=["own-id", "foreign-id"])
+    def test_an_empty_segmentation_raises(self, sent_id, match):
+        # every sentence has a token, so no empty segmentation tiles one
+        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+        sent = parse_conllu(fixture.read_bytes())[0]
+        with pytest.raises(ValueError, match=match):
+            regroup(sent, Segmentation(sent_id, ()), CFG)
+
     def test_idempotent_on_random_cascade_output(self):
         rng = random.Random(5150)
         with warnings.catch_warnings():

@@ -258,6 +258,26 @@ class TestConfigPlumbing:
         assert code == 0
         assert _config_line(capsys)["config"]["span"]["max_chars"] == 30
 
+    @pytest.mark.parametrize("text, named", [
+        ("[tree]\nw_dep = 1\n", "w_dep"),
+        ("[tree.deprel_weights]\nconj = 0.9\n", "tree.deprel_weights"),
+    ], ids=["weight-key", "deprel-section"])
+    def test_tree_weights_in_a_config_are_a_data_error(self, data, tmp_path, capsys, text, named):
+        cfg = tmp_path / "weights.ini"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(["segment", "--input", data["conllu"], "--method", "tree",
+                     "--weights", data["weights"], "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rhesis: error: ") and named in err
+        assert "# effective-config" not in err
+
+    def test_a_tree_run_echoes_only_score_epsilon_under_tree(self, data, capsys):
+        code = main(["segment", "--input", data["conllu"], "--method", "tree",
+                     "--weights", data["weights"]])
+        assert code == 0
+        assert _config_line(capsys)["config"]["tree"] == {"score_epsilon": 0.01}
+
 
 class TestTune:
     def _config(self, tmp_path):
@@ -280,6 +300,13 @@ class TestTune:
         assert len(manifest["trace"]) == 4
         assert manifest["labels"] == sorted(manifest["labels"])
         assert "best fitness" in capsys.readouterr().err
+
+    def test_a_negative_seed_fails_before_the_echo(self, data, tmp_path, capsys):
+        code = main(["tune", "--conllu", data["conllu"], "--gold", data["gold"],
+                     "--seed", "-1", "--out", str(tmp_path / "tuned.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "rhesis: error: seed must be >= 0\n"
+        assert not (tmp_path / "tuned.json").exists()
 
     def test_same_seed_rewrites_identical_bytes(self, data, tmp_path, capsys):
         args = ["tune", "--conllu", data["conllu"], "--gold", data["gold"],

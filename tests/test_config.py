@@ -14,6 +14,7 @@ from rhesis import (
     SpanConfig,
     effective_config,
     load_config,
+    weights_from_json,
 )
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -31,15 +32,7 @@ glue_deprels = det,aux
 punctuation = , ; (
 
 [tree]
-w_dep = 0.8
-w_count = 0.2
-default_deprel_weight = -0.1
 score_epsilon = 0.05
-
-[tree.deprel_weights]
-conj = 0.9
-acl:relcl = 0.35
-det = -0.5
 
 [evo]
 population = 12
@@ -66,8 +59,6 @@ class TestDefaults:
         assert cfg == EngineConfig()
         assert (cfg.span.max_chars, cfg.span.target_chars) == (45, 32)
         assert cfg.span.count_mode == "characters"
-        assert cfg.weights.w_dep == 1.0
-        assert cfg.weights.w_count == 0.0
         assert cfg.score_epsilon == 0.01
         assert cfg.evo.population == 40
 
@@ -89,10 +80,6 @@ class TestFileLoading:
         assert cfg.cascade.clause_deprels == {"advcl", "acl:relcl", "conj"}
         assert cfg.cascade.glue_deprels == {"det", "aux"}
         assert cfg.cascade.cut_punctuation == {",", ";", "("}
-        assert cfg.weights.w_dep == 0.8
-        assert cfg.weights.w_count == 0.2
-        assert cfg.weights.default_deprel_weight == -0.1
-        assert cfg.weights.deprel_weights == {"conj": 0.9, "acl:relcl": 0.35, "det": -0.5}
         assert cfg.score_epsilon == 0.05
         assert (cfg.evo.population, cfg.evo.generations, cfg.evo.seed) == (12, 5, 7)
         assert cfg.evo.fitness_metric == "f1"
@@ -105,7 +92,7 @@ class TestFileLoading:
         assert cfg.cascade.span == cfg.span
         assert cfg.cascade.clause_deprels == defaults.cascade.clause_deprels
         assert cfg.cascade.cut_punctuation == defaults.cascade.cut_punctuation
-        assert cfg.weights == defaults.weights
+        assert cfg.score_epsilon == defaults.score_epsilon
         assert cfg.evo == defaults.evo
 
     def test_a_budget_without_a_target_lowers_the_target_as_span_does(self, tmp_path):
@@ -124,10 +111,10 @@ class TestFileLoading:
             tmp_path, "[cascade]\npriority_prepositions = chez,vers  malgré\n"))
         assert cfg.cascade.priority_prepositions == {"chez", "vers", "malgré"}
 
-    def test_deprel_weight_keys_keep_case_and_subtypes(self, tmp_path):
-        cfg = load_config(_write(
-            tmp_path, "[tree.deprel_weights]\nobl:tmod = 0.4\nFOO = 0.1\n"))
-        assert cfg.weights.deprel_weights == {"obl:tmod": 0.4, "FOO": 0.1}
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes("\ufeff[span]\nmax_chars = 50\n".encode("utf-8"))
+        assert load_config(path).span.max_chars == 50
 
 
 class TestEnvironmentVariable:
@@ -165,7 +152,24 @@ class TestRejection:
 
     def test_float_key_rejects_words(self, tmp_path):
         with pytest.raises(FormatError, match="must be a number"):
-            load_config(_write(tmp_path, "[tree]\nw_dep = heavy\n"))
+            load_config(_write(tmp_path, "[tree]\nscore_epsilon = heavy\n"))
+
+    def test_tree_weight_keys_are_refused(self, tmp_path):
+        # tree weights come from a weight file (segment --weights), not from a config
+        with pytest.raises(FormatError, match=r"unknown keys in \[tree\]: \['w_dep'\]"):
+            load_config(_write(tmp_path, "[tree]\nw_dep = 1\nscore_epsilon = 0.05\n"))
+
+    def test_a_tree_deprel_weights_section_is_refused(self, tmp_path):
+        with pytest.raises(FormatError, match=r"unknown config sections: \['tree.deprel_weights'\]"):
+            load_config(_write(tmp_path, "[tree.deprel_weights]\nconj = 0.9\n"))
+
+    def test_keys_keep_their_case(self, tmp_path):
+        with pytest.raises(FormatError, match=r"unknown keys in \[span\]: \['Max_Chars'\]"):
+            load_config(_write(tmp_path, "[span]\nMax_Chars = 50\n"))
+
+    def test_a_negative_seed_is_refused(self, tmp_path):
+        with pytest.raises(FormatError, match="seed must be >= 0"):
+            load_config(_write(tmp_path, "[evo]\nseed = -1\n"))
 
     def test_score_epsilon_range(self, tmp_path):
         with pytest.raises(FormatError, match="score_epsilon"):
@@ -201,8 +205,7 @@ class TestEffectiveConfig:
         view = effective_config(EngineConfig())
         assert set(view) == {"span", "cascade", "tree", "evo"}
         assert view["span"]["max_chars"] == 45
-        assert view["tree"]["w_dep"] == 1.0
-        assert view["tree"]["score_epsilon"] == 0.01
+        assert view["tree"] == {"score_epsilon": 0.01}
         assert view["evo"]["fitness_metric"] == "precision"
         json.dumps(view)  # must be JSON-clean for the CLI echo line
 
@@ -211,34 +214,23 @@ class TestEffectiveConfig:
         view = effective_config(cfg)
         assert view["cascade"]["priority_prepositions"] == ["chez", "vers"]
         assert view["cascade"]["punctuation"] == sorted({",", ";", "("})
-        assert list(view["tree"]["deprel_weights"]) == ["acl:relcl", "conj", "det"]
 
 
 def _as_ini(view: dict) -> str:
     """The effective-config view written back out as a config file."""
-    lines, tables = [], []
+    lines = []
     for section, values in view.items():
         lines.append(f"[{section}]")
         for key, value in values.items():
-            if isinstance(value, dict):
-                tables.append(f"[{section}.{key}]")
-                tables += [f"{label} = {weight}" for label, weight in value.items()]
-            elif isinstance(value, list):
+            if isinstance(value, list):
                 lines.append(f"{key} = {' '.join(value)}")
             else:
                 lines.append(f"{key} = {value}")
-    return "\n".join(lines + tables) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _echoed_keys(view: dict) -> set[tuple[str, str]]:
-    keys = set()
-    for section, values in view.items():
-        for key, value in values.items():
-            if isinstance(value, dict):
-                keys |= {(f"{section}.{key}", label) for label in value}
-            else:
-                keys.add((section, key))
-    return keys
+    return {(section, key) for section, values in view.items() for key in values}
 
 
 class TestOneSourceOfTruth:
@@ -254,8 +246,7 @@ class TestOneSourceOfTruth:
         assert {section: sorted(values) for section, values in view.items()} == {
             "span": ["count_mode", "max_chars", "target_chars"],
             "cascade": ["clause_deprels", "glue_deprels", "priority_prepositions", "punctuation"],
-            "tree": ["default_deprel_weight", "deprel_weights", "score_epsilon",
-                     "w_balance", "w_count", "w_cross", "w_dep", "w_depth"],
+            "tree": ["score_epsilon"],
             "evo": ["crossover_rate", "elitism", "fitness_metric", "generations",
                     "mutation_rate", "mutation_sigma", "population", "seed", "tournament_k"],
         }
@@ -273,9 +264,12 @@ class TestOneSourceOfTruth:
         with pytest.raises(FormatError, match="must not be empty"):
             load_config(_write(tmp_path, f"[cascade]\n{key} =\n"))
 
-    def test_deprel_weight_must_be_a_number(self, tmp_path):
-        with pytest.raises(FormatError, match=r"\[tree.deprel_weights\] conj must be a number"):
-            load_config(_write(tmp_path, "[tree.deprel_weights]\nconj = high\n"))
+
+def test_readme_weight_example_is_a_weight_file():
+    block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    weights = weights_from_json(block)
+    assert (weights.w_dep, weights.w_count, weights.w_balance) == (1.0, 0.1, 0.05)
+    assert weights.deprel_weights == {"conj": 0.9, "advcl": 0.8, "det": -0.8, "acl:relcl": 0.35}
 
 
 def test_readme_ini_block_lists_every_key(tmp_path):

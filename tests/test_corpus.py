@@ -314,6 +314,26 @@ class TestUniqueSentenceIds:
         assert [s.sent_id for s in parse_conllu(SAMPLE)] == ["d1-s1", "s2"]
 
 
+BOM = "\ufeff"
+_STR_OR_BYTES = pytest.mark.parametrize(
+    "encode", [str, lambda text: text.encode("utf-8")], ids=["str", "bytes"])
+
+
+@_STR_OR_BYTES
+def test_gold_drops_a_leading_byte_order_mark(encode):
+    assert parse_gold(encode(BOM + "Le chat\ndort.\n")) == [("", ["Le chat", "dort."])]
+
+
+@_STR_OR_BYTES
+def test_conllu_drops_a_leading_byte_order_mark(encode):
+    assert parse_conllu(encode(BOM + SAMPLE)) == parse_conllu(SAMPLE)
+    # one mark is dropped and the line numbers stay those of the file
+    with pytest.raises(ParseError, match="line 1: expected 10 tab-separated columns"):
+        parse_conllu(encode(BOM + BOM + SAMPLE))
+    with pytest.raises(ParseError, match="line 2: expected 10 tab-separated columns"):
+        parse_conllu(encode(BOM + "# sent_id = a\n1\tUn\n"))
+
+
 def test_parse_gold_rejects_invalid_utf8():
     with pytest.raises(FormatError, match="UTF-8"):
         parse_gold(b"\xff")

@@ -203,6 +203,21 @@ class TestLoadScores:
             table = load_scores("s1\t1\t2\t0.5\ns1\t1\t2\t0.75\n")
         assert table.get("s1", 1, 2) == 0.75
 
+    def test_duplicates_are_counted_in_one_warning(self):
+        rows = "s1\t1\t2\t0.5\ns1\t1\t2\t0.6\ns1\t3\t4\t0.5\ns1\t3\t4\t0.7\ns1\t1\t2\t0.8\n"
+        with pytest.warns(UserWarning) as caught:
+            table = load_scores(rows)
+        assert [str(w.message) for w in caught] == [
+            "3 duplicate score rows (the first on line 2), keeping the last"
+        ]
+        assert (table.get("s1", 1, 2), table.get("s1", 3, 4)) == (0.8, 0.7)
+
+    @pytest.mark.parametrize("encode", [str, lambda text: text.encode("utf-8")],
+                             ids=["str", "bytes"])
+    def test_a_leading_byte_order_mark_is_dropped(self, encode):
+        table = load_scores(encode("\ufeffa\t1\t2\t0.5\nb\t1\t2\t0.25\n"))
+        assert sorted(table.probabilities) == [("a", 1, 2), ("b", 1, 2)]
+
     def test_empty_input_is_an_empty_table(self):
         assert len(load_scores("")) == 0
 

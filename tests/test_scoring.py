@@ -26,6 +26,7 @@ from rhesis import (
     segment_best,
     segment_by_scores,
     segmentation_score,
+    read_weights,
     weights_from_json,
     weights_to_json,
 )
@@ -285,6 +286,11 @@ class TestWeightsJson:
             weights_from_json('{"w_dep": -1.0}')
         with pytest.raises(FormatError):
             weights_from_json('{"deprel_weights": {"conj": 7.0}}')
+
+    def test_a_weight_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_bytes(b"\xef\xbb\xbf" + weights_to_json(ScoringWeights(w_count=0.5)).encode())
+        assert read_weights(path) == ScoringWeights(w_count=0.5)
 
     @pytest.mark.parametrize("table", ['[]', '["conj", 0.5]', '"conj"'])
     def test_deprel_table_that_is_not_an_object_rejected(self, table):
