@@ -13,13 +13,11 @@ sentence index, ``hi[b] - lo[a]``, which equals ``text_measure`` of the text.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .corpus import Segmentation, Sentence, segmentation_from_spans
-from .errors import OversizedTokenWarning
-from .scoring import _Structure
+from .scoring import _finish, _Structure
 from .span import SpanConfig
 
 __all__ = [
@@ -184,19 +182,20 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
 
     Each piece that does not fit the span is split at the first level (from
     its current position in the cascade) that proposes cuts; pieces continue
-    with the next level.  A piece no level can split is emitted as-is with
-    an OversizedTokenWarning naming the caller.  Each level is one sorted,
+    with the next level.  A piece no level can split is kept as-is, and
+    ``_finish``, which every segmenter ends in, warns for it with an
+    OversizedTokenWarning naming the caller.  Each level is one sorted,
     sentence-wide list of positions, found at most once per sentence; a
     piece reads its cuts as the slice of that list between its bounds.
     """
-    spans: list[tuple[int, int]] = []
+    ends: list[int] = []
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units
     found: dict[int, list[int]] = {}
 
     def descend(a: int, b: int, level_index: int) -> None:
         if hi[b] - lo[a] <= cap:
-            spans.append((a, b))
+            ends.append(b)
             return
         for next_index, level in enumerate(CUT_LEVELS[level_index:], level_index + 1):
             if next_index not in found:
@@ -208,18 +207,10 @@ def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
                 for start, end in zip(bounds, bounds[1:]):
                     descend(start + 1, end, next_index)
                 return
-        spans.append((a, b))  # no level cuts it: it does not fit
+        ends.append(b)  # no level cuts it: it does not fit
 
     descend(1, len(sentence), 0)
-    for a, b in spans:
-        if hi[b] - lo[a] > cap:
-            warnings.warn(
-                f"sentence {sentence.sent_id!r}: {sentence.span_text(a, b)!r} "
-                f"exceeds the span and cannot be split further",
-                OversizedTokenWarning,
-                stacklevel=2,
-            )
-    return segmentation_from_spans(sentence, spans)
+    return _finish(sentence, index, ends[:-1])
 
 
 def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Segmentation:

@@ -3,8 +3,9 @@
 Subcommands: segment, tune, eval, export-dataset, stats.  Exit codes: 0 on
 success, 1 for usage errors, 2 for data or format errors.  Every run echoes
 its effective configuration as one JSON line on stderr, so outputs can be
-reproduced from logs; payload output (stdout or --out) carries no timestamps
-and is byte-stable for identical inputs.
+reproduced from logs, and prints each library warning after it as one
+``rhesis: warning:`` line; payload output (stdout or --out) carries no
+timestamps and is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
@@ -238,6 +240,11 @@ def _cmd_stats(args, cfg: EngineConfig) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as one ``rhesis: warning:`` line, without its source."""
+    print(f"rhesis: warning: {message}", file=sys.stderr)
+
+
 _HANDLERS = {
     "segment": _cmd_segment,
     "tune": _cmd_tune,
@@ -267,7 +274,9 @@ def main(argv: list[str] | None = None) -> int:
             "# effective-config " + json.dumps(header, sort_keys=True, ensure_ascii=False),
             file=sys.stderr,
         )
-        return _HANDLERS[args.command](args, cfg)
+        with warnings.catch_warnings():  # the caller's filters stay; its hook comes back
+            warnings.showwarning = _show_warning
+            return _HANDLERS[args.command](args, cfg)
     except (RhesisError, ValueError, OSError) as exc:
         print(f"rhesis: error: {exc}", file=sys.stderr)
         return 2

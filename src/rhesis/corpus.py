@@ -37,6 +37,7 @@ other ``#`` lines ignored as comments.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, eq
@@ -178,9 +179,7 @@ class Sentence:
         starts = tuple(accumulate(map(len, parts[:-1]), initial=0))
         ends = tuple(map(add, starts, map(len, forms)))
         text = "".join(parts)[: ends[-1]]  # no space after the last token
-        return _sentence(
-            cls, sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree
-        )
+        return cls(sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree)
 
     @property
     def tokens(self) -> tuple[Token, ...]:
@@ -229,32 +228,6 @@ def _parts(forms, miscs) -> list[str]:
     """The pieces of the text: each form with the space after it, if its MISC allows one."""
     gaps = {misc: " " if _space_after(misc) else "" for misc in set(miscs)}
     return list(map(add, forms, map(gaps.__getitem__, miscs)))
-
-
-def _sentence(cls, sent_id, forms, upos, heads, deprels, miscs, text, starts, ends, tree):
-    """A ``cls`` (a Sentence) holding these fields and no token view yet, made past ``__init__``.
-
-    The frozen ``__init__`` sets each of the 11 slots through
-    ``object.__setattr__``; calling the slots' own setters costs about half.
-    """
-    sentence = object.__new__(cls)
-    (s_id, s_forms, s_upos, s_heads, s_deprels, s_miscs,
-     s_text, s_starts, s_ends, s_tree, s_tokens) = _SENTENCE_SLOTS
-    s_id(sentence, sent_id)
-    s_forms(sentence, forms)
-    s_upos(sentence, upos)
-    s_heads(sentence, heads)
-    s_deprels(sentence, deprels)
-    s_miscs(sentence, miscs)
-    s_text(sentence, text)
-    s_starts(sentence, starts)
-    s_ends(sentence, ends)
-    s_tree(sentence, tree)
-    s_tokens(sentence, None)
-    return sentence
-
-
-_SENTENCE_SLOTS = tuple(getattr(Sentence, name).__set__ for name in Sentence.__slots__)
 
 
 def _top_down(heads: tuple[int, ...]) -> tuple[list[list[int]], list[int]]:
@@ -328,9 +301,7 @@ class Segmentation:
         return self.rhesis[-1].end if self.rhesis else 0
 
 
-def segmentation_from_spans(
-    sentence: Sentence, spans: list[tuple[int, int]] | tuple
-) -> Segmentation:
+def segmentation_from_spans(sentence: Sentence, spans: Iterable[tuple[int, int]]) -> Segmentation:
     """Build a Segmentation from 1-based inclusive spans over ``sentence``.
 
     The spans must tile the sentence: start at 1, end at the token count, and
@@ -352,10 +323,8 @@ def segmentation_from_spans(
 
 def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> Segmentation:
     """Build a Segmentation from internal cut positions (strictly increasing)."""
-    n = len(sentence)
-    bounds = [0, *cuts, n]
-    spans = [(bounds[i] + 1, bounds[i + 1]) for i in range(len(bounds) - 1)]
-    return segmentation_from_spans(sentence, spans)
+    starts = [cut + 1 for cut in (0, *cuts)]
+    return segmentation_from_spans(sentence, zip(starts, (*cuts, len(sentence))))
 
 
 def _decoded(data: str | bytes, error: type[RhesisError]) -> str:

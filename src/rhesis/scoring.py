@@ -162,20 +162,21 @@ class _Structure:
     decreases or ``b`` grows, and the count mode matters only here in
     ``__init__``.
 
-    Every fact the index holds has at least two readers.  The cascade and
-    ``regroup`` read ``hi``, ``lo`` and ``max_units``; both DPs warn through
-    ``measure``.  The rest is built on first use, so a consumer pays only
-    for what it reads.  The span fact: ``fit_end`` (the last end that fits
-    from each start), one bisection of ``hi`` per start; both DPs, the
-    batched tuner and the export read the measure of each admissible segment
-    straight off ``hi``, ``lo`` and ``fit_end``.  The tree fact:
-    ``cut_features``, the three sequences behind ``crossing_edges(sentence,
-    p)`` that a cut score reads (the primary edge's deprel, its depth and the
-    crossing count, at index ``p - 1``), read by the tree DP and the tuner.
-    It takes each token's depth from one pass over the traversal the
-    sentence kept of its cycle check, then sweeps the edges once, in O(n +
-    total arc length).  None of these depends on the weights, so the tuner
-    builds them once per sentence.
+    Every fact the index holds has at least two readers.  The cascade,
+    ``regroup`` and ``_finish``, through which every segmenter reports an
+    oversized unit, read ``hi``, ``lo`` and ``max_units``.  The rest is
+    built on first use, so a consumer pays only for what it reads.  The
+    span fact: ``fit_end`` (the last end that fits from each start), one
+    bisection of ``hi`` per start; both DPs, the batched tuner and the
+    export read the measure of each admissible segment straight off ``hi``,
+    ``lo`` and ``fit_end``.  The tree fact: ``cut_features``, the three
+    sequences behind ``crossing_edges(sentence, p)`` that a cut score reads
+    (the primary edge's deprel, its depth and the crossing count, at index
+    ``p - 1``), read by the tree DP and the tuner.  It takes each token's
+    depth from one pass over the traversal the sentence kept of its cycle
+    check, then sweeps the edges once, in O(n + total arc length).  None of
+    these depends on the weights, so the tuner builds them once per
+    sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
@@ -264,12 +265,18 @@ def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
 
 
 def _finish(sentence: Sentence, struct: _Structure, cuts: tuple[int, ...]) -> Segmentation:
-    """The segmentation ``cuts`` make, warning for each rhesis that exceeds the span."""
+    """The segmentation ``cuts`` make, warning for each rhesis that exceeds the span.
+
+    Every segmenter ends here, the cascade and both DPs, so each reports
+    its oversized units with the same text, in order, naming its caller.
+    """
     seg = segmentation_from_cuts(sentence, cuts)
+    hi, lo, cap = struct.hi, struct.lo, struct.max_units
     for r in seg.rhesis:
-        if struct.measure(r.start, r.end) > struct.max_units:
+        if hi[r.end] - lo[r.start] > cap:
             warnings.warn(
-                f"sentence {seg.sentence_id!r}: {r.text!r} exceeds the span",
+                f"sentence {seg.sentence_id!r}: {r.text!r} "
+                f"exceeds the span and cannot be split further",
                 OversizedTokenWarning,
                 stacklevel=3,
             )

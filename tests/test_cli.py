@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import rhesis
 from rhesis import ScoringWeights, read_weights, write_weights
 from rhesis.cli import main
+from rhesis.errors import OversizedTokenWarning
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "pyproject.toml")
@@ -238,6 +240,48 @@ class TestDataErrors:
                      "--config", str(cfg)])
         assert code == 2
         assert "rhesis: error" in capsys.readouterr().err
+
+
+def _cascade_on_the_fixture_with_span_3() -> int:
+    fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    with resources.as_file(fixture) as conllu:
+        return main(["segment", "--input", str(conllu), "--method", "cascade", "--span", "3"])
+
+
+class TestWarnings:
+    def test_oversized_units_print_as_rhesis_warnings(self, capsys):
+        assert _cascade_on_the_fixture_with_span_3() == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("# effective-config ")
+        assert len(err) > 1
+        for line in err[1:]:
+            assert line.startswith("rhesis: warning: sentence 'conte")
+            assert line.endswith(" exceeds the span and cannot be split further")
+            assert ".py:" not in line and "OversizedTokenWarning" not in line
+
+    def test_duplicate_score_rows_print_as_a_rhesis_warning(self, data, tmp_path, capsys):
+        scores = tmp_path / "dup.tsv"
+        scores.write_text("s1\t1\t4\t0.5\n" + SCORES, encoding="utf-8")
+        code = main(["segment", "--input", data["conllu"], "--method", "scores",
+                     "--scores", str(scores)])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "rhesis: warning: 1 duplicate score rows (the first on line 2), keeping the last"
+        ]
+
+    def test_the_callers_filters_apply_and_its_hook_comes_back(self, capsys):
+        hook = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OversizedTokenWarning)
+            assert _cascade_on_the_fixture_with_span_3() == 0
+        assert warnings.showwarning is hook
+        assert len(capsys.readouterr().err.splitlines()) == 1  # the echo alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OversizedTokenWarning)
+            with pytest.raises(OversizedTokenWarning, match="'petit' exceeds the span"):
+                _cascade_on_the_fixture_with_span_3()
+        assert warnings.showwarning is hook
+        capsys.readouterr()
 
 
 class TestConfigPlumbing:

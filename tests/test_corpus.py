@@ -177,6 +177,14 @@ class TestSentenceStructure:
         assert subtree_span(sent, 4) == (4, 5)
         assert subtree_span(sent, 5) == (5, 5)
 
+    @pytest.mark.parametrize("index", [0, 6, -1])
+    def test_tree_queries_refuse_an_index_out_of_range(self, index):
+        sent = Sentence.from_tokens("t", [_tok(i, "a", 0 if i == 3 else 3) for i in range(1, 6)])
+        with pytest.raises(ValueError, match=rf"token index {index} out of range"):
+            token_depth(sent, index)
+        with pytest.raises(ValueError, match=rf"token index {index} out of range"):
+            subtree_span(sent, index)
+
 
 class TestSegmentationHelpers:
     def setup_method(self):
@@ -213,6 +221,11 @@ class TestSegmentationHelpers:
         with pytest.raises(ValueError):
             segmentation_from_spans(self.sent, [(1, 2), (3, 3)])  # cover stops short
 
+    @pytest.mark.parametrize("start, end", [(0, 2), (3, 2), (1, 5)])
+    def test_span_text_refuses_a_bad_span(self, start, end):
+        with pytest.raises(ValueError, match=rf"bad span \({start}, {end}\) for 4 tokens"):
+            self.sent.span_text(start, end)
+
 
 class TestParseGold:
     def test_doc_labels_and_groups(self):
@@ -240,6 +253,12 @@ class TestParseGold:
     def test_crlf_and_bytes(self):
         groups = parse_gold(b"#doc a\r\nUn.\r\n\r\n")
         assert groups == [("a", ["Un."])]
+
+    def test_last_rhesis_without_a_final_newline_is_kept(self):
+        assert parse_gold("#doc a\nUn.\n\nDeux\ntrois.") == [
+            ("a", ["Un."]),
+            ("a", ["Deux", "trois."]),
+        ]
 
 
 class TestAlignGold:

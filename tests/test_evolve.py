@@ -84,6 +84,19 @@ class TestEvoConfig:
         with pytest.raises(ValueError):
             EvoConfig(fitness_metric="accuracy")
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("generations", -1, "generations must be >= 0"),
+            ("tournament_k", 0, "tournament_k must be >= 1"),
+            ("mutation_sigma", 0, "mutation_sigma must be positive"),
+        ],
+        ids=["generations", "tournament_k", "mutation_sigma"],
+    )
+    def test_refuses_a_value_out_of_range(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            EvoConfig(**{name: value})
+
 
 class TestCorpusLabels:
     def test_sorted_unique_labels(self):

@@ -401,6 +401,37 @@ def test_oversized_warnings_name_the_caller_in_order(segment):
     assert repr(forms[4]) in str(oversized[1].message)
 
 
+@pytest.mark.parametrize(
+    "span",
+    [
+        SpanConfig(max_chars=8, target_chars=4),
+        SpanConfig(max_chars=1, target_chars=1, count_mode="words"),
+    ],
+    ids=["characters", "words"],
+)
+def test_every_segmenter_warns_the_same_texts_in_order(span):
+    forms = ["Il", "dit", "x" * 12, "a b", "puis", "y" * 9, "z" * 10, "."]
+    sent = _chain([0, 1, 2, 3, 4, 5, 6, 7], forms=forms)
+    texts = []
+    for segment in (
+        lambda sent, span: cascade_segment(sent, CascadeConfig(span=span)),
+        *_SEGMENTERS.values(),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            segment(sent, span)
+        texts.append(
+            [str(w.message) for w in caught if issubclass(w.category, OversizedTokenWarning)]
+        )
+    assert texts == [texts[0]] * 3
+    assert texts[0] == [
+        f"sentence 't': {form!r} exceeds the span and cannot be split further"
+        for form in forms
+        if text_measure(form, span) > span.max_chars
+    ]
+    assert len(texts[0]) == (3 if span.count_mode == "characters" else 1)
+
+
 @pytest.mark.parametrize("method", sorted(_SEGMENTERS))
 @pytest.mark.parametrize(
     "first, span, warns",
