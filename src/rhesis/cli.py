@@ -149,8 +149,8 @@ def _cmd_segment(args, cfg: EngineConfig) -> int:
 
 
 def _warn_unscored(table, sentences, segs) -> None:
-    """One stderr line counting score rows no segmentation can use and chosen
-    units that had no row (they scored epsilon); nothing when all are zero."""
+    """One warning counting score rows no segmentation can use and chosen
+    units that had no row (they scored epsilon); none when all are zero."""
     unknown, past_end = unmatched_rows(table, sentences)
     get = table.probabilities.get
     epsilon = sum(
@@ -165,7 +165,7 @@ def _warn_unscored(table, sentences, segs) -> None:
     if epsilon:
         counts.append(f"{epsilon} chosen units had no score row and scored epsilon")
     if counts:
-        print("rhesis: warning: " + ", ".join(counts), file=sys.stderr)
+        warnings.warn(", ".join(counts))
 
 
 def _cmd_tune(args, cfg: EngineConfig) -> int:
@@ -277,6 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():  # the caller's filters stay; its hook comes back
             warnings.showwarning = _show_warning
             return _HANDLERS[args.command](args, cfg)
-    except (RhesisError, ValueError, OSError) as exc:
+    except (RhesisError, ValueError, OSError, Warning) as exc:  # Warning: a filter's "error"
         print(f"rhesis: error: {exc}", file=sys.stderr)
         return 2

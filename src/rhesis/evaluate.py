@@ -2,8 +2,10 @@
 
 The headline metric counts common rhesis: a produced rhesis scores iff the
 gold segmentation contains the identical token span.  Boundary metrics and
-recall/F1 are finer-grained diagnostics on top.  Reports aggregate per
-document with gold rhesis counts as weights.
+recall/F1 are finer-grained diagnostics on top.  Both, and the tuner's
+fitness, count with one rule, ``_matches`` (a produced span or cut matches
+iff the same sentence's gold holds it), and divide with ``_rates``.
+Reports aggregate per document with gold rhesis counts as weights.
 """
 
 from __future__ import annotations
@@ -63,10 +65,23 @@ def _paired(auto: list[Segmentation], gold: list[Segmentation]):
         yield a, g
 
 
-def _f1(precision: float, recall: float) -> float:
+def _matches(pairs) -> tuple[int, int, int]:
+    """``(matched, auto_total, gold_total)`` summed over ``(auto set, gold set)`` pairs."""
+    matched = auto_total = gold_total = 0
+    for auto_units, gold_units in pairs:
+        matched += len(auto_units & gold_units)
+        auto_total += len(auto_units)
+        gold_total += len(gold_units)
+    return matched, auto_total, gold_total
+
+
+def _rates(matched, auto_total, gold_total, empty: float) -> tuple[float, float, float]:
+    """Precision, recall and F1 of the counts; a ratio over zero units reads ``empty``."""
+    precision = matched / auto_total if auto_total else empty
+    recall = matched / gold_total if gold_total else empty
     if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+        return precision, recall, 0.0
+    return precision, recall, 2 * precision * recall / (precision + recall)
 
 
 def rhesis_precision(
@@ -77,15 +92,8 @@ def rhesis_precision(
     A rhesis matches iff the same sentence's gold segmentation contains the
     identical (start, end) span.
     """
-    matched = auto_total = gold_total = 0
-    for a, g in _paired(auto, gold):
-        auto_spans, gold_spans = set(a.spans()), set(g.spans())
-        matched += len(auto_spans & gold_spans)
-        auto_total += len(auto_spans)
-        gold_total += len(gold_spans)
-    precision = matched / auto_total if auto_total else 0.0
-    recall = matched / gold_total if gold_total else 0.0
-    return precision, recall, _f1(precision, recall)
+    pairs = ((set(a.spans()), set(g.spans())) for a, g in _paired(auto, gold))
+    return _rates(*_matches(pairs), 0.0)
 
 
 def boundary_prf(
@@ -93,21 +101,17 @@ def boundary_prf(
 ) -> tuple[float, float, float]:
     """Precision/recall/F1 over internal boundary positions.
 
-    When neither side places any internal boundary (all sentences kept
-    whole), the result is (1, 1, 1) by convention; a single empty side
-    scores 1.0 vacuously on its own ratio.
+    A ratio over zero cuts reads 1.0 vacuously, so when neither side places
+    any internal boundary (all sentences kept whole) the result is (1, 1, 1).
     """
-    matched = auto_total = gold_total = 0
-    for a, g in _paired(auto, gold):
-        auto_cuts, gold_cuts = set(a.cuts()), set(g.cuts())
-        matched += len(auto_cuts & gold_cuts)
-        auto_total += len(auto_cuts)
-        gold_total += len(gold_cuts)
-    if auto_total == 0 and gold_total == 0:
-        return 1.0, 1.0, 1.0
-    precision = matched / auto_total if auto_total else 1.0
-    recall = matched / gold_total if gold_total else 1.0
-    return precision, recall, _f1(precision, recall)
+    pairs = ((set(a.cuts()), set(g.cuts())) for a, g in _paired(auto, gold))
+    return _rates(*_matches(pairs), 1.0)
+
+
+def _weighted_mean(rows, attr: str) -> float:
+    """One column's mean over the rows, weighted by their gold rhesis counts."""
+    total = sum(row.rhesis_count for row in rows)
+    return sum(row.rhesis_count * getattr(row, attr) for row in rows) / total
 
 
 def corpus_report(rows) -> EvalReport:
@@ -119,15 +123,11 @@ def corpus_report(rows) -> EvalReport:
     """
     if not rows:
         raise ValueError("no rows to aggregate")
-    normalized = []
-    for row in rows:
-        normalized.append(row if isinstance(row, PerDocRow) else PerDocRow(*row))
+    normalized = [row if isinstance(row, PerDocRow) else PerDocRow(*row) for row in rows]
     for row in normalized:
         if row.rhesis_count <= 0:
             raise ValueError(f"row {row.label!r}: rhesis count must be positive")
-    total = sum(row.rhesis_count for row in normalized)
-    weighted = sum(row.rhesis_count * row.precision for row in normalized) / total
-    return EvalReport(per_doc=tuple(normalized), weighted_precision=weighted)
+    return EvalReport(tuple(normalized), _weighted_mean(normalized, "precision"))
 
 
 _REPORT_COLUMNS = (
@@ -147,15 +147,13 @@ def format_report(report: EvalReport) -> str:
     def fmt(value) -> str:
         return str(value) if isinstance(value, int) else f"{value:.4g}"
 
-    total = sum(row.rhesis_count for row in report.per_doc)
     rows = [["doc"] + [name for name, _ in _REPORT_COLUMNS]]
     for row in report.per_doc:
         rows.append([row.label or "-"] + [fmt(getattr(row, attr)) for _, attr in _REPORT_COLUMNS])
-    averages = ["weighted avg", str(total)]
-    for _, attr in _REPORT_COLUMNS[1:]:
-        avg = sum(r.rhesis_count * getattr(r, attr) for r in report.per_doc) / total
-        averages.append(fmt(avg))
-    rows.append(averages)
+    total = sum(row.rhesis_count for row in report.per_doc)
+    rows.append(["weighted avg", str(total)] + [
+        fmt(_weighted_mean(report.per_doc, attr)) for _, attr in _REPORT_COLUMNS[1:]
+    ])
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
     lines.insert(1, "-" * len(lines[0]))

@@ -3,9 +3,11 @@
 A genome is the weight set flattened to a real vector: the five scalars in
 a fixed order, then one gene per dependency label observed in the corpus
 (sorted).  Fitness is the common-rhesis precision (or F1) of segment_best
-against the gold segmentations.  The loop is a plain generational GA —
-elitism, tournament selection, uniform crossover, additive Gaussian
-mutation — driven by one seeded generator, so runs are fully reproducible.
+against the gold segmentations, computed by ``evaluate``'s ``_matches`` and
+``_rates``, the same code ``eval`` reports with.  The loop is a plain
+generational GA — elitism, tournament selection, uniform crossover, additive
+Gaussian mutation — driven by one seeded generator, so runs are fully
+reproducible.
 
 Each generation's new, distinct genomes are scored in one batch: numpy runs
 ``_dp.best_cuts`` on every (genome, sentence) pair at once, and the result
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from ._dp import SCALE
 from .corpus import AlignedCorpus
-from .evaluate import _f1
+from .evaluate import _matches, _rates
 from .scoring import _SCALAR_FIELDS as SCALAR_ORDER, ScoringWeights, _optimal_cuts, _Structure
 from .span import SpanConfig
 
@@ -271,21 +273,15 @@ class _FitnessContext:
     @staticmethod
     def _scalar_tallies(block: _Block, batch: Sequence[ScoringWeights]):
         import numpy as np
-        count = np.zeros(len(batch), dtype=np.int64)
-        matched = np.zeros(len(batch), dtype=np.int64)
-        for g, weights in enumerate(batch):
-            for struct, gold_spans in block.items:
-                auto_spans = _spans_from_cuts(_optimal_cuts(struct, weights), struct.n)
-                count[g] += len(auto_spans)
-                matched[g] += len(auto_spans & gold_spans)
+        matched, count, _ = np.array([
+            _matches((_spans_from_cuts(_optimal_cuts(s, w), s.n), gold) for s, gold in block.items)
+            for w in batch
+        ], dtype=np.int64).T
         return count, matched
 
     def _score(self, matched: int, auto_total: int) -> float:
-        precision = matched / auto_total if auto_total else 0.0
-        if self.metric == "precision":
-            return precision
-        recall = matched / self.gold_total if self.gold_total else 0.0
-        return _f1(precision, recall)
+        rates = _rates(matched, auto_total, self.gold_total, 0.0)
+        return rates[0] if self.metric == "precision" else rates[2]
 
 
 def fitness(

@@ -63,6 +63,25 @@ def test_eval_cli_reaches_align_gold_twice_per_call(capsys):
     assert [s["name"] for s in recorder.spans].count("corpus.align_gold") == 2
 
 
+def test_eval_cli_reaches_both_metrics_once_per_document(capsys):
+    spans = _spans_module()
+    recorder = spans.Recorder()
+    conllu = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    gold = resources.files("rhesis").joinpath("data", "fixture.rhz")
+    lines = gold.read_text(encoding="utf-8").splitlines()
+    documents = sum(line.startswith("#doc ") for line in lines)
+    assert documents == 2  # conte-1 and conte-2
+    with resources.as_file(conllu) as conllu_path, resources.as_file(gold) as gold_path:
+        with spans.traced_cli(recorder):
+            code = main(["eval", "--auto", str(gold_path), "--gold", str(gold_path),
+                         "--conllu", str(conllu_path)])
+    capsys.readouterr()
+    assert code == 0
+    names = [s["name"] for s in recorder.spans]
+    assert names.count("evaluate.rhesis_precision") == documents
+    assert names.count("evaluate.boundary_prf") == documents
+
+
 @pytest.mark.parametrize(
     "method, layer", [("tree", "scoring.segment_best"), ("scores", "dataset.segment_by_scores")]
 )

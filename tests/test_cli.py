@@ -278,10 +278,37 @@ class TestWarnings:
         assert len(capsys.readouterr().err.splitlines()) == 1  # the echo alone
         with warnings.catch_warnings():
             warnings.simplefilter("error", OversizedTokenWarning)
-            with pytest.raises(OversizedTokenWarning, match="'petit' exceeds the span"):
-                _cascade_on_the_fixture_with_span_3()
+            assert _cascade_on_the_fixture_with_span_3() == 2
         assert warnings.showwarning is hook
-        capsys.readouterr()
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == [
+            "rhesis: error: sentence 'conte1-s01': 'petit' exceeds the span"
+            " and cannot be split further"
+        ]
+
+    def _scores_naming_an_unknown_sentence(self, data, tmp_path, action):
+        scores = tmp_path / "extra.tsv"
+        scores.write_text(SCORES + "s7\t1\t2\t0.9\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = main(["segment", "--input", data["conllu"], "--method", "scores",
+                         "--scores", str(scores), "--out", str(out)])
+        return code, out
+
+    def test_the_score_coverage_warning_obeys_ignore(self, data, tmp_path, capsys):
+        code, out = self._scores_naming_an_unknown_sentence(data, tmp_path, "ignore")
+        assert code == 0 and out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("# effective-config ")
+
+    def test_the_score_coverage_warning_as_an_error_is_a_data_error(self, data, tmp_path, capsys):
+        code, out = self._scores_naming_an_unknown_sentence(data, tmp_path, "error")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "rhesis: error: 1 score rows name no input sentence, "
+            "0 end past their sentence's last token"
+        ]
 
 
 class TestConfigPlumbing:

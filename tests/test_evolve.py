@@ -19,6 +19,7 @@ from rhesis import (
     fitness,
     parse_conllu,
     parse_gold,
+    rhesis_precision,
     segment_best,
     weights_to_json,
 )
@@ -231,3 +232,24 @@ def test_fixture_tune_is_byte_identical(span, metric, digest):
     genome, trace = evolve(corpus, cfg, span)
     payload = weights_to_json(genome.decode()) + json.dumps(trace) + "\n"
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "span", [SpanConfig(), SpanConfig(20, 12), SpanConfig(4, 3, "words")],
+    ids=["default", "chars20", "words4"],
+)
+def test_fitness_is_the_eval_metric_exactly(span):
+    """The tuner optimizes the very number ``eval`` reports, to the last bit."""
+    data = resources.files("rhesis").joinpath("data")
+    sentences = parse_conllu(data.joinpath("fixture.conllu").read_bytes())
+    corpus = align_gold(sentences, parse_gold(data.joinpath("fixture.rhz").read_bytes()))
+    labels = corpus_labels(corpus)
+    rng = random.Random(25)
+    for _ in range(15):
+        values = [rng.uniform(0.0, 1.0) for _ in SCALAR_ORDER]
+        values += [rng.uniform(-1.0, 1.0) for _ in labels]
+        genome = Genome(labels=labels, values=tuple(values))
+        auto = [segment_best(e.sentence, genome.decode(), span) for e in corpus]
+        precision, _, f1 = rhesis_precision(auto, [e.gold for e in corpus])
+        assert fitness(genome, corpus, span, "precision") == precision
+        assert fitness(genome, corpus, span, "f1") == f1

@@ -375,6 +375,11 @@ def test_windowed_best_cuts_equals_a_full_scan(data, n, spread):
     )
 
 
+def test_best_cuts_refuses_an_empty_sentence():
+    with pytest.raises(ValueError, match="need at least one token"):
+        best_cuts([], [])
+
+
 def _reference_export(corpus, negatives_per_positive, seed, span):
     """export_candidates as first written: every pool rebuilt from span texts."""
     from rhesis.dataset import _example
@@ -522,6 +527,14 @@ def test_batched_fitness_spans_several_blocks():
         for _ in range(4)
     ]
     assert context.evaluate_batch(batch) == [_scalar_fitness(context, w) for w in batch]
+
+
+def test_an_empty_batch_has_no_fitness():
+    # evolve hands over an empty batch when a whole generation is memo hits
+    rng = random.Random(22)
+    sentences = [random_sentence(rng, 1, 10, sent_id=f"e{k}") for k in range(3)]
+    corpus = corpus_from_golds(sentences, [random_segmentation(rng, s) for s in sentences])
+    assert _FitnessContext(corpus, SpanConfig(), "precision").evaluate_batch([]) == []
 
 
 def _population(rng: random.Random, size: int) -> list[ScoringWeights]:
