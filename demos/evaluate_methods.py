@@ -9,13 +9,12 @@ from importlib import resources
 
 from rhesis import (
     CascadeConfig,
-    PerDocRow,
     ScoringWeights,
     SpanConfig,
     align_gold,
     boundary_prf,
     cascade_segment,
-    corpus_report,
+    document_report,
     format_length_stats,
     format_report,
     length_stats,
@@ -58,16 +57,7 @@ for name, segs in methods.items():
 
 # Per-document rows weight the corpus average by gold rhesis counts.
 print()
-rows = []
-for label in sorted({e.doc_label for e in corpus}):
-    idx = [i for i, e in enumerate(corpus.entries) if e.doc_label == label]
-    auto = [methods["cascade"][i] for i in idx]
-    ref = [gold[i] for i in idx]
-    p, r, f1 = rhesis_precision(auto, ref)
-    bp, br, bf = boundary_prf(auto, ref)
-    count = sum(len(g.rhesis) for g in ref)
-    rows.append(PerDocRow(label, count, p, r, f1, bp, br, bf))
-print(format_report(corpus_report(rows)))
+print(format_report(document_report(methods["cascade"], corpus)))
 
 # How long are the units the human chose?
 print(format_length_stats(length_stats(gold)))

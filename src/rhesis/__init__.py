@@ -49,6 +49,7 @@ from .evaluate import (
     PerDocRow,
     boundary_prf,
     corpus_report,
+    document_report,
     format_length_stats,
     format_report,
     length_stats,

@@ -30,15 +30,7 @@ from .dataset import (
     unmatched_rows,
 )
 from .errors import RhesisError
-from .evaluate import (
-    PerDocRow,
-    boundary_prf,
-    corpus_report,
-    format_length_stats,
-    format_report,
-    length_stats,
-    rhesis_precision,
-)
+from .evaluate import document_report, format_length_stats, format_report, length_stats
 from .evolve import evolve
 from .render import RenderOptions, render
 from .scoring import read_weights, segment_best, write_weights
@@ -123,14 +115,24 @@ def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
     return cfg
 
 
-def _load_corpus(conllu_path: str, gold_path: str):
-    sentences = parse_conllu(Path(conllu_path).read_bytes())
-    gold = parse_gold(Path(gold_path).read_bytes())
-    return sentences, align_gold(sentences, gold)
+def _read(option: str, path: str, parse):
+    """``parse`` of the file's bytes; a data error in it names the option and the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except RhesisError as exc:
+        raise RhesisError(f"{option} {path}: {exc}") from exc
+
+
+def _aligned(sentences, option: str, path: str):
+    return _read(option, path, lambda data: align_gold(sentences, parse_gold(data)))
+
+
+def _load_corpus(conllu_path: str, option: str, path: str):
+    return _aligned(_read("--conllu", conllu_path, parse_conllu), option, path)
 
 
 def _cmd_segment(args, cfg: EngineConfig) -> int:
-    sentences = parse_conllu(Path(args.input).read_bytes())
+    sentences = _read("--input", args.input, parse_conllu)
     if args.method == "cascade":
         segs = [regroup(s, cascade_segment(s, cfg.cascade), cfg.cascade) for s in sentences]
     elif args.method == "tree":
@@ -169,7 +171,7 @@ def _warn_unscored(table, sentences, segs) -> None:
 
 
 def _cmd_tune(args, cfg: EngineConfig) -> int:
-    _, corpus = _load_corpus(args.conllu, args.gold)
+    corpus = _load_corpus(args.conllu, "--gold", args.gold)
     best, trace = evolve(corpus, cfg.evo, cfg.span)
     write_weights(args.out, best.decode())
     view = effective_config(cfg)
@@ -192,36 +194,21 @@ def _cmd_tune(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: EngineConfig) -> int:
-    sentences = parse_conllu(Path(args.conllu).read_bytes())
-    auto = align_gold(sentences, parse_gold(Path(args.auto).read_bytes()))
-    gold = align_gold(sentences, parse_gold(Path(args.gold).read_bytes()))
-    groups: dict[str, list[int]] = {}
-    for i, entry in enumerate(gold.entries):
-        groups.setdefault(entry.doc_label, []).append(i)
-    rows = []
-    for label, idxs in groups.items():
-        auto_segs = [auto.entries[i].gold for i in idxs]
-        gold_segs = [gold.entries[i].gold for i in idxs]
-        p, r, f1 = rhesis_precision(auto_segs, gold_segs)
-        bp, br, bf = boundary_prf(auto_segs, gold_segs)
-        count = sum(len(seg.rhesis) for seg in gold_segs)
-        rows.append(PerDocRow(label or "-", count, p, r, f1, bp, br, bf))
-    report = corpus_report(rows)
+    sentences = _read("--conllu", args.conllu, parse_conllu)
+    auto = _aligned(sentences, "--auto", args.auto)
+    gold = _aligned(sentences, "--gold", args.gold)
+    report = document_report([entry.gold for entry in auto], gold)
     sys.stdout.write(format_report(report))
     if args.report:
-        payload = {
-            "per_doc": [asdict(row) for row in report.per_doc],
-            "weighted_precision": report.weighted_precision,
-        }
         Path(args.report).write_text(
-            json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+            json.dumps(asdict(report), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
             encoding="utf-8",
         )
     return 0
 
 
 def _cmd_export(args, cfg: EngineConfig) -> int:
-    _, corpus = _load_corpus(args.conllu, args.gold)
+    corpus = _load_corpus(args.conllu, "--gold", args.gold)
     examples = export_candidates(corpus, args.negatives, args.seed, span=cfg.span)
     Path(args.out).write_text(candidates_to_tsv(examples), encoding="utf-8")
     positives = sum(1 for ex in examples if ex.label == 1)
@@ -234,7 +221,7 @@ def _cmd_export(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_stats(args, cfg: EngineConfig) -> int:
-    _, corpus = _load_corpus(args.conllu, args.rhz)
+    corpus = _load_corpus(args.conllu, "--rhz", args.rhz)
     stats = length_stats([entry.gold for entry in corpus.entries])
     sys.stdout.write(format_length_stats(stats))
     return 0

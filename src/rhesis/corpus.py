@@ -607,7 +607,7 @@ def align_gold(
     """
     if len(sentences) != len(gold):
         raise AlignmentError(
-            f"sentence count mismatch: {len(sentences)} parsed vs {len(gold)} gold groups"
+            f"sentence count mismatch: {len(sentences)} parsed vs {len(gold)} segmented"
         )
     entries = []
     for sentence, (label, lines) in zip(sentences, gold):

@@ -4,8 +4,8 @@ The headline metric counts common rhesis: a produced rhesis scores iff the
 gold segmentation contains the identical token span.  Boundary metrics and
 recall/F1 are finer-grained diagnostics on top.  Both, and the tuner's
 fitness, count with one rule, ``_matches`` (a produced span or cut matches
-iff the same sentence's gold holds it), and divide with ``_rates``.
-Reports aggregate per document with gold rhesis counts as weights.
+iff the same sentence's gold holds it), and divide with ``_rates``.  Reports
+aggregate per document (``document_report``), weighted by gold rhesis counts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Segmentation
+from .corpus import AlignedCorpus, Segmentation
 
 __all__ = [
     "PerDocRow",
@@ -23,6 +23,7 @@ __all__ = [
     "rhesis_precision",
     "boundary_prf",
     "corpus_report",
+    "document_report",
     "format_report",
     "length_stats",
     "format_length_stats",
@@ -47,11 +48,13 @@ class EvalReport:
     weighted_precision: float
 
 
-def _paired(auto: list[Segmentation], gold: list[Segmentation]):
+def _same_count(auto, gold) -> None:
     if len(auto) != len(gold):
-        raise ValueError(
-            f"sentence count mismatch: {len(auto)} auto vs {len(gold)} gold"
-        )
+        raise ValueError(f"sentence count mismatch: {len(auto)} auto vs {len(gold)} gold")
+
+
+def _paired(auto: list[Segmentation], gold: list[Segmentation]):
+    _same_count(auto, gold)
     for a, g in zip(auto, gold):
         if a.sentence_id != g.sentence_id:
             raise ValueError(
@@ -128,6 +131,25 @@ def corpus_report(rows) -> EvalReport:
         if row.rhesis_count <= 0:
             raise ValueError(f"row {row.label!r}: rhesis count must be positive")
     return EvalReport(tuple(normalized), _weighted_mean(normalized, "precision"))
+
+
+def document_report(auto: list[Segmentation], gold: AlignedCorpus) -> EvalReport:
+    """``corpus_report`` of one row per ``#doc`` label of ``gold``, in first-seen order.
+
+    Every sentence under a label joins its row, adjacent or not; an empty
+    label reads ``-``.  A row's weight is its gold rhesis count.
+    """
+    _same_count(auto, gold)
+    groups: dict[str, tuple[list, list]] = {}
+    for seg, entry in zip(auto, gold):
+        auto_segs, gold_segs = groups.setdefault(entry.doc_label, ([], []))
+        auto_segs.append(seg)
+        gold_segs.append(entry.gold)
+    rows = []
+    for label, (a, g) in groups.items():
+        count = sum(len(seg.rhesis) for seg in g)
+        rows.append(PerDocRow(label or "-", count, *rhesis_precision(a, g), *boundary_prf(a, g)))
+    return corpus_report(rows)
 
 
 _REPORT_COLUMNS = (

@@ -2,9 +2,12 @@
 
 A genome is the weight set flattened to a real vector: the five scalars in
 a fixed order, then one gene per dependency label observed in the corpus
-(sorted).  Fitness is the common-rhesis precision (or F1) of segment_best
-against the gold segmentations, computed by ``evaluate``'s ``_matches`` and
-``_rates``, the same code ``eval`` reports with.  The loop is a plain
+(sorted).  Fitness is the corpus-level common-rhesis precision (or F1) of
+segment_best against the gold segmentations: matches over produced units
+across every sentence, computed by ``evaluate``'s ``_matches`` and
+``_rates``.  It is not the headline ``eval`` prints, the gold-count-weighted
+mean of per-document rows (``document_report``); the two differ once the
+gold holds more than one ``#doc``.  The loop is a plain
 generational GA — elitism, tournament selection, uniform crossover, additive
 Gaussian mutation — driven by one seeded generator, so runs are fully
 reproducible.

@@ -6,6 +6,7 @@ arc directions.
 """
 
 import random
+from importlib import resources
 
 from rhesis import (
     AlignedCorpus,
@@ -88,3 +89,15 @@ def corpus_from_golds(
         for s, g in zip(sentences, golds, strict=True)
     )
     return AlignedCorpus(entries=entries)
+
+
+def relabelled_fixture_gold() -> str:
+    """The bundled gold with its 30 sentences in runs of six under no ``#doc``
+    line, then ``#doc B``, ``#doc A``, ``#doc B`` and ``#doc A``."""
+    text = resources.files("rhesis").joinpath("data", "fixture.rhz").read_text(encoding="utf-8")
+    kept = "\n".join(line for line in text.splitlines() if not line.startswith("#doc"))
+    blocks = [block.strip("\n") for block in kept.split("\n\n") if block.strip()]
+    assert len(blocks) == 30
+    runs = ["\n\n".join(blocks[k : k + 6]) for k in range(0, 30, 6)]
+    heads = ["", "#doc B\n", "#doc A\n", "#doc B\n", "#doc A\n"]
+    return "\n\n".join(head + run for head, run in zip(heads, runs)) + "\n"

@@ -17,6 +17,8 @@ import pytest
 from rhesis import ScoringWeights, parse_conllu, write_weights
 from rhesis.cli import main
 
+from helpers import relabelled_fixture_gold
+
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -63,18 +65,25 @@ def test_eval_cli_reaches_align_gold_twice_per_call(capsys):
     assert [s["name"] for s in recorder.spans].count("corpus.align_gold") == 2
 
 
-def test_eval_cli_reaches_both_metrics_once_per_document(capsys):
+@pytest.mark.parametrize(
+    "relabel, doc_lines, documents",
+    [(False, 2, 2), (True, 4, 3)],  # conte-1, conte-2; (none, B, A, B, A) makes -, B, A
+    ids=["fixture", "mixed"],
+)
+def test_eval_cli_reaches_both_metrics_once_per_document(
+    relabel, doc_lines, documents, tmp_path, capsys
+):
     spans = _spans_module()
     recorder = spans.Recorder()
     conllu = resources.files("rhesis").joinpath("data", "fixture.conllu")
-    gold = resources.files("rhesis").joinpath("data", "fixture.rhz")
-    lines = gold.read_text(encoding="utf-8").splitlines()
-    documents = sum(line.startswith("#doc ") for line in lines)
-    assert documents == 2  # conte-1 and conte-2
-    with resources.as_file(conllu) as conllu_path, resources.as_file(gold) as gold_path:
-        with spans.traced_cli(recorder):
-            code = main(["eval", "--auto", str(gold_path), "--gold", str(gold_path),
-                         "--conllu", str(conllu_path)])
+    fixture_gold = resources.files("rhesis").joinpath("data", "fixture.rhz")
+    text = relabelled_fixture_gold() if relabel else fixture_gold.read_text(encoding="utf-8")
+    assert sum(line.startswith("#doc ") for line in text.splitlines()) == doc_lines
+    gold_path = tmp_path / "gold.rhz"
+    gold_path.write_text(text, encoding="utf-8")
+    with resources.as_file(conllu) as conllu_path, spans.traced_cli(recorder):
+        code = main(["eval", "--auto", str(gold_path), "--gold", str(gold_path),
+                     "--conllu", str(conllu_path)])
     capsys.readouterr()
     assert code == 0
     names = [s["name"] for s in recorder.spans]

@@ -8,14 +8,25 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from importlib import resources
 
 import pytest
 
 import rhesis
-from rhesis import ScoringWeights, read_weights, write_weights
+from rhesis import (
+    ScoringWeights,
+    align_gold,
+    document_report,
+    parse_conllu,
+    parse_gold,
+    read_weights,
+    write_weights,
+)
 from rhesis.cli import main
 from rhesis.errors import OversizedTokenWarning
+
+from helpers import relabelled_fixture_gold
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "pyproject.toml")
@@ -242,6 +253,68 @@ class TestDataErrors:
         assert "rhesis: error" in capsys.readouterr().err
 
 
+# Each command's data inputs: (option, kind of file).
+_INPUTS = {
+    "segment": [("--input", "conllu")],
+    "tune": [("--conllu", "conllu"), ("--gold", "rhz")],
+    "eval": [("--conllu", "conllu"), ("--auto", "rhz"), ("--gold", "rhz")],
+    "export-dataset": [("--conllu", "conllu"), ("--gold", "rhz")],
+    "stats": [("--conllu", "conllu"), ("--rhz", "rhz")],
+}
+
+
+def _argv(command, data, tmp_path, option, path):
+    """A run of ``command`` on the demo data with ``option`` reading ``path``."""
+    argv = {
+        "segment": ["segment", "--input", data["conllu"], "--method", "cascade"],
+        "tune": ["tune", "--conllu", data["conllu"], "--gold", data["gold"],
+                 "--out", str(tmp_path / "w.json")],
+        "eval": ["eval", "--auto", data["gold"], "--gold", data["gold"],
+                 "--conllu", data["conllu"]],
+        "export-dataset": ["export-dataset", "--conllu", data["conllu"], "--gold", data["gold"],
+                           "--out", str(tmp_path / "c.tsv")],
+        "stats": ["stats", "--rhz", data["gold"], "--conllu", data["conllu"]],
+    }[command]
+    argv[argv.index(option) + 1] = path
+    return argv
+
+
+class TestNamedInputs:
+    """A data error in a CoNLL-U or ``.rhz`` input names its option and its file."""
+
+    @pytest.mark.parametrize(
+        "command, option, kind",
+        [(command, option, kind) for command, inputs in _INPUTS.items() for option, kind in inputs],
+    )
+    def test_a_malformed_file_is_named(self, command, option, kind, data, tmp_path, capsys):
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_text("1\tonly\tthree\n" if kind == "conllu" else "#doc\nfoo\n", encoding="utf-8")
+        code = main(_argv(command, data, tmp_path, option, str(bad)))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        message = ("line 1: expected 10 tab-separated columns, got 3" if kind == "conllu"
+                   else "line 1: malformed #doc line (need '#doc <label>')")
+        assert captured.err.splitlines()[-1] == f"rhesis: error: {option} {bad}: {message}"
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, option) for command, inputs in _INPUTS.items()
+         for option, kind in inputs if kind == "rhz"],
+    )
+    def test_a_segmentation_of_other_sentences_is_named(
+        self, command, option, data, tmp_path, capsys
+    ):
+        one = tmp_path / "one.rhz"
+        one.write_text("Le chat dort profondément dans le salon.\n", encoding="utf-8")
+        code = main(_argv(command, data, tmp_path, option, str(one)))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[-1] == (
+            f"rhesis: error: {option} {one}: sentence count mismatch: 2 parsed vs 1 segmented"
+        )
+
+
 def _cascade_on_the_fixture_with_span_3() -> int:
     fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
     with resources.as_file(fixture) as conllu:
@@ -415,6 +488,29 @@ class TestEval:
                      "--conllu", data["conllu"]])
         assert code == 0
         capsys.readouterr()
+
+    def test_repeated_and_missing_labels_report_as_document_report(self, tmp_path, capsys):
+        conllu, auto, gold, report = (tmp_path / name for name in
+                                      ("fixture.conllu", "auto.rhz", "mixed.rhz", "report.json"))
+        conllu.write_bytes(resources.files("rhesis").joinpath("data", "fixture.conllu").read_bytes())
+        gold.write_text(relabelled_fixture_gold(), encoding="utf-8")
+        assert main(["segment", "--input", str(conllu), "--method", "cascade",
+                     "--out", str(auto)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--auto", str(auto), "--gold", str(gold), "--conllu", str(conllu),
+                     "--report", str(report)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[2:5]] == ["-", "B", "A"]
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert [row["label"] for row in payload["per_doc"]] == ["-", "B", "A"]
+        sentences = parse_conllu(conllu.read_bytes())
+        expected = document_report(
+            [entry.gold for entry in align_gold(sentences, parse_gold(auto.read_bytes()))],
+            align_gold(sentences, parse_gold(gold.read_bytes())),
+        )
+        text = json.dumps(asdict(expected), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert report.read_bytes() == text.encode("utf-8")
 
 
 class TestExportDataset:

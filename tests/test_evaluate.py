@@ -1,20 +1,32 @@
 """Tests for segmentation metrics and report formatting."""
 
+import warnings
+from importlib import resources
+
 import pytest
 
 from rhesis import (
+    CascadeConfig,
     EvalReport,
     PerDocRow,
     Sentence,
     Token,
+    align_gold,
     boundary_prf,
+    cascade_segment,
     corpus_report,
+    document_report,
     format_length_stats,
     format_report,
     length_stats,
+    parse_conllu,
+    parse_gold,
+    regroup,
     rhesis_precision,
     segmentation_from_cuts,
 )
+
+from helpers import relabelled_fixture_gold
 
 
 def _words(sent_id, forms):
@@ -153,6 +165,38 @@ class TestCorpusReport:
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
             corpus_report([])
+
+
+class TestDocumentReport:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """The fixture's cascade output and its gold labelled (none, B, A, B, A)."""
+        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+        sentences = parse_conllu(fixture.read_bytes())
+        cfg = CascadeConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            auto = [regroup(s, cascade_segment(s, cfg), cfg) for s in sentences]
+        return auto, align_gold(sentences, parse_gold(relabelled_fixture_gold()))
+
+    def test_runs_of_one_label_merge_into_its_first_seen_row(self, mixed):
+        auto, gold = mixed
+        groups = {"-": range(0, 6), "B": [*range(6, 12), *range(18, 24)],
+                  "A": [*range(12, 18), *range(24, 30)]}
+        rows = []
+        for label, idx in groups.items():
+            a = [auto[i] for i in idx]
+            g = [gold.entries[i].gold for i in idx]
+            count = sum(len(seg.rhesis) for seg in g)
+            rows.append(PerDocRow(label, count, *rhesis_precision(a, g), *boundary_prf(a, g)))
+        report = document_report(auto, gold)
+        assert [row.label for row in report.per_doc] == ["-", "B", "A"]
+        assert report == corpus_report(rows)
+
+    def test_sentence_count_mismatch_rejected(self, mixed):
+        auto, gold = mixed
+        with pytest.raises(ValueError, match="sentence count mismatch: 29 auto vs 30 gold"):
+            document_report(auto[:-1], gold)
 
 
 class TestFormatReport:

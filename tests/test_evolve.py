@@ -239,7 +239,8 @@ def test_fixture_tune_is_byte_identical(span, metric, digest):
     ids=["default", "chars20", "words4"],
 )
 def test_fitness_is_the_eval_metric_exactly(span):
-    """The tuner optimizes the very number ``eval`` reports, to the last bit."""
+    """The tuner's fitness is the corpus-level ``rhesis_precision`` (or its F1), to the last bit;
+    ``eval``'s headline weights per-document rows instead."""
     data = resources.files("rhesis").joinpath("data")
     sentences = parse_conllu(data.joinpath("fixture.conllu").read_bytes())
     corpus = align_gold(sentences, parse_gold(data.joinpath("fixture.rhz").read_bytes()))
