@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
@@ -115,12 +116,18 @@ def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
     return cfg
 
 
-def _read(option: str, path: str, parse):
-    """``parse`` of the file's bytes; a data error in it names the option and the file."""
+@contextmanager
+def _named(option: str, path: str):
+    """A data error raised inside names the option and the file."""
     try:
-        return parse(Path(path).read_bytes())
+        yield
     except RhesisError as exc:
         raise RhesisError(f"{option} {path}: {exc}") from exc
+
+
+def _read(option: str, path: str, parse):
+    with _named(option, path):
+        return parse(Path(path).read_bytes())
 
 
 def _aligned(sentences, option: str, path: str):
@@ -136,14 +143,12 @@ def _cmd_segment(args, cfg: EngineConfig) -> int:
     if args.method == "cascade":
         segs = [regroup(s, cascade_segment(s, cfg.cascade), cfg.cascade) for s in sentences]
     elif args.method == "tree":
-        weights = read_weights(args.weights)
+        with _named("--weights", args.weights):
+            weights = read_weights(args.weights)
         segs = [segment_best(s, weights, cfg.span) for s in sentences]
     else:
-        table = load_scores(Path(args.scores).read_bytes())
-        segs = [
-            segment_by_scores(s, table, cfg.span, epsilon=cfg.score_epsilon)
-            for s in sentences
-        ]
+        table = _read("--scores", args.scores, load_scores)
+        segs = [segment_by_scores(s, table, cfg.span, epsilon=cfg.score_epsilon) for s in sentences]
         _warn_unscored(table, sentences, segs)
     opts = RenderOptions(format=args.format, include_ids=args.format == "html")
     _emit(render(segs, opts), args.out)

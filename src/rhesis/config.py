@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .cascade import CascadeConfig
+from .corpus import _decoded
 from .errors import FormatError
 from .evolve import EvoConfig
 from .span import SpanConfig
@@ -99,34 +100,26 @@ def load_config(path: str | os.PathLike | None = None) -> EngineConfig:
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # one leading BOM is dropped
-        parser.read_string(text)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"config {path}: not valid UTF-8: {exc}") from None
-    except configparser.Error as exc:
-        raise FormatError(f"config {path}: {exc}") from None
-
-    unknown = set(parser.sections()) - set(_KEYS)
-    if unknown:
-        raise FormatError(f"unknown config sections: {sorted(unknown)}")
-    # keyword arguments per EngineConfig attribute: only the keys the file sets
-    given: dict[str, dict] = defaultdict(dict)
-    for section in filter(parser.has_section, _KEYS):
-        unknown = set(parser.options(section)) - set(_KEYS[section])
+        parser.read_string(_decoded(Path(path).read_bytes(), FormatError))
+        unknown = set(parser.sections()) - set(_KEYS)
         if unknown:
-            raise FormatError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        for key, raw in parser.items(section):
-            attr, name, kind = _KEYS[section][key]
-            given[attr][name] = _parse(section, key, raw, kind)
-
-    span = given["span"]
-    budget = span.pop("max_chars", None) if "target_chars" not in span else None
-    try:
+            raise FormatError(f"unknown config sections: {sorted(unknown)}")
+        # keyword arguments per EngineConfig attribute: only the keys the file sets
+        given: dict[str, dict] = defaultdict(dict)
+        for section in filter(parser.has_section, _KEYS):
+            unknown = set(parser.options(section)) - set(_KEYS[section])
+            if unknown:
+                raise FormatError(f"unknown keys in [{section}]: {sorted(unknown)}")
+            for key, raw in parser.items(section):
+                attr, name, kind = _KEYS[section][key]
+                given[attr][name] = _parse(section, key, raw, kind)
+        span = given["span"]
+        budget = span.pop("max_chars", None) if "target_chars" not in span else None
         parts = {attr: cls(**given[attr]) for attr, cls in _SECTIONS.values()}
         if budget is not None:
             parts["span"] = _with_max_chars(parts["span"], budget)
         return EngineConfig(**parts, **given[""])
-    except ValueError as exc:
+    except (configparser.Error, FormatError, ValueError) as exc:
         raise FormatError(f"config {path}: {exc}") from None
 
 

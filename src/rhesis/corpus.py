@@ -284,10 +284,15 @@ class Rhesis:
 
 @dataclass(frozen=True, slots=True)
 class Segmentation:
-    """A partition of one sentence into rhesis, in order."""
+    """A partition of one sentence into rhesis, in order.
+
+    ``_sentence`` is the sentence the units were cut from, when known: it
+    gives ``render_html`` their spacing.  ``==``, ``hash`` and ``repr`` skip it.
+    """
 
     sentence_id: str
     rhesis: tuple[Rhesis, ...]
+    _sentence: Sentence | None = field(default=None, repr=False, compare=False)
 
     def spans(self) -> tuple[tuple[int, int], ...]:
         return tuple((r.start, r.end) for r in self.rhesis)
@@ -318,7 +323,7 @@ def segmentation_from_spans(sentence: Sentence, spans: Iterable[tuple[int, int]]
         expected = end + 1
     if expected != n + 1:
         raise ValueError("spans do not cover the sentence")
-    return Segmentation(sentence_id=sentence.sent_id, rhesis=tuple(rhesis))
+    return Segmentation(sentence.sent_id, tuple(rhesis), sentence)
 
 
 def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> Segmentation:
@@ -678,4 +683,4 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
         rhesis.append(Rhesis(first + 1, tok, text[starts[first] : ends[tok - 1]]))
     if tok != n:
         raise AlignmentError(f"sentence {sent_id!r}: gold covers {tok} of {n} tokens")
-    return Segmentation(sent_id, tuple(rhesis))
+    return Segmentation(sent_id, tuple(rhesis), sentence)

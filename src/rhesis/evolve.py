@@ -142,9 +142,9 @@ class _Block:
     (those with ``n > p``) are a prefix of the block.  ``dep[p, s]``,
     ``depth[p, s]`` and ``cross[p, s]`` hold the features of the cut before
     start ``a``.  ``measure[p, k, s]`` is built as ``hi[a + k] - lo[a]``, or
-    ``_NONE`` if segment ``a..a + k`` is inadmissible, and the context ranks
-    it among the corpus's measures.  ``offset[p, k, s, 0]`` is ``_SEG`` plus
-    ``k << 20`` plus 1 if the segment is a gold span.
+    ``_NONE`` if segment ``a..a + k`` is inadmissible; it indexes the balance
+    terms directly.  ``offset[p, k, s, 0]`` is ``_SEG`` plus ``k << 20`` plus
+    1 if the segment is a gold span.
     """
 
     __slots__ = ("items", "n", "running", "dep", "depth", "cross", "measure", "offset")
@@ -183,13 +183,14 @@ class _Block:
     def tallies(self, cut: np.ndarray, balance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per genome, the rhesis count and the gold matches of the optimal segmentations.
 
-        ``cut[p, s, g]`` and ``balance[v, g]`` are genome ``g``'s integer cut
-        and balance terms.  The recurrence is ``_dp.best_cuts`` run on every
-        (sentence, genome) lane at once.  ``tail[p + 1]`` is the cut before
-        ``a`` plus the best score of ``a..n``, and ``state[p + 1]`` packs the
-        segments and gold matches of that cover.  A candidate wins on the
-        higher score, then on the smaller packed key (fewer segments, then
-        the smaller end).
+        ``cut[p, s, g]`` and ``balance[m, g]`` are genome ``g``'s integer cut
+        and balance terms, ``m`` a measure; the last row of ``balance`` is
+        ``_OUT``, which every ``_NONE`` clips to.  The recurrence is
+        ``_dp.best_cuts`` run on every (sentence, genome) lane at once.
+        ``tail[p + 1]`` is the cut before ``a`` plus the best score of
+        ``a..n``, and ``state[p + 1]`` packs the segments and gold matches of
+        that cover.  A candidate wins on the higher score, then on the
+        smaller packed key (fewer segments, then the smaller end).
         """
         import numpy as np
         n_max, lanes, genomes = cut.shape
@@ -198,7 +199,7 @@ class _Block:
         for p, run in enumerate(self.running):
             w = min(p + 1, self.measure.shape[1])
             ends = slice(p, p - w if p >= w else None, -1)  # k = 0..w-1 reads p - k
-            scores = balance.take(self.measure[p, :w, :run], axis=0)
+            scores = balance.take(self.measure[p, :w, :run], axis=0, mode="clip")
             scores += tail[ends, :run]
             best = np.maximum.reduce(scores)
             keys = state[ends, :run] + self.offset[p, :w, :run]
@@ -232,12 +233,9 @@ class _FitnessContext:
         self.blocks = [
             _Block(ranked[k : k + _BLOCK], label_id) for k in range(0, len(ranked), _BLOCK)
         ]
-        # the distinct admissible measures, sorted; np.unique would load numpy.ma
-        values = np.sort(np.concatenate([b.measure[b.measure < _NONE] for b in self.blocks]))
-        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-        self.distance = np.abs(values - span.target_chars)
-        for block in self.blocks:  # _NONE ranks after every value
-            block.measure = np.searchsorted(values, block.measure)
+        # one balance row per measure up to the largest admissible one; _NONE clips past it
+        top = max(int(b.measure[b.measure < _NONE].max()) for b in self.blocks)
+        self.distance = np.abs(np.arange(top + 1) - span.target_chars)
 
     def evaluate_batch(self, batch: Sequence[ScoringWeights]) -> list[float]:
         """The fitness of each weight set, equal to one ``_optimal_cuts`` per sentence."""

@@ -73,19 +73,28 @@ def render_html(segs: list[Segmentation], opts: RenderOptions = RenderOptions("h
 
     The nowrap hint keeps a rendering engine from breaking a line inside a
     unit of meaning; ids (when enabled) are "<sentence_id>-r<k>" so a reader
-    can address units individually.
+    can address units individually.  Units are joined by the sentence's own
+    spacing, so a joint without a space shows none; a segmentation built
+    through the ``Segmentation`` constructor knows no sentence, and its
+    units are joined by one space.
     """
     prefix = opts.html_class_prefix
     lines = []
     for seg in segs:
+        sentence = seg._sentence
         spans = []
         for k, r in enumerate(seg.rhesis, start=1):
+            if k > 1 and sentence is None:
+                spans.append(" ")
+            elif k > 1:  # the sentence's text between the previous unit and this one
+                joint = slice(sentence.ends[r.start - 2], sentence.starts[r.start - 1])
+                spans.append(sentence.text[joint])
             ident = f' id="{_escape(seg.sentence_id)}-r{k}"' if opts.include_ids else ""
             spans.append(
                 f'<span class="{prefix}"{ident} style="white-space: nowrap">'
                 f"{_escape(r.text)}</span>"
             )
-        lines.append(f'<p class="{prefix}-sentence">{" ".join(spans)}</p>')
+        lines.append(f'<p class="{prefix}-sentence">{"".join(spans)}</p>')
     return "\n".join(lines) + ("\n" if lines else "")
 
 

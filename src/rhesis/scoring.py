@@ -21,7 +21,7 @@ from itertools import accumulate, combinations
 from pathlib import Path
 
 from ._dp import SCALE, best_cuts, scaled
-from .corpus import Segmentation, Sentence, segmentation_from_cuts, token_depth
+from .corpus import Segmentation, Sentence, _decoded, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
 from .span import SpanConfig, fits_span, text_measure
 
@@ -358,7 +358,7 @@ def weights_from_json(text: str) -> ScoringWeights:
 
 
 def read_weights(path: str | Path) -> ScoringWeights:
-    return weights_from_json(Path(path).read_text(encoding="utf-8-sig"))
+    return weights_from_json(_decoded(Path(path).read_bytes(), FormatError))
 
 
 def write_weights(path: str | Path, w: ScoringWeights) -> None:

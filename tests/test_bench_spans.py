@@ -110,3 +110,47 @@ def test_dp_cli_reaches_its_segmenter_once_per_sentence(method, layer, tmp_path,
     capsys.readouterr()
     assert code == 0
     assert [s["name"] for s in recorder.spans].count(layer) == len(sentences)
+
+
+
+@pytest.mark.parametrize(
+    "argv, reader",
+    [
+        (["segment", "--input", "{conllu}", "--method", "cascade"], None),
+        (["segment", "--input", "{conllu}", "--method", "tree",
+          "--weights", "{tmp}/weights.json"], "scoring.read_weights"),
+        (["segment", "--input", "{conllu}", "--method", "scores",
+          "--scores", "{tmp}/scores.tsv"], "dataset.load_scores"),
+        (["tune", "--conllu", "{conllu}", "--gold", "{rhz}", "--out", "{tmp}/tuned.json"], None),
+        (["eval", "--auto", "{rhz}", "--gold", "{rhz}", "--conllu", "{conllu}"], None),
+        (["export-dataset", "--conllu", "{conllu}", "--gold", "{rhz}",
+          "--out", "{tmp}/cand.tsv"], None),
+        (["stats", "--rhz", "{rhz}", "--conllu", "{conllu}"], None),
+    ],
+    ids=["cascade", "tree", "scores", "tune", "eval", "export-dataset", "stats"],
+)
+def test_every_command_reaches_its_traced_readers_once(
+    argv, reader, tmp_path, capsys, monkeypatch
+):
+    spans = _spans_module()
+    fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    gold = resources.files("rhesis").joinpath("data", "fixture.rhz")
+    sentences = parse_conllu(fixture.read_bytes())
+    write_weights(tmp_path / "weights.json", ScoringWeights())
+    (tmp_path / "scores.tsv").write_text(
+        "".join(f"{s.sent_id}\t1\t{len(s)}\t0.9\n" for s in sentences), encoding="utf-8"
+    )
+    # the config comes from RHESIS_CONFIG, so every command loads a file
+    config = tmp_path / "rhesis.ini"
+    config.write_text("[evo]\npopulation = 4\ngenerations = 1\n", encoding="utf-8")
+    monkeypatch.setenv("RHESIS_CONFIG", str(config))
+    recorder = spans.Recorder()
+    with resources.as_file(fixture) as conllu, resources.as_file(gold) as rhz:
+        paths = {"conllu": str(conllu), "rhz": str(rhz), "tmp": str(tmp_path)}
+        with spans.traced_cli(recorder):
+            code = main([arg.format(**paths) for arg in argv])
+    capsys.readouterr()
+    assert code == 0
+    readers = ("config.load_config", "scoring.read_weights", "dataset.load_scores")
+    names = [s["name"] for s in recorder.spans if s["name"] in readers]
+    assert sorted(names) == sorted(filter(None, ["config.load_config", reader]))

@@ -57,4 +57,4 @@ def test_segment_with_a_boolean_weight_file_exits_2(payload, message, tmp_path, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"rhesis: error: bad weight file: {message}" in captured.err
+    assert f"rhesis: error: --weights {weights}: bad weight file: {message}" in captured.err

@@ -242,7 +242,8 @@ class TestDataErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "rhesis: error: bad weight file: deprel_weights must be a mapping" in captured.err
+        assert (f"rhesis: error: --weights {bad}: bad weight file: deprel_weights must be a mapping"
+                in captured.err)
 
     def test_malformed_config(self, data, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -313,6 +314,65 @@ class TestNamedInputs:
         assert captured.err.splitlines()[-1] == (
             f"rhesis: error: {option} {one}: sentence count mismatch: 2 parsed vs 1 segmented"
         )
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b'{"w_dep": 1.0', "weight file is not valid JSON: "
+             "Expecting ',' delimiter: line 1 column 14 (char 13)"),
+            (b"\xff{}", "not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte"),
+        ],
+        ids=["json", "utf8"],
+    )
+    def test_a_malformed_weight_file_is_named(self, payload, message, data, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(payload)
+        code = main(["segment", "--input", data["conllu"], "--method", "tree",
+                     "--weights", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"rhesis: error: --weights {bad}: {message}"
+
+    def test_a_malformed_score_table_is_named(self, data, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("s1\t1\n", encoding="utf-8")
+        code = main(["segment", "--input", data["conllu"], "--method", "scores",
+                     "--scores", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"rhesis: error: --scores {bad}: line 1: expected 4 tab-separated fields, got 2"
+        )
+
+    @pytest.mark.parametrize("command", _INPUTS)
+    @pytest.mark.parametrize("from_env", [False, True], ids=["option", "env"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[tree]\nw_dep = 1\n", "unknown keys in [tree]: ['w_dep']"),
+            ("[span]\nmax_chars = many\n", "[span] max_chars must be an integer, got 'many'"),
+        ],
+        ids=["key", "number"],
+    )
+    def test_a_malformed_config_is_named(
+        self, command, from_env, text, message, data, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text, encoding="utf-8")
+        option, kind = _INPUTS[command][0]  # every command's first input is the CoNLL-U
+        argv = _argv(command, data, tmp_path, option, data[kind])
+        if from_env:
+            monkeypatch.setenv("RHESIS_CONFIG", str(cfg))
+        else:
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"rhesis: error: config {cfg}: {message}"]
 
 
 def _cascade_on_the_fixture_with_span_3() -> int:

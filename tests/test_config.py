@@ -200,6 +200,33 @@ class TestRejection:
             load_config(tmp_path / "nowhere.ini")
 
 
+# One file for each kind of error a config can hold: bytes that are not UTF-8,
+# INI syntax, an unknown section, an unknown key, a number that cannot be read
+# and a value a config constructor refuses.
+BAD_CONFIGS = {
+    "utf8": b"[span]\nmax_chars = 4\xff5\n",
+    "syntax": b"max_chars = 45\n",
+    "section": b"[chunking]\nx = 1\n",
+    "key": b"[tree]\nw_dep = 1\n",
+    "number": b"[span]\nmax_chars = many\n",
+    "value": b"[span]\nmax_chars = 20\ntarget_chars = 30\n",
+}
+
+
+@pytest.mark.parametrize("data", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+@pytest.mark.parametrize("from_env", [False, True], ids=["path", "env"])
+def test_every_config_error_names_the_file_once(data, from_env, tmp_path, monkeypatch):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(data)
+    if from_env:
+        monkeypatch.setenv("RHESIS_CONFIG", str(path))
+    with pytest.raises(FormatError) as info:
+        load_config(None if from_env else path)
+    message = str(info.value)
+    assert message.startswith(f"config {path}: ")
+    assert message.count(str(path)) == 1
+
+
 class TestEffectiveConfig:
     def test_sections_and_serializability(self):
         view = effective_config(EngineConfig())

@@ -162,8 +162,8 @@ def test_fit_end_and_block_measures_equal_a_brute_scan(seed, forms, mode, max_un
     n = index.n
     rows = _block_rows(index)
     assert len(index.fit_end) == n + 1 and len(rows) == n
-    # the context replaces each measure by its rank among the corpus's values; with
-    # the target at 1 and no measure below it, distance[rank] + 1 is the measure
+    # the block keeps each admissible measure as it is and _NONE for the others, and
+    # the context's distance is indexed by the measure itself
     context = _FitnessContext(
         corpus_from_golds([sent], [random_segmentation(random.Random(seed), sent)]), span, "f1"
     )
@@ -173,11 +173,11 @@ def test_fit_end_and_block_measures_equal_a_brute_scan(seed, forms, mode, max_un
         assert index.fit_end[a] == max(fitting, default=a - 1)
         row = rows[a - 1]
         assert len(row) == max(len(fitting), 1)  # an oversized token stands alone
-        ranks = block.measure[n - a, :, 0].tolist()
-        assert ranks[len(row) :] == [len(context.distance)] * (len(ranks) - len(row))
+        measures = block.measure[n - a, :, 0].tolist()
+        assert measures[len(row) :] == [_NONE] * (len(measures) - len(row))
         for k, m in enumerate(row):
-            assert m == index.measure(a, a + k)
-            assert context.distance[ranks[k]] + 1 == m
+            assert m == index.measure(a, a + k) == measures[k]
+            assert context.distance[m] == abs(m - span.target_chars)
 
 
 # Nonzero balance, depth and crossing weights: every term of the index moves the optimum.
@@ -567,14 +567,15 @@ def _batched_equals_scalar(sentences, span, rng, metric="precision"):
         m.setattr(_FitnessContext, "_scalar_tallies", refused)
         got = context.evaluate_batch(batch)
     assert got == [_scalar_fitness(context, w) for w in batch]
-    # the balance terms are those of the admissible measures and no others
+    # one balance term per measure, up to the largest admissible one
     measures = {
         struct.hi[b] - struct.lo[a]
         for struct, _ in context.items
         for a in range(1, struct.n + 1)
         for b in range(a, max(a, struct.fit_end[a]) + 1)
     }
-    assert sorted(context.distance) == sorted(abs(m - span.target_chars) for m in measures)
+    assert len(context.distance) == max(measures) + 1
+    assert all(context.distance[m] == abs(m - span.target_chars) for m in measures)
     return context
 
 
@@ -604,6 +605,16 @@ def test_batched_fitness_on_one_and_hundred_token_sentences_in_one_block(span):
     # the three long sentences run on alone after the first position
     assert block.running == [7] + [3] * 99
     assert block.measure.shape[1] > 1
+
+
+@pytest.mark.parametrize("mode", ["characters", "words"])
+def test_a_huge_span_indexes_no_measure_past_the_longest_sentence(mode):
+    rng = random.Random(27)
+    sentences = [random_sentence(rng, 5, 60, sent_id=f"h{k}") for k in range(5)]
+    span = SpanConfig(max_chars=10**6, target_chars=10, count_mode=mode)
+    context = _batched_equals_scalar(sentences, span, rng)
+    # every segment fits, so the longest admissible measure is a whole sentence's
+    assert len(context.distance) == max(text_measure(s.text, span) for s in sentences) + 1
 
 
 def test_int64_guard_falls_back_to_the_scalar_dp(monkeypatch):

@@ -1,20 +1,37 @@
 """Tests for the text, record, and HTML renderers."""
 
+import dataclasses
+import html
 import json
+import random
 import re
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhesis import (
+    CascadeConfig,
     RenderOptions,
+    ScoreTable,
+    ScoringWeights,
+    Segmentation,
     Sentence,
+    SpanConfig,
     Token,
+    cascade_segment,
+    regroup,
     render,
     render_html,
     render_records,
     render_text,
+    segment_best,
+    segment_by_scores,
     segmentation_from_cuts,
 )
+
+from helpers import random_sentence
 
 
 def _sent(sent_id, rows):
@@ -139,6 +156,59 @@ class TestRenderHtml:
 
     def test_empty_input_renders_nothing(self):
         assert render_html([]) == ""
+
+    def test_a_joint_without_a_space_shows_none(self):
+        html_line = render_html([segmentation_from_cuts(PLAIN, (3,))])
+        assert "dort</span><span" in html_line
+        assert html_line.count("</span> <span") == 0
+
+    def test_a_constructor_built_segmentation_joins_units_with_one_space(self):
+        seg = segmentation_from_cuts(PLAIN, (3,))
+        html_line = render_html([Segmentation(seg.sentence_id, seg.rhesis)])
+        assert "dort</span> <span" in html_line
+
+
+# Forms with the characters HTML escapes, an escape of its own and an inner space.
+_HTML_FORMS = st.sampled_from(["a", "b&c", "<", '"', "x>y", "&amp;", "d e", "fg"])
+
+
+def _segmented(sentence: Sentence, method: str, span: SpanConfig, rng: random.Random):
+    if method == "cascade":
+        config = CascadeConfig(span=span)
+        return regroup(sentence, cascade_segment(sentence, config), config)
+    if method == "tree":
+        weights = ScoringWeights(w_count=rng.random(), w_balance=rng.random())
+        return segment_best(sentence, weights, span)
+    n = len(sentence)
+    spans = {(a, rng.randint(a, n)) for a in range(1, n + 1) if rng.random() < 0.7}
+    table = ScoreTable({(sentence.sent_id, a, b): rng.random() for a, b in spans})
+    return segment_by_scores(sentence, table, span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    forms=st.lists(st.tuples(_HTML_FORMS, st.booleans()), min_size=1, max_size=12),
+    method=st.sampled_from(["cascade", "tree", "scores"]),
+    mode=st.sampled_from(["characters", "words"]),
+    max_units=st.integers(1, 12),
+    include_ids=st.booleans(),
+)
+def test_each_html_line_reads_back_as_the_sentence_text(
+    seed, forms, method, mode, max_units, include_ids
+):
+    rng = random.Random(seed)
+    tree = random_sentence(rng, len(forms), len(forms), sent_id='s&<"1')
+    sentence = Sentence.from_tokens(tree.sent_id, [
+        dataclasses.replace(tok, form=form, misc="" if space else "SpaceAfter=No")
+        for tok, (form, space) in zip(tree.tokens, forms)
+    ])
+    span = SpanConfig(max_chars=max_units, target_chars=1, count_mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # oversized units
+        seg = _segmented(sentence, method, span, rng)
+    (line,) = render_html([seg], RenderOptions("html", include_ids=include_ids)).splitlines()
+    assert html.unescape(re.sub(r"<[^>]*>", "", line)) == sentence.text
 
 
 class TestRenderDispatch:

@@ -292,6 +292,12 @@ class TestWeightsJson:
         path.write_bytes(b"\xef\xbb\xbf" + weights_to_json(ScoringWeights(w_count=0.5)).encode())
         assert read_weights(path) == ScoringWeights(w_count=0.5)
 
+    def test_a_weight_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_bytes(b"\xff" + weights_to_json(ScoringWeights()).encode())
+        with pytest.raises(FormatError, match="^not valid UTF-8: 'utf-8' codec can't decode"):
+            read_weights(path)
+
     @pytest.mark.parametrize("table", ['[]', '["conj", 0.5]', '"conj"'])
     def test_deprel_table_that_is_not_an_object_rejected(self, table):
         with pytest.raises(FormatError, match="deprel_weights must be a mapping"):
