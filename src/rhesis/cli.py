@@ -3,9 +3,9 @@
 Subcommands: segment, tune, eval, export-dataset, stats.  Exit codes: 0 on
 success, 1 for usage errors, 2 for data or format errors.  Every run echoes
 its effective configuration as one JSON line on stderr, so outputs can be
-reproduced from logs, and prints each library warning after it as one
-``rhesis: warning:`` line; payload output (stdout or --out) carries no
-timestamps and is byte-stable for identical inputs.
+reproduced from logs.  A data error or warning raised in ``_named`` names its
+option and file; payload output (stdout or --out) carries no timestamps and
+is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .dataset import (
     segment_by_scores,
     unmatched_rows,
 )
-from .errors import RhesisError
+from .errors import ParseError, RhesisError
 from .evaluate import document_report, format_length_stats, format_report, length_stats
 from .evolve import evolve
 from .render import RenderOptions, render
@@ -118,11 +118,15 @@ def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
 
 @contextmanager
 def _named(option: str, path: str):
-    """A data error raised inside names the option and the file."""
-    try:
-        yield
-    except RhesisError as exc:
-        raise RhesisError(f"{option} {path}: {exc}") from exc
+    """Name the option and the file in each data error or warning raised inside."""
+    with warnings.catch_warnings():  # the caller's filters apply; its hook comes back
+        warnings.showwarning = lambda message, *_: print(
+            f"rhesis: warning: {option} {path}: {message}", file=sys.stderr
+        )
+        try:
+            yield
+        except (RhesisError, Warning) as exc:
+            raise RhesisError(f"{option} {path}: {exc}") from exc
 
 
 def _read(option: str, path: str, parse):
@@ -134,22 +138,40 @@ def _aligned(sentences, option: str, path: str):
     return _read(option, path, lambda data: align_gold(sentences, parse_gold(data)))
 
 
+def _sentences(data: bytes) -> list:
+    """The sentences of a ``--conllu`` input, which must hold some."""
+    sentences = parse_conllu(data)
+    if not sentences:
+        raise ParseError("no sentences")
+    return sentences
+
+
 def _load_corpus(conllu_path: str, option: str, path: str):
-    return _aligned(_read("--conllu", conllu_path, parse_conllu), option, path)
+    return _aligned(_read("--conllu", conllu_path, _sentences), option, path)
+
+
+def _write_manifest(out: str, manifest: dict) -> None:
+    Path(f"{out}.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _cmd_segment(args, cfg: EngineConfig) -> int:
     sentences = _read("--input", args.input, parse_conllu)
     if args.method == "cascade":
-        segs = [regroup(s, cascade_segment(s, cfg.cascade), cfg.cascade) for s in sentences]
+        segs = (regroup(s, cascade_segment(s, cfg.cascade), cfg.cascade) for s in sentences)
     elif args.method == "tree":
         with _named("--weights", args.weights):
             weights = read_weights(args.weights)
-        segs = [segment_best(s, weights, cfg.span) for s in sentences]
+        segs = (segment_best(s, weights, cfg.span) for s in sentences)
     else:
         table = _read("--scores", args.scores, load_scores)
-        segs = [segment_by_scores(s, table, cfg.span, epsilon=cfg.score_epsilon) for s in sentences]
-        _warn_unscored(table, sentences, segs)
+        segs = (segment_by_scores(s, table, cfg.span, epsilon=cfg.score_epsilon) for s in sentences)
+    with _named("--input", args.input):  # the segmenters run, and warn, here
+        segs = list(segs)
+    if args.method == "scores":
+        with _named("--scores", args.scores):
+            _warn_unscored(table, sentences, segs)
     opts = RenderOptions(format=args.format, include_ids=args.format == "html")
     _emit(render(segs, opts), args.out)
     return 0
@@ -180,16 +202,13 @@ def _cmd_tune(args, cfg: EngineConfig) -> int:
     best, trace = evolve(corpus, cfg.evo, cfg.span)
     write_weights(args.out, best.decode())
     view = effective_config(cfg)
-    manifest = {
+    _write_manifest(args.out, {
         "seed": cfg.evo.seed,
         "config": view["evo"],
         "span": view["span"],
         "labels": list(best.labels),
         "trace": trace,
-    }
-    Path(f"{args.out}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
     print(
         f"best fitness {trace[-1]:.4f} after {cfg.evo.generations} generations "
         f"-> {args.out}",
@@ -199,7 +218,7 @@ def _cmd_tune(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: EngineConfig) -> int:
-    sentences = _read("--conllu", args.conllu, parse_conllu)
+    sentences = _read("--conllu", args.conllu, _sentences)
     auto = _aligned(sentences, "--auto", args.auto)
     gold = _aligned(sentences, "--gold", args.gold)
     report = document_report([entry.gold for entry in auto], gold)
@@ -217,9 +236,8 @@ def _cmd_export(args, cfg: EngineConfig) -> int:
     examples = export_candidates(corpus, args.negatives, args.seed, span=cfg.span)
     Path(args.out).write_text(candidates_to_tsv(examples), encoding="utf-8")
     positives = sum(1 for ex in examples if ex.label == 1)
-    manifest = finetune_manifest(args.negatives, args.seed, positives, len(examples) - positives)
-    Path(f"{args.out}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    _write_manifest(
+        args.out, finetune_manifest(args.negatives, args.seed, positives, len(examples) - positives)
     )
     print(f"{len(examples)} examples -> {args.out}", file=sys.stderr)
     return 0
@@ -230,11 +248,6 @@ def _cmd_stats(args, cfg: EngineConfig) -> int:
     stats = length_stats([entry.gold for entry in corpus.entries])
     sys.stdout.write(format_length_stats(stats))
     return 0
-
-
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """A library warning as one ``rhesis: warning:`` line, without its source."""
-    print(f"rhesis: warning: {message}", file=sys.stderr)
 
 
 _HANDLERS = {
@@ -266,9 +279,7 @@ def main(argv: list[str] | None = None) -> int:
             "# effective-config " + json.dumps(header, sort_keys=True, ensure_ascii=False),
             file=sys.stderr,
         )
-        with warnings.catch_warnings():  # the caller's filters stay; its hook comes back
-            warnings.showwarning = _show_warning
-            return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args, cfg)
     except (RhesisError, ValueError, OSError, Warning) as exc:  # Warning: a filter's "error"
         print(f"rhesis: error: {exc}", file=sys.stderr)
         return 2

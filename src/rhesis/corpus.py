@@ -8,11 +8,11 @@ UPOS, HEAD, DEPREL) plus the MISC column's ``SpaceAfter=No`` flag.  A
 in it and its tree traversal once, when it is built; ``Token`` objects are
 made only when a sentence's ``tokens`` are read.
 
-``parse_conllu`` turns CRLF line ends into LF, then reads the word rows of
-consecutive blank-line blocks a batch at a time, up to ``_BATCH_ROWS``
-rows: one ``replace`` and one ``split`` cut the whole batch into cells,
-with no per-line work.  A comment is a block's id only when its key before
-``=`` is exactly ``sent_id``.  A block is read one of three ways:
+Every reader decodes with ``_decoded``: CRLF reads as LF.  ``parse_conllu``
+reads the word rows of consecutive blank-line blocks a batch at a time, up to
+``_BATCH_ROWS`` rows: one ``replace`` and one ``split`` cut the whole batch
+into cells, with no per-line work.  A comment is a block's id only when its
+key before ``=`` is exactly ``sent_id``.  A block is read one of three ways:
 
 - accepted batch: when the cells pass the column tests (10 columns, each
   block's word ids ``1..k`` and heads ``0..512`` as written, non-blank
@@ -333,13 +333,18 @@ def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> 
 
 
 def _decoded(data: str | bytes, error: type[RhesisError]) -> str:
-    """``data`` as text, less one leading byte-order mark; bytes must be UTF-8,
-    else ``error`` is raised."""
+    """``data`` as text less one leading byte-order mark and every run of CRs that
+    ends a line or the text; bytes must be UTF-8, else ``error`` is raised."""
     if not isinstance(data, str):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"not valid UTF-8: {exc}") from None
+    if "\r" in data:  # far cheaper than a replace that finds nothing
+        data += "\n"  # the LF a final run of CRs lacks
+        while "\r\n" in data:  # each pass takes one CR from every run
+            data = data.replace("\r\n", "\n")
+        data = data[:-1]
     return data[1:] if data.startswith("\ufeff") else data
 
 
@@ -348,7 +353,7 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
 
     Multiword-token ranges (``3-4``) and empty nodes (``8.1``) are skipped;
     only syntactic words are kept, and each needs a form that is not empty
-    or only whitespace.  CRLF input is accepted.  Sentences without a
+    or only whitespace.  Line ends are ``_decoded``'s.  Sentences without a
     ``# sent_id`` comment get ordinal ids ``s1``, ``s2``, ...; a comment is
     a sentence id only when its key before ``=`` is exactly ``sent_id``.  A
     sentence id that repeats an earlier one, given or ordinal, is an error.
@@ -358,10 +363,6 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     bad row raises at its line (see the module docstring).
     """
     text = _decoded(data, ParseError)
-    if "\r" in text:  # far cheaper than a replace that finds nothing
-        # A CR this leaves (one of a run, or ending the text) changes nothing: a
-        # row's last cell and a comment's id are stripped, and a line of CRs is blank.
-        text = text.replace("\r\n", "\n")
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for sent_id, id_line, *columns in _blocks(text):
@@ -552,8 +553,7 @@ def parse_gold(data: str | bytes) -> list[tuple[str, list[str]]]:
     groups: list[tuple[str, list[str]]] = []
     label = ""
     current: list[str] | None = None
-    for lineno, raw in enumerate(data.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(data.split("\n"), start=1):
         if not line.strip():
             if current:
                 groups.append((label, current))

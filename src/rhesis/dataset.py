@@ -203,8 +203,7 @@ def load_scores(data: str | bytes) -> ScoreTable:
     data = _decoded(data, FormatError)
     table: dict[tuple[str, int, int], float] = {}
     duplicates, first = 0, 0
-    for lineno, raw in enumerate(data.split("\n"), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in enumerate(data.split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -375,9 +375,11 @@ class TestNamedInputs:
         assert captured.err.splitlines() == [f"rhesis: error: config {cfg}: {message}"]
 
 
+FIXTURE = resources.files("rhesis").joinpath("data", "fixture.conllu")
+
+
 def _cascade_on_the_fixture_with_span_3() -> int:
-    fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
-    with resources.as_file(fixture) as conllu:
+    with resources.as_file(FIXTURE) as conllu:
         return main(["segment", "--input", str(conllu), "--method", "cascade", "--span", "3"])
 
 
@@ -388,7 +390,7 @@ class TestWarnings:
         assert err[0].startswith("# effective-config ")
         assert len(err) > 1
         for line in err[1:]:
-            assert line.startswith("rhesis: warning: sentence 'conte")
+            assert line.startswith(f"rhesis: warning: --input {FIXTURE}: sentence 'conte")
             assert line.endswith(" exceeds the span and cannot be split further")
             assert ".py:" not in line and "OversizedTokenWarning" not in line
 
@@ -399,7 +401,8 @@ class TestWarnings:
                      "--scores", str(scores)])
         assert code == 0
         assert capsys.readouterr().err.splitlines()[1:] == [
-            "rhesis: warning: 1 duplicate score rows (the first on line 2), keeping the last"
+            f"rhesis: warning: --scores {scores}: 1 duplicate score rows (the first on line 2),"
+            " keeping the last"
         ]
 
     def test_the_callers_filters_apply_and_its_hook_comes_back(self, capsys):
@@ -415,7 +418,7 @@ class TestWarnings:
         assert warnings.showwarning is hook
         err = capsys.readouterr().err.splitlines()
         assert err[1:] == [
-            "rhesis: error: sentence 'conte1-s01': 'petit' exceeds the span"
+            f"rhesis: error: --input {FIXTURE}: sentence 'conte1-s01': 'petit' exceeds the span"
             " and cannot be split further"
         ]
 
@@ -439,9 +442,71 @@ class TestWarnings:
         code, out = self._scores_naming_an_unknown_sentence(data, tmp_path, "error")
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err.splitlines()[1:] == [
-            "rhesis: error: 1 score rows name no input sentence, "
+            f"rhesis: error: --scores {tmp_path / 'extra.tsv'}: "
+            "1 score rows name no input sentence, "
             "0 end past their sentence's last token"
         ]
+
+
+class TestNamedWarnings:
+    """Every warning line names the one input it concerns, under the caller's filters."""
+
+    def _case(self, kind, data, tmp_path):
+        """(argv without --out, the option and file the warning names, its message)."""
+        argv = ["segment", "--input", data["conllu"]]
+        if kind == "oversized":
+            return (argv + ["--method", "cascade", "--span", "8"], f"--input {data['conllu']}",
+                    "sentence 's1': 'profondément' exceeds the span and cannot be split further")
+        scores = tmp_path / f"{kind}.tsv"
+        if kind == "duplicate":
+            scores.write_text("s1\t1\t4\t0.5\n" + SCORES, encoding="utf-8")
+            message = "1 duplicate score rows (the first on line 2), keeping the last"
+        else:
+            scores.write_text(SCORES + "s7\t1\t2\t0.9\n", encoding="utf-8")
+            message = ("1 score rows name no input sentence, "
+                       "0 end past their sentence's last token")
+        return argv + ["--method", "scores", "--scores", str(scores)], f"--scores {scores}", message
+
+    @pytest.mark.parametrize("kind", ["oversized", "duplicate", "coverage"])
+    def test_one_named_line_that_obeys_the_filters(self, kind, data, tmp_path, capsys):
+        argv, name, message = self._case(kind, data, tmp_path)
+        hook = warnings.showwarning
+        for action, code, lines in [
+            ("default", 0, [f"rhesis: warning: {name}: {message}"]),
+            ("ignore", 0, []),
+            ("error", 2, [f"rhesis: error: {name}: {message}"]),
+        ]:
+            out = tmp_path / f"{action}.txt"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main(argv + ["--out", str(out)]) == code
+            assert warnings.showwarning is hook
+            assert out.exists() == (code == 0)
+            assert capsys.readouterr().err.splitlines()[1:] == lines
+
+
+class TestEmptyInput:
+    @pytest.fixture(params=["", "# newdoc id = d1\n\n"], ids=["empty", "comments"])
+    def empty(self, request, tmp_path):
+        path = tmp_path / "empty.conllu"
+        path.write_text(request.param, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["tune", "eval", "export-dataset", "stats"])
+    def test_a_conllu_without_sentences_is_a_named_error(
+        self, command, empty, data, tmp_path, capsys
+    ):
+        code = main(_argv(command, data, tmp_path, "--conllu", empty))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines()[1:] == [f"rhesis: error: --conllu {empty}: no sentences"]
+        inputs = {os.path.basename(empty), *map(os.path.basename, data.values())}
+        assert {p.name for p in tmp_path.iterdir()} == inputs  # no output written
+
+    def test_segment_writes_nothing_for_no_sentences(self, empty, data, tmp_path, capsys):
+        assert main(_argv("segment", data, tmp_path, "--input", empty)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1  # the echo alone
 
 
 class TestConfigPlumbing:

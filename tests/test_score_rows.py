@@ -54,7 +54,8 @@ class TestSegmentWarning:
         assert noisy.out == clean.out
         warnings = [l for l in noisy.err.splitlines() if l.startswith("rhesis: warning:")]
         assert warnings == [
-            "rhesis: warning: 1 score rows name no input sentence, "
+            f"rhesis: warning: --scores {tmp_path / 'in.scores.tsv'}: "
+            "1 score rows name no input sentence, "
             "2 end past their sentence's last token"
         ]
 
@@ -73,7 +74,8 @@ class TestSegmentWarning:
         assert got.out == render(segs, RenderOptions(format="txt"))
         warnings = [l for l in got.err.splitlines() if l.startswith("rhesis: warning:")]
         assert warnings == [
-            "rhesis: warning: 1 chosen units had no score row and scored epsilon"
+            f"rhesis: warning: --scores {tmp_path / 'in.scores.tsv'}: "
+            "1 chosen units had no score row and scored epsilon"
         ]
 
     def test_every_count_on_one_line(self, tmp_path, capsys):
@@ -81,7 +83,8 @@ class TestSegmentWarning:
         got = self._run(tmp_path, capsys, s1_only + "s7\t1\t2\t0.9\ns1\t8\t9\t0.9\n")
         warnings = [l for l in got.err.splitlines() if l.startswith("rhesis: warning:")]
         assert warnings == [
-            "rhesis: warning: 1 score rows name no input sentence, "
+            f"rhesis: warning: --scores {tmp_path / 'in.scores.tsv'}: "
+            "1 score rows name no input sentence, "
             "1 end past their sentence's last token, "
             "1 chosen units had no score row and scored epsilon"
         ]
