@@ -229,16 +229,17 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units
     merged: list[tuple[int, int]] = []
-    cur_start, cur_end = seg.rhesis[0].start, seg.rhesis[0].end
-    for nxt in seg.rhesis[1:]:
-        if not cur_end + 1 == nxt.start <= nxt.end:
-            raise ValueError(f"spans do not tile the sentence at ({nxt.start}, {nxt.end})")
+    spans = seg.spans()
+    cur_start, cur_end = spans[0]
+    for start, end in spans[1:]:
+        if not cur_end + 1 == start <= end:
+            raise ValueError(f"spans do not tile the sentence at ({start}, {end})")
         last = cur_end - 1
         blocked = sentence.upos[last] == "PUNCT" and sentence.forms[last] in _FINAL_PUNCTUATION
-        if not blocked and hi[nxt.end] - lo[cur_start] <= cap:
-            cur_end = nxt.end
+        if not blocked and hi[end] - lo[cur_start] <= cap:
+            cur_end = end
         else:
             merged.append((cur_start, cur_end))
-            cur_start, cur_end = nxt.start, nxt.end
+            cur_start, cur_end = start, end
     merged.append((cur_start, cur_end))
     return segmentation_from_spans(sentence, merged)

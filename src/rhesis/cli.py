@@ -183,7 +183,7 @@ def _warn_unscored(table, sentences, segs) -> None:
     unknown, past_end = unmatched_rows(table, sentences)
     get = table.probabilities.get
     epsilon = sum(
-        get((seg.sentence_id, r.start, r.end)) is None for seg in segs for r in seg.rhesis
+        get((seg.sentence_id, a, b)) is None for seg in segs for a, b in seg.spans()
     )
     counts = []
     if unknown or past_end:

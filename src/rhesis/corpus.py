@@ -29,9 +29,11 @@ key before ``=`` is exactly ``sent_id``.  A block is read one of three ways:
 a test goes to the per-token checks, which name the first bad token.  The
 root count and the cycle check raise directly.
 
-Gold segmentations travel in a plain text format: one rhesis per line, a
-blank line between sentences, ``#doc `` lines carrying document labels, and
-other ``#`` lines ignored as comments.
+A ``Segmentation`` from a producer holds its sentence and each unit's last
+token; its ``Rhesis`` units, like a sentence's ``tokens``, are built on
+first read.  Gold segmentations travel in a plain text format: one rhesis
+per line, a blank line between sentences, ``#doc `` lines carrying document
+labels, and other ``#`` lines ignored as comments.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add, eq
+from itertools import accumulate, starmap
+from operator import add, eq, lt
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
 
@@ -286,50 +288,99 @@ class Rhesis:
 class Segmentation:
     """A partition of one sentence into rhesis, in order.
 
-    ``_sentence`` is the sentence the units were cut from, when known: it
-    gives ``render_html`` their spacing.  ``==``, ``hash`` and ``repr`` skip it.
+    ``segmentation_from_spans`` and ``segmentation_from_cuts`` (so every
+    segmenter and ``regroup``) and ``align_gold`` record the sentence,
+    ``_sentence``, and each unit's last token, ``_ends``.  ``spans()``,
+    ``cuts()`` and ``token_count`` read the ends; ``rhesis`` is built on
+    first read, each text the sentence's text over the unit, and kept, as
+    ``Sentence.tokens`` is.  A segmentation built through the constructor
+    keeps the units it is given (``_ends`` is None), and its bounds are
+    theirs.  ``_sentence`` also gives ``render_html`` the units' spacing.
+    ``==``, ``hash`` and ``repr`` read ``sentence_id`` and ``rhesis``.
     """
 
     sentence_id: str
     rhesis: tuple[Rhesis, ...]
     _sentence: Sentence | None = field(default=None, repr=False, compare=False)
+    _ends: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _from_ends(cls, sentence: Sentence, ends: tuple[int, ...]) -> "Segmentation":
+        """The segmentation of ``sentence`` whose units end at ``ends``, units not yet built."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "sentence_id", sentence.sent_id)
+        object.__setattr__(seg, "_sentence", sentence)
+        object.__setattr__(seg, "_ends", ends)
+        return seg
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``rhesis`` before its first read.
+        if name != "rhesis":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        units = tuple(starmap(Rhesis, self._units()))
+        object.__setattr__(self, "rhesis", units)
+        return units
+
+    def _units(self) -> list[tuple[int, int, str]]:
+        """``(start, end, text)`` of each unit, without building a ``Rhesis``."""
+        if self._ends is None:
+            return [(r.start, r.end, r.text) for r in self.rhesis]
+        s = self._sentence
+        text, starts, ends = s.text, s.starts, s.ends
+        units, a = [], 1
+        for b in self._ends:
+            units.append((a, b, text[starts[a - 1] : ends[b - 1]]))
+            a = b + 1
+        return units
 
     def spans(self) -> tuple[tuple[int, int], ...]:
-        return tuple((r.start, r.end) for r in self.rhesis)
+        ends = self._ends
+        if ends is None:
+            return tuple((r.start, r.end) for r in self.rhesis)
+        return tuple(zip([1, *[end + 1 for end in ends[:-1]]], ends))
 
     def cuts(self) -> tuple[int, ...]:
         """Internal boundary positions (a cut at ``i`` splits token i from i+1)."""
-        return tuple(r.end for r in self.rhesis[:-1])
+        if self._ends is None:
+            return tuple(r.end for r in self.rhesis[:-1])
+        return self._ends[:-1]
 
     @property
     def token_count(self) -> int:
-        return self.rhesis[-1].end if self.rhesis else 0
+        if self._ends is None:
+            return self.rhesis[-1].end if self.rhesis else 0
+        return self._ends[-1]
 
 
 def segmentation_from_spans(sentence: Sentence, spans: Iterable[tuple[int, int]]) -> Segmentation:
     """Build a Segmentation from 1-based inclusive spans over ``sentence``.
 
     The spans must tile the sentence: start at 1, end at the token count, and
-    each span must begin right after its predecessor ends.  Texts are sliced
-    from ``text``, ``starts`` and ``ends``; no other column is read.
+    each span must begin right after its predecessor ends.  Only the ends
+    are kept; the units are built when ``rhesis`` is first read.
     """
-    text, starts, ends, n = sentence.text, sentence.starts, sentence.ends, len(sentence)
+    n = len(sentence)
     expected = 1
-    rhesis = []
+    ends = []
     for start, end in spans:
         if not expected == start <= end <= n:
             raise ValueError(f"spans do not tile the sentence at ({start}, {end})")
-        rhesis.append(Rhesis(start, end, text[starts[start - 1] : ends[end - 1]]))
+        ends.append(end)
         expected = end + 1
     if expected != n + 1:
         raise ValueError("spans do not cover the sentence")
-    return Segmentation(sentence.sent_id, tuple(rhesis), sentence)
+    return Segmentation._from_ends(sentence, tuple(ends))
 
 
 def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> Segmentation:
-    """Build a Segmentation from internal cut positions (strictly increasing)."""
-    starts = [cut + 1 for cut in (0, *cuts)]
-    return segmentation_from_spans(sentence, zip(starts, (*cuts, len(sentence))))
+    """Build a Segmentation from internal cut positions (strictly increasing).
+
+    Only bad cuts are read as spans, so they raise ``segmentation_from_spans``'s error.
+    """
+    bounds = (0, *cuts, len(sentence))
+    if not all(map(lt, bounds, bounds[1:])):
+        segmentation_from_spans(sentence, zip([b + 1 for b in bounds[:-1]], bounds[1:]))
+    return Segmentation._from_ends(sentence, bounds[1:])
 
 
 def _decoded(data: str | bytes, error: type[RhesisError]) -> str:
@@ -624,9 +675,10 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
     """The segmentation ``lines`` give, each line read from the token after the last line's.
 
     A line that is the exact text of the tokens from there on is matched by
-    offset and kept as its rhesis's text.  Any other line is matched form by
-    form with whitespace runs read as one space (the forms are normalized
-    once, at the first such line), and its rhesis's text is its tokens'.
+    offset.  Any other line is matched form by form with whitespace runs
+    read as one space (the forms are normalized once, at the first such
+    line).  Either way only the rhesis's last token is kept: its text is
+    its tokens', read from the sentence.
     The normalized reading of an exact line ends on the same token, so
     neither the spans nor the errors depend on which reading a line takes.
     Coverage of the whole sentence is checked once, after the last line.
@@ -634,22 +686,21 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
     sent_id, text, starts, ends = sentence.sent_id, sentence.text, sentence.starts, sentence.ends
     n = len(ends)
     forms = None  # normalized, built at the first inexact line
-    rhesis = []
+    bounds = []  # each rhesis's last token
     tok = 0  # tokens fully consumed so far
     for line in lines:
         if tok < n:
             e = starts[tok] + len(line)
             j = bisect_left(ends, e, tok)
             if j < n and ends[j] == e and text.startswith(line, starts[tok]):
-                rhesis.append(Rhesis(tok + 1, j + 1, line))
                 tok = j + 1
+                bounds.append(tok)
                 continue
         if forms is None:
             forms = [" ".join(form.split()) for form in sentence.forms]
         target = " ".join(line.split())
         if not target:
             raise AlignmentError(f"sentence {sent_id!r}: empty gold rhesis line")
-        first = tok
         pos = 0
         while True:
             if tok == n:
@@ -680,7 +731,7 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
                         f"text {target!r} at offset {pos}"
                     )
                 pos += 1
-        rhesis.append(Rhesis(first + 1, tok, text[starts[first] : ends[tok - 1]]))
+        bounds.append(tok)
     if tok != n:
         raise AlignmentError(f"sentence {sent_id!r}: gold covers {tok} of {n} tokens")
-    return Segmentation(sent_id, tuple(rhesis), sentence)
+    return Segmentation._from_ends(sentence, tuple(bounds))

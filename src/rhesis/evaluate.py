@@ -147,7 +147,7 @@ def document_report(auto: list[Segmentation], gold: AlignedCorpus) -> EvalReport
         gold_segs.append(entry.gold)
     rows = []
     for label, (a, g) in groups.items():
-        count = sum(len(seg.rhesis) for seg in g)
+        count = sum(len(seg.spans()) for seg in g)
         rows.append(PerDocRow(label or "-", count, *rhesis_precision(a, g), *boundary_prf(a, g)))
     return corpus_report(rows)
 
@@ -199,7 +199,7 @@ def length_stats(segs: list[Segmentation]) -> LengthStats:
     covers lengths 10-14).  Means and standard deviations come from the exact
     integer sums ``n``, ``Σx`` and ``Σx²``.
     """
-    texts = [r.text for seg in segs for r in seg.rhesis]
+    texts = [text for seg in segs for _, _, text in seg._units()]
     if not texts:
         raise ValueError("no rhesis to measure")
     chars = [len(t) for t in texts]

@@ -31,10 +31,10 @@ def render_text(segs: list[Segmentation]) -> str:
     """
     parts = []
     for seg in segs:
-        for r in seg.rhesis:
-            if r.text.startswith(("#", "\\")):
+        for _, _, text in seg._units():
+            if text.startswith(("#", "\\")):
                 parts.append("\\")
-            parts.append(r.text)
+            parts.append(text)
             parts.append("\n")
         parts.append("\n")
     return "".join(parts)
@@ -44,14 +44,14 @@ def render_records(segs: list[Segmentation]) -> str:
     """One JSON record per rhesis: sentence_id, start, end, text."""
     lines = []
     for seg in segs:
-        for r in seg.rhesis:
+        for start, end, text in seg._units():
             lines.append(
                 json.dumps(
                     {
                         "sentence_id": seg.sentence_id,
-                        "start": r.start,
-                        "end": r.end,
-                        "text": r.text,
+                        "start": start,
+                        "end": end,
+                        "text": text,
                     },
                     ensure_ascii=False,
                 )
@@ -83,16 +83,16 @@ def render_html(segs: list[Segmentation], opts: RenderOptions = RenderOptions("h
     for seg in segs:
         sentence = seg._sentence
         spans = []
-        for k, r in enumerate(seg.rhesis, start=1):
+        for k, (start, _, text) in enumerate(seg._units(), start=1):
             if k > 1 and sentence is None:
                 spans.append(" ")
             elif k > 1:  # the sentence's text between the previous unit and this one
-                joint = slice(sentence.ends[r.start - 2], sentence.starts[r.start - 1])
+                joint = slice(sentence.ends[start - 2], sentence.starts[start - 1])
                 spans.append(sentence.text[joint])
             ident = f' id="{_escape(seg.sentence_id)}-r{k}"' if opts.include_ids else ""
             spans.append(
                 f'<span class="{prefix}"{ident} style="white-space: nowrap">'
-                f"{_escape(r.text)}</span>"
+                f"{_escape(text)}</span>"
             )
         lines.append(f'<p class="{prefix}-sentence">{"".join(spans)}</p>')
     return "\n".join(lines) + ("\n" if lines else "")

@@ -272,10 +272,10 @@ def _finish(sentence: Sentence, struct: _Structure, cuts: tuple[int, ...]) -> Se
     """
     seg = segmentation_from_cuts(sentence, cuts)
     hi, lo, cap = struct.hi, struct.lo, struct.max_units
-    for r in seg.rhesis:
-        if hi[r.end] - lo[r.start] > cap:
+    for a, b in seg.spans():
+        if hi[b] - lo[a] > cap:
             warnings.warn(
-                f"sentence {seg.sentence_id!r}: {r.text!r} "
+                f"sentence {seg.sentence_id!r}: {sentence.span_text(a, b)!r} "
                 f"exceeds the span and cannot be split further",
                 OversizedTokenWarning,
                 stacklevel=3,
