@@ -3,8 +3,9 @@
 Training data goes out as labeled (sentence, sub-section) pairs: one positive
 per gold rhesis, plus "smart" negatives — sub-sections sharing exactly one
 boundary with the gold rhesis they were derived from, so the classifier sees
-near misses rather than arbitrary spans.  Predicted probabilities come back
-as a score table, and a log-probability dynamic program composes them into
+near misses rather than arbitrary spans, each a ``CandidateExample`` named
+tuple whose fields are the TSV columns, in order.  Predicted probabilities come
+back as a score table, and a log-probability dynamic program composes them into
 one segmentation per sentence.  The table groups its rows by sentence once,
 on first use, so a sentence costs its admissible spans and its own rows.
 """
@@ -16,6 +17,9 @@ import random
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
+from typing import NamedTuple
 
 from ._dp import best_cuts, scaled
 from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded
@@ -43,8 +47,7 @@ EPOCHS = 3
 HOLDOUT_FRACTION = 0.33
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateExample:
+class CandidateExample(NamedTuple):
     sentence_id: str
     sentence_text: str
     start: int
@@ -53,14 +56,13 @@ class CandidateExample:
     label: int
 
 
+# the named tuple's own __new__ is Python code; tuple.__new__ makes the same record in C
+_new_example = partial(tuple.__new__, CandidateExample)
+
+
 def _example(sentence: Sentence, start: int, end: int, label: int) -> CandidateExample:
-    return CandidateExample(
-        sentence_id=sentence.sent_id,
-        sentence_text=sentence.text,
-        start=start,
-        end=end,
-        candidate_text=sentence.span_text(start, end),
-        label=label,
+    return _new_example(
+        (sentence.sent_id, sentence.text, start, end, sentence.span_text(start, end), label)
     )
 
 
@@ -92,15 +94,14 @@ def export_candidates(
         feasible = None  # every span-feasible (s, e), sorted: built when a pool runs dry
         gold_spans = list(entry.gold.spans())
         used = set(gold_spans)
+        examples += [_example(sentence, s, e, 1) for s, e in gold_spans]
         for gs, ge in gold_spans:
-            examples.append(_example(sentence, gs, ge, 1))
-        for gs, ge in gold_spans:
-            # the feasible spans sharing one boundary with (gs, ge), in sorted order:
-            # (s, ge) for s < gs, (gs, e) for e != ge, then (s, ge) for gs < s <= ge
-            pool = [(s, ge) for s in range(bisect_left(last, ge, 1, gs), gs)]
-            pool += [(gs, e) for e in range(gs, last[gs] + 1) if e != ge]
-            pool += [(s, ge) for s in range(bisect_left(last, ge, gs + 1, ge + 1), ge + 1)]
-            pool = [c for c in pool if c not in used]
+            # the unused feasible spans sharing one boundary with (gs, ge), in sorted
+            # order: (s, ge) for s < gs, (gs, e) for e != ge, then (s, ge) for gs < s <= ge
+            a, b = bisect_left(last, ge, 1, gs), bisect_left(last, ge, gs + 1, ge + 1)
+            pool = [(s, ge) for s in range(a, gs) if (s, ge) not in used]
+            pool += [(gs, e) for e in range(gs, last[gs] + 1) if e != ge and (gs, e) not in used]
+            pool += [(s, ge) for s in range(b, ge + 1) if (s, ge) not in used]
             chosen = rng.sample(pool, min(negatives_per_positive, len(pool)))
             used.update(chosen)
             if len(chosen) < negatives_per_positive:
@@ -112,34 +113,35 @@ def export_candidates(
                 )
                 used.update(extra)
                 chosen += extra
-            for s, e in chosen:
-                examples.append(_example(sentence, s, e, 0))
+            examples += [_example(sentence, s, e, 0) for s, e in chosen]
     rng.shuffle(examples)
     return examples
 
 
-_TSV_HEADER = "sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel"
+_TSV_HEADER = "\t".join(CandidateExample._fields)
+_TSV_ROW = "\t".join(["%s"] * len(CandidateExample._fields)) + "\n"
 
 
 def candidates_to_tsv(examples: list[CandidateExample]) -> str:
     """Serialize examples as UTF-8 TSV with a header line.
 
-    Raises ValueError naming a sentence whose id or text holds a tab or a
-    line break: its rows would not read back as six fields.  A candidate's
-    text is a slice of its sentence's, so checking the sentence covers it.
+    Raises ValueError naming the first sentence id, sentence text or
+    candidate that holds a tab or a line break: its row would not read back
+    as six fields.
     """
-    for sentence_id, text in dict.fromkeys((ex.sentence_id, ex.sentence_text) for ex in examples):
-        if "\t" in sentence_id or "\n" in sentence_id or "\r" in sentence_id:
-            raise ValueError(f"sentence id {sentence_id!r} holds a tab or a line break")
-        if "\t" in text or "\n" in text or "\r" in text:
-            raise ValueError(f"sentence {sentence_id!r}: its text holds a tab or a line break")
-    lines = [_TSV_HEADER]
-    for ex in examples:
-        lines.append(
-            f"{ex.sentence_id}\t{ex.sentence_text}\t{ex.start}\t{ex.end}"
-            f"\t{ex.candidate_text}\t{ex.label}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = len(examples)
+    text = f"{_TSV_HEADER}\n" + (_TSV_ROW * rows) % tuple(chain.from_iterable(examples))
+    if text.count("\t") != 5 * (rows + 1) or text.count("\n") != rows + 1 or "\r" in text:
+        for ex in examples:  # only now walk the records, to name the first bad one
+            sid, bad = ex.sentence_id, [any(c in "%s" % (f,) for c in "\t\n\r") for f in ex]
+            if bad[0]:
+                raise ValueError(f"sentence id {sid!r} holds a tab or a line break")
+            if bad[1]:
+                raise ValueError(f"sentence {sid!r}: its text holds a tab or a line break")
+            if any(bad):
+                raise ValueError(f"sentence {sid!r}: candidate ({ex.start!r}, {ex.end!r}) "
+                                 "holds a tab or a line break")
+    return text
 
 
 def finetune_manifest(

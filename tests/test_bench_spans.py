@@ -154,3 +154,25 @@ def test_every_command_reaches_its_traced_readers_once(
     readers = ("config.load_config", "scoring.read_weights", "dataset.load_scores")
     names = [s["name"] for s in recorder.spans if s["name"] in readers]
     assert sorted(names) == sorted(filter(None, ["config.load_config", reader]))
+
+
+def test_export_cli_reaches_both_export_layers_once(tmp_path, capsys):
+    # bench/harness.py reads both layers' self times by name on every traced
+    # pass, so a CLI that routed around either would crash a --trace 1 run
+    spans = _spans_module()
+    recorder = spans.Recorder()
+    conllu = resources.files("rhesis").joinpath("data", "fixture.conllu")
+    gold = resources.files("rhesis").joinpath("data", "fixture.rhz")
+    out = tmp_path / "cand.tsv"
+    with resources.as_file(conllu) as conllu_path, resources.as_file(gold) as gold_path:
+        with spans.traced_cli(recorder):
+            code = main(["export-dataset", "--conllu", str(conllu_path), "--gold", str(gold_path),
+                         "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    names = [s["name"] for s in recorder.spans]
+    assert names.count("dataset.export_candidates") == 1
+    assert names.count("dataset.candidates_to_tsv") == 1
+    rows = len(out.read_text(encoding="utf-8").splitlines()) - 1
+    assert rows > 0
+    assert spans.totals(recorder.spans, "dataset.export_candidates", "candidates") == rows

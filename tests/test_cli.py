@@ -802,3 +802,37 @@ def test_fixture_tree_segment_is_byte_identical(setting, digest, tmp_path, capsy
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the `export-dataset` TSV followed by its manifest on the bundled
+# fixture and gold, per setting.  export-dataset has no --span option, so the
+# span 20 setting comes from a config file; with 9 negatives per positive it
+# runs some one-boundary pools dry and draws from the fallback pool.
+_PINNED_EXPORTS = [
+    ([], None, "2f934bb8c5363b3c2b24738df030d92abb72f9ad4b7cbeec0c64300c56a42acb"),
+    (["--negatives", "0"], None,
+     "3e7961aca5d294691a1768f3090e9b9fb8a146d989f7bfe0b2ce23d5aec6fce4"),
+    (["--negatives", "9", "--seed", "3"], "[span]\nmax_chars = 20\n",
+     "61f09f4e219d182016ed44065be24cbb53663ad91177d69acbd85d40a2093e6d"),
+    ([], "[span]\nmax_chars = 6\ntarget_chars = 3\ncount_mode = words\n",
+     "7ba36940401a659106dc4e1981d1900336c2289052b2051f197b02a64f3fbf12"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, digest", _PINNED_EXPORTS, ids=["default", "none", "span20", "words6"]
+)
+def test_fixture_export_is_byte_identical(argv, config, digest, tmp_path, capsys):
+    out = tmp_path / "candidates.tsv"
+    if config is not None:
+        (tmp_path / "span.ini").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "span.ini")]
+    data = resources.files("rhesis").joinpath("data")
+    with resources.as_file(data.joinpath("fixture.conllu")) as conllu, \
+            resources.as_file(data.joinpath("fixture.rhz")) as gold:
+        code = main(["export-dataset", "--conllu", str(conllu), "--gold", str(gold),
+                     *argv, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    written = out.read_bytes() + (tmp_path / "candidates.tsv.manifest.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest

@@ -1,10 +1,14 @@
 """Tests for classifier candidate export and score-driven segmentation."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhesis import (
     AlignedCorpus,
@@ -145,6 +149,103 @@ class TestCandidatesToTsv:
         examples = export_candidates(_corpus((sentence, (1,))), 1, seed=0, span=WIDE)
         with pytest.raises(ValueError, match="sentence 's1': its text holds a tab"):
             candidates_to_tsv(examples)
+
+    @pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\rb", "ab\r"])
+    def test_a_break_in_a_candidate_text_is_refused(self, text):
+        good = CandidateExample("s0", "x y", 1, 2, "x y", 1)
+        bad = CandidateExample("s1", "a b", 1, 2, text, 0)
+        with pytest.raises(ValueError, match=r"sentence 's1': candidate \(1, 2\) holds a tab"):
+            candidates_to_tsv([good, bad, good])
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(("1\t2", 2, 0), r"\('1\\t2', 2\)"), ((1, "2\n", 0), r"\(1, '2\\n'\)"),
+         ((1, 2, "0\r"), r"\(1, 2\)")],
+        ids=["start", "end", "label"],
+    )
+    def test_a_break_in_a_number_field_is_refused(self, bad, named):
+        start, end, label = bad
+        record = CandidateExample("s1", "a b", start, end, "a b", label)
+        with pytest.raises(ValueError, match=rf"sentence 's1': candidate {named} holds"):
+            candidates_to_tsv([record])
+
+    def test_the_first_bad_record_is_named(self):
+        examples = [
+            CandidateExample("s1", "a b", 1, 2, "a b", 1),
+            CandidateExample("s2", "c\td", 1, 1, "c", 0),
+            CandidateExample("s\n3", "e f", 1, 1, "e", 0),
+        ]
+        with pytest.raises(ValueError, match="sentence 's2': its text holds a tab"):
+            candidates_to_tsv(examples)
+        with pytest.raises(ValueError, match=r"sentence id 's\\n3' holds a tab"):
+            candidates_to_tsv(examples[::-1])
+
+
+def _f_string_tsv(examples):
+    """candidates_to_tsv as first written: one f-string per row."""
+    lines = ["sentence_id\tsentence_text\tstart\tend\tcandidate_text\tlabel"]
+    for ex in examples:
+        lines.append(
+            f"{ex.sentence_id}\t{ex.sentence_text}\t{ex.start}\t{ex.end}"
+            f"\t{ex.candidate_text}\t{ex.label}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+FIELD_TEXT = st.text(
+    alphabet=st.sampled_from("%s{}%%{0}é中😀\\ ") | st.characters(
+        blacklist_categories=("Cs",), blacklist_characters="\t\n\r"
+    ),
+    max_size=12,
+)
+RECORDS = st.builds(
+    CandidateExample, FIELD_TEXT, FIELD_TEXT, st.integers(-5, 10**6), st.integers(-5, 10**6),
+    FIELD_TEXT, st.integers(0, 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RECORDS, max_size=8))
+def test_tsv_equals_the_f_string_rows(examples):
+    assert candidates_to_tsv(examples) == _f_string_tsv(examples)
+
+
+class TestCandidateExample:
+    EX = CandidateExample("s1", "aa bb", 1, 2, "aa bb", 1)
+
+    def test_keyword_and_positional_construction_agree(self):
+        keyword = CandidateExample(
+            sentence_id="s1", sentence_text="aa bb", start=1, end=2,
+            candidate_text="aa bb", label=1,
+        )
+        assert keyword == self.EX
+        assert (keyword.sentence_id, keyword.start, keyword.label) == ("s1", 1, 1)
+
+    def test_fields_are_the_tsv_columns_in_order(self):
+        header = candidates_to_tsv([]).rstrip("\n").split("\t")
+        assert list(CandidateExample._fields) == header
+
+    def test_a_field_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.EX.label = 0
+        assert self.EX.label == 1
+
+    def test_equality_and_hash_by_value(self):
+        twin = CandidateExample(*self.EX)
+        assert twin == self.EX and twin is not self.EX
+        assert hash(twin) == hash(self.EX)
+        assert twin != self.EX._replace(label=0)
+        assert self.EX == ("s1", "aa bb", 1, 2, "aa bb", 1)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda ex: pickle.loads(pickle.dumps(ex))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_round_trips(self, round_trip):
+        again = round_trip(self.EX)
+        assert type(again) is CandidateExample
+        assert again == self.EX
 
 
 class TestFinetuneManifest:
