@@ -12,11 +12,14 @@ generational GA — elitism, tournament selection, uniform crossover, additive
 Gaussian mutation — driven by one seeded generator, so runs are fully
 reproducible.
 
-Each generation's new, distinct genomes are scored in one batch: numpy runs
-``_dp.best_cuts`` on every (genome, sentence) pair at once, and the result
-equals one ``scoring._optimal_cuts`` per pair bit for bit.  The blocks are
-position-major, genomes on the last axis, so each step of the recurrence
-reads one leading slice of every array.  The equality rests on four facts.
+Each generation's new, distinct genomes are scored in one batch, a matrix
+of genome vectors: numpy runs ``_dp.best_cuts`` on every (genome, sentence)
+pair at once, and the result equals one ``scoring._optimal_cuts`` per pair
+bit for bit.  A vector is decoded to ``ScoringWeights`` only for the scalar
+fallback below.  The blocks are position-major, genomes on the last axis.
+Each block plans its steps once, and each step of the recurrence reads a
+forward window of the suffix rows, kept in reverse position order, on the
+leading lanes: the sentences still running.  The equality rests on four facts.
 The float terms are computed in ``cut_score``'s operand order
 (``w_dep * weight - w_depth * depth - w_cross * crossings - w_count``) and
 the balance term's (``-w_balance * |measure - target|``), so each is the same
@@ -145,16 +148,24 @@ class _Block:
     ``_NONE`` if segment ``a..a + k`` is inadmissible; it indexes the balance
     terms directly.  ``offset[p, k, s, 0]`` is ``_SEG`` plus ``k << 20`` plus
     1 if the segment is a gold span.
+
+    ``steps`` is the recurrence's plan, built once and replayed for every
+    batch: per position ``p``, the row ``r = n_max - p`` where ``tallies``
+    reads, ``run``, the count of sentences still running, and the views
+    ``measure[p, :w, :run]`` and ``offset[p, :w, :run]``, where
+    ``w = min(p + 1, width)`` counts the segment lengths that both the
+    suffix and the block's width allow.
     """
 
-    __slots__ = ("items", "n", "running", "dep", "depth", "cross", "measure", "offset")
+    __slots__ = ("items", "n", "running", "steps", "dep", "depth", "cross", "measure", "offset")
 
     def __init__(self, items, label_id: dict[str, int]):
         import numpy as np
         self.items = items
         self.n = np.array([struct.n for struct, _ in items])
         n_max, lanes = int(self.n[0]), len(items)
-        self.running = [int(np.count_nonzero(self.n > p)) for p in range(n_max)]
+        a = np.arange(n_max + 1)[:, None]  # every start, and every k below the width
+        self.running = (self.n > a[:-1]).sum(axis=1).tolist()
         self.dep = np.zeros((n_max, lanes), dtype=np.intp)
         self.depth, self.cross = np.zeros((2, n_max, lanes))
         hi, lo, last = np.zeros((3, n_max + 1, lanes), dtype=np.int64)
@@ -167,7 +178,6 @@ class _Block:
             self.cross[cuts, s] = [c - 1 for c in reversed(crossings)]
             hi[starts, s], lo[starts, s], last[starts, s] = struct.hi, struct.lo, struct.fit_end
             gold += [(struct.n - a, b - a, s) for a, b in gold_spans]
-        a = np.arange(n_max + 1)[:, None]  # every start, and every k below the width
         np.maximum(last, a, out=last)  # an oversized token stands alone
         width = int((last - a).max()) + 1
         starts = (self.n - a[:-1]).clip(0)  # starts[p, s]; 0 once sentence s has ended
@@ -179,6 +189,10 @@ class _Block:
         self.offset = np.broadcast_to(a[:width, None] * _K + _SEG, (*admissible.shape, 1)).copy()
         gold = np.array(gold, dtype=np.intp).reshape(-1, 3)
         self.offset[tuple(gold[gold[:, 1] < width].T)] += 1  # an inadmissible one is never chosen
+        self.steps = [  # a slice past the width stops at it
+            (p, n_max - p, run, self.measure[p, : p + 1, :run], self.offset[p, : p + 1, :run])
+            for p, run in enumerate(self.running)
+        ]
 
     def tallies(self, cut: np.ndarray, balance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per genome, the rhesis count and the gold matches of the optimal segmentations.
@@ -187,26 +201,31 @@ class _Block:
         and balance terms, ``m`` a measure; the last row of ``balance`` is
         ``_OUT``, which every ``_NONE`` clips to.  The recurrence is
         ``_dp.best_cuts`` run on every (sentence, genome) lane at once.
-        ``tail[p + 1]`` is the cut before ``a`` plus the best score of
-        ``a..n``, and ``state[p + 1]`` packs the segments and gold matches of
-        that cover.  A candidate wins on the higher score, then on the
-        smaller packed key (fewer segments, then the smaller end).
+        ``tail`` and ``state`` hold one row per suffix in reverse position
+        order: row ``n_max - i`` is the suffix from ``a = n - i + 1``, so
+        row ``n_max`` is the empty one.  ``tail[n_max - i]`` is the cut
+        before that suffix plus its best score, and ``state[n_max - i]``
+        packs the segments and gold matches of that cover.  Step ``p`` (start
+        ``n - p``) reads the suffixes after its ``w`` candidate segments,
+        the forward window ``r .. r + w - 1`` of its plan, and writes row
+        ``r - 1``.  A candidate wins on the higher score, then on the
+        smaller packed key (fewer segments, then the smaller end): one
+        reduction of the keys where the score is the best, from ``_LAST``.
         """
         import numpy as np
         n_max, lanes, genomes = cut.shape
         tail = np.zeros((n_max + 1, lanes, genomes), dtype=np.int64)
         state = np.zeros_like(tail)
-        for p, run in enumerate(self.running):
-            w = min(p + 1, self.measure.shape[1])
-            ends = slice(p, p - w if p >= w else None, -1)  # k = 0..w-1 reads p - k
-            scores = balance.take(self.measure[p, :w, :run], axis=0, mode="clip")
-            scores += tail[ends, :run]
+        for p, r, run, measure, offset in self.steps:
+            window = slice(r, r + len(measure))
+            scores = balance.take(measure, axis=0, mode="clip")
+            scores += tail[window, :run]
             best = np.maximum.reduce(scores)
-            keys = state[ends, :run] + self.offset[p, :w, :run]
-            keys[scores != best] = _LAST
-            np.add(cut[p, :run], best, out=tail[p + 1, :run])
-            np.bitwise_and(np.minimum.reduce(keys), _KEEP, out=state[p + 1, :run])
-        final = state[self.n, np.arange(lanes)]
+            keys = state[window, :run] + offset
+            np.add(cut[p, :run], best, out=tail[r - 1, :run])
+            keys = np.minimum.reduce(keys, where=scores == best, initial=_LAST)
+            np.bitwise_and(keys, _KEEP, out=state[r - 1, :run])
+        final = state[n_max - self.n, np.arange(lanes)]
         return (final >> 40).sum(axis=0), (final & (_K - 1)).sum(axis=0)
 
 
@@ -240,15 +259,24 @@ class _FitnessContext:
     def evaluate_batch(self, batch: Sequence[ScoringWeights]) -> list[float]:
         """The fitness of each weight set, equal to one ``_optimal_cuts`` per sentence."""
         import numpy as np
-        if not batch:
-            return []
+        genes = np.array(
+            [[getattr(w, name) for name in SCALAR_ORDER] + list(map(w.lookup, self.labels))
+             for w in batch],
+            dtype=float,
+        )
+        return self._evaluate_genes(genes)
 
-        scalar = {name: np.array([getattr(w, name) for w in batch]) for name in SCALAR_ORDER}
-        table = np.array([list(map(w.lookup, self.labels)) for w in batch]).T.copy()
+    def _evaluate_genes(self, genes: np.ndarray) -> list[float]:
+        """The fitness of each row of ``genes``, a genome vector in range (see ``_clamped``)."""
+        import numpy as np
+        if not len(genes):
+            return []
+        scalar = dict(zip(SCALAR_ORDER, genes.T))
+        table = genes[:, len(SCALAR_ORDER) :].T.copy()
         balance = np.rint(-scalar["w_balance"] * self.distance[:, None] * SCALE)
-        terms = np.concatenate([balance.astype(np.int64), np.full((1, len(batch)), _OUT)])
-        matched = np.zeros(len(batch), dtype=np.int64)
-        total = np.zeros(len(batch), dtype=np.int64)
+        terms = np.concatenate([balance.astype(np.int64), np.full((1, len(genes)), _OUT)])
+        matched = np.zeros(len(genes), dtype=np.int64)
+        total = np.zeros(len(genes), dtype=np.int64)
         for block in self.blocks:
             cut = np.rint(
                 (
@@ -266,14 +294,15 @@ class _FitnessContext:
             if max(np.abs(cut).max(), np.abs(balance).max()) * 4 * n_max < 2.0**62 and n_max < _K:
                 count, hits = block.tallies(cut.astype(np.int64), terms)
             else:
-                count, hits = self._scalar_tallies(block, batch)
+                count, hits = self._scalar_tallies(block, genes)
             total += count
             matched += hits
         return [self._score(int(m), int(t)) for m, t in zip(matched, total)]
 
-    @staticmethod
-    def _scalar_tallies(block: _Block, batch: Sequence[ScoringWeights]):
+    def _scalar_tallies(self, block: _Block, genes: np.ndarray):
+        """``tallies`` by one ``_optimal_cuts`` per (sentence, genome): each row decoded here."""
         import numpy as np
+        batch = [_genome_from_vector(self.labels, row).decode() for row in genes]
         matched, count, _ = np.array([
             _matches((_spans_from_cuts(_optimal_cuts(s, w), s.n), gold) for s, gold in block.items)
             for w in batch
@@ -346,12 +375,12 @@ def evolve(
     memo: dict[bytes, float] = {}
 
     def evaluate_all(pop: list[np.ndarray]) -> list[float]:
-        fresh: dict[bytes, ScoringWeights] = {}
+        fresh: dict[bytes, np.ndarray] = {}
         for vec in pop:
             key = vec.tobytes()
-            if key not in memo and key not in fresh:
-                fresh[key] = _genome_from_vector(labels, vec).decode()
-        memo.update(zip(fresh, context.evaluate_batch(list(fresh.values()))))
+            if key not in memo:
+                fresh.setdefault(key, vec)
+        memo.update(zip(fresh, context._evaluate_genes(np.array(list(fresh.values())))))
         return [memo[vec.tobytes()] for vec in pop]
 
     best_fit, best_vec, trace = float("-inf"), population[0], []

@@ -21,6 +21,7 @@ from rhesis import (
     CUT_LEVELS,
     CascadeConfig,
     EvoConfig,
+    Genome,
     ScoreTable,
     ScoringWeights,
     SpanConfig,
@@ -444,13 +445,13 @@ def test_evolve_evaluates_each_distinct_genome_once(monkeypatch):
     cfg = EvoConfig(population=6, generations=4, elitism=2, mutation_rate=0.1, seed=5)
     span = SpanConfig(max_chars=20, target_chars=10)
     seen = []
-    original = _FitnessContext.evaluate_batch
+    original = _FitnessContext._evaluate_genes
 
-    def counting(self, batch):
-        seen.extend(repr(weights) for weights in batch)
-        return original(self, batch)
+    def counting(self, genes):
+        seen.extend(row.tobytes() for row in genes)
+        return original(self, genes)
 
-    monkeypatch.setattr(_FitnessContext, "evaluate_batch", counting)
+    monkeypatch.setattr(_FitnessContext, "_evaluate_genes", counting)
     evolve(corpus, cfg, span)
     assert seen
     assert len(seen) == len(set(seen))
@@ -630,3 +631,92 @@ def test_int64_guard_falls_back_to_the_scalar_dp(monkeypatch):
 
     monkeypatch.setattr(_Block, "tallies", refused)
     assert context.evaluate_batch(batch) == expected
+
+
+@pytest.mark.parametrize("span", _LONG_SPANS, ids=["chars45", "chars10", "words6"])
+def test_batched_fitness_breaks_ties_as_the_scalar_dp(span, monkeypatch):
+    # integer weights and no balance term tie many covers on score, the all-zero genome
+    # ties all of them; lengths 1..100 share one block, so the short windows of the first
+    # steps and the masked reduction both run on it
+    rng = random.Random(31)
+    sentences = [random_sentence(rng, n, n, sent_id=f"z{n}") for n in range(1, 101, 3)]
+    batch = [ScoringWeights(w_dep=0.0)] + [
+        ScoringWeights(
+            w_dep=rng.choice([1, 2]), w_count=rng.choice([0, 1]), w_balance=0,
+            w_depth=rng.choice([0, 1]), w_cross=rng.choice([0, 1]),
+            deprel_weights={d: rng.choice([-1, 0, 1]) for d in DEPRELS},
+        )
+        for _ in range(7)
+    ]
+    golds = [
+        segmentation_from_cuts(s, _optimal_cuts(_Structure(s, span), batch[k % len(batch)]))
+        if k % 2 else random_segmentation(rng, s)
+        for k, s in enumerate(sentences)
+    ]
+    context = _FitnessContext(corpus_from_golds(sentences, golds), span, "f1")
+    (block,) = context.blocks
+    assert block.running[0] == len(sentences) and block.measure.shape[1] > 1
+    expected = [_scalar_fitness(context, w) for w in batch]
+
+    def refused(*args):
+        raise AssertionError("the int64 guard sent the block to the scalar DP")
+
+    monkeypatch.setattr(_FitnessContext, "_scalar_tallies", refused)
+    assert context.evaluate_batch(batch) == expected
+
+
+def test_a_gene_row_past_the_int64_guard_is_decoded_for_the_scalar_dp(monkeypatch):
+    import numpy as np
+
+    rng = random.Random(6)
+    sentences = [random_sentence(rng, 2, 20, sent_id=f"d{k}") for k in range(6)]
+    corpus = corpus_from_golds(sentences, [random_segmentation(rng, s) for s in sentences])
+    context = _FitnessContext(corpus, SpanConfig(max_chars=25, target_chars=10), "precision")
+    genes = np.array([
+        [rng.random() for _ in scoring._SCALAR_FIELDS] + [rng.uniform(-1, 1) for _ in context.labels]
+        for _ in range(3)
+    ])
+    decoded = []
+    decode = Genome.decode
+
+    def counting(genome):
+        decoded.append(genome.values)
+        return decode(genome)
+
+    monkeypatch.setattr(Genome, "decode", counting)
+    expected = [_scalar_fitness(context, decode(Genome(context.labels, tuple(row)))) for row in genes]
+    assert context._evaluate_genes(genes) == expected
+    assert decoded == []  # the batched DP reads the rows as they are
+
+    genes[1, 0] = 1e9  # w_dep: this row alone sends the block to the scalar DP
+    expected = [_scalar_fitness(context, decode(Genome(context.labels, tuple(row)))) for row in genes]
+
+    def refused(*args):
+        raise AssertionError("the int64 guard let the batched DP run")
+
+    monkeypatch.setattr(_Block, "tallies", refused)
+    assert context._evaluate_genes(genes) == expected
+    assert decoded == [tuple(row) for row in genes]
+
+
+def test_a_full_block_of_long_sentences_keeps_its_peak_memory():
+    # one population-40 batch on 64 sentences of 100-120 tokens: the per-step temporaries
+    # stay (width, running, genomes), so the peak is set by the cut terms and the DP rows
+    import tracemalloc
+
+    rng = random.Random(40)
+    sentences = [random_sentence(rng, 100, 120, sent_id=f"p{k}") for k in range(64)]
+    corpus = corpus_from_golds(sentences, [random_segmentation(rng, s) for s in sentences])
+    context = _FitnessContext(corpus, SpanConfig(), "precision")
+    assert len(context.blocks) == 1
+    batch = _population(rng, EvoConfig().population)
+    context.evaluate_batch(batch)  # first-call allocations are not the DP's
+    tracemalloc.start()
+    try:
+        context.evaluate_batch(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-step slicing DP that the step plan replaced peaked at 10,918,880 bytes here
+    # (numpy 2.4, CPython 3.11); the plan's views add no temporaries
+    assert peak <= 10_918_880 * 1.1
