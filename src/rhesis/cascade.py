@@ -220,20 +220,17 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
     current one while the merged text fits the span; never merges across a
     sentence-final punctuation mark (., !, ?).  Each merge is decided by the
     sentence index: ``hi[end] - lo[start]`` is ``text_measure`` of the merged text.
-    Raises ValueError unless ``seg`` is a tiling of ``sentence`` under its id.
+    A segmentation tiles its own sentence, so ``seg`` need only be of
+    ``sentence``: ValueError unless its sentence is ``sentence`` or equals it.
     """
-    if seg.sentence_id != sentence.sent_id:
+    if seg._sentence is not sentence and seg._sentence != sentence:
         raise ValueError(f"segmentation of {seg.sentence_id!r} given for {sentence.sent_id!r}")
-    if not 0 < seg.token_count <= len(sentence):
-        raise ValueError(f"segmentation runs to token {seg.token_count} of {len(sentence)}")
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units
     merged: list[tuple[int, int]] = []
     spans = seg.spans()
     cur_start, cur_end = spans[0]
     for start, end in spans[1:]:
-        if not cur_end + 1 == start <= end:
-            raise ValueError(f"spans do not tile the sentence at ({start}, {end})")
         last = cur_end - 1
         blocked = sentence.upos[last] == "PUNCT" and sentence.forms[last] in _FINAL_PUNCTUATION
         if not blocked and hi[end] - lo[cur_start] <= cap:

@@ -29,11 +29,12 @@ key before ``=`` is exactly ``sent_id``.  A block is read one of three ways:
 a test goes to the per-token checks, which name the first bad token.  The
 root count and the cycle check raise directly.
 
-A ``Segmentation`` from a producer holds its sentence and each unit's last
-token; its ``Rhesis`` units, like a sentence's ``tokens``, are built on
-first read.  Gold segmentations travel in a plain text format: one rhesis
-per line, a blank line between sentences, ``#doc `` lines carrying document
-labels, and other ``#`` lines ignored as comments.
+A ``Segmentation`` holds its sentence and each unit's last token, and no
+other form; ``segmentation_from_spans`` builds one by hand.  Its ``Rhesis``
+units, like a sentence's ``tokens``, are built on first read.  Gold
+segmentations travel in a plain text format: one rhesis per line, a blank
+line between sentences, ``#doc `` lines carrying document labels, and other
+``#`` lines ignored as comments.
 """
 
 from __future__ import annotations
@@ -284,47 +285,50 @@ class Rhesis:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Segmentation:
-    """A partition of one sentence into rhesis, in order.
+    """A partition of one sentence into rhesis, in order: the sentence and
+    each unit's last token, nothing else.
 
-    ``segmentation_from_spans`` and ``segmentation_from_cuts`` (so every
-    segmenter and ``regroup``) and ``align_gold`` record the sentence,
-    ``_sentence``, and each unit's last token, ``_ends``.  ``spans()``,
-    ``cuts()`` and ``token_count`` read the ends; ``rhesis`` is built on
-    first read, each text the sentence's text over the unit, and kept, as
-    ``Sentence.tokens`` is.  A segmentation built through the constructor
-    keeps the units it is given (``_ends`` is None), and its bounds are
-    theirs.  ``_sentence`` also gives ``render_html`` the units' spacing.
-    ``==``, ``hash`` and ``repr`` read ``sentence_id`` and ``rhesis``.
+    The constructor checks nothing.  Its callers are the producers, which
+    check that their units tile the sentence: ``segmentation_from_spans``
+    (the way to build one by hand, and ``regroup``'s),
+    ``segmentation_from_cuts`` (every segmenter's) and ``align_gold``.
+    ``sentence_id`` reads the sentence, and ``spans()``, ``cuts()`` and
+    ``token_count`` read the ends.  ``rhesis`` is built on first read, each
+    text the sentence's text over the unit, and kept, as ``Sentence.tokens``
+    is.  The sentence also gives ``render_html`` the units' spacing.  ``==``,
+    ``hash`` and ``repr`` read the sentence id and each unit's start, end and
+    text, so the segmentations of two equal sentences compare equal.
     """
 
-    sentence_id: str
-    rhesis: tuple[Rhesis, ...]
-    _sentence: Sentence | None = field(default=None, repr=False, compare=False)
-    _ends: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _sentence: Sentence
+    _ends: tuple[int, ...]
+    _rhesis: tuple[Rhesis, ...] | None = field(default=None, init=False)
 
-    @classmethod
-    def _from_ends(cls, sentence: Sentence, ends: tuple[int, ...]) -> "Segmentation":
-        """The segmentation of ``sentence`` whose units end at ``ends``, units not yet built."""
-        seg = object.__new__(cls)
-        object.__setattr__(seg, "sentence_id", sentence.sent_id)
-        object.__setattr__(seg, "_sentence", sentence)
-        object.__setattr__(seg, "_ends", ends)
-        return seg
+    def __repr__(self) -> str:
+        return f"Segmentation(sentence_id={self.sentence_id!r}, rhesis={self.rhesis!r})"
 
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot: ``rhesis`` before its first read.
-        if name != "rhesis":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        units = tuple(starmap(Rhesis, self._units()))
-        object.__setattr__(self, "rhesis", units)
-        return units
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sentence_id == other.sentence_id and self._units() == other._units()
+
+    def __hash__(self) -> int:
+        return hash((self.sentence_id, *self._units()))
+
+    @property
+    def sentence_id(self) -> str:
+        return self._sentence.sent_id
+
+    @property
+    def rhesis(self) -> tuple[Rhesis, ...]:
+        if self._rhesis is None:
+            object.__setattr__(self, "_rhesis", tuple(starmap(Rhesis, self._units())))
+        return self._rhesis
 
     def _units(self) -> list[tuple[int, int, str]]:
         """``(start, end, text)`` of each unit, without building a ``Rhesis``."""
-        if self._ends is None:
-            return [(r.start, r.end, r.text) for r in self.rhesis]
         s = self._sentence
         text, starts, ends = s.text, s.starts, s.ends
         units, a = [], 1
@@ -335,20 +339,14 @@ class Segmentation:
 
     def spans(self) -> tuple[tuple[int, int], ...]:
         ends = self._ends
-        if ends is None:
-            return tuple((r.start, r.end) for r in self.rhesis)
         return tuple(zip([1, *[end + 1 for end in ends[:-1]]], ends))
 
     def cuts(self) -> tuple[int, ...]:
         """Internal boundary positions (a cut at ``i`` splits token i from i+1)."""
-        if self._ends is None:
-            return tuple(r.end for r in self.rhesis[:-1])
         return self._ends[:-1]
 
     @property
     def token_count(self) -> int:
-        if self._ends is None:
-            return self.rhesis[-1].end if self.rhesis else 0
         return self._ends[-1]
 
 
@@ -369,7 +367,7 @@ def segmentation_from_spans(sentence: Sentence, spans: Iterable[tuple[int, int]]
         expected = end + 1
     if expected != n + 1:
         raise ValueError("spans do not cover the sentence")
-    return Segmentation._from_ends(sentence, tuple(ends))
+    return Segmentation(sentence, tuple(ends))
 
 
 def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> Segmentation:
@@ -380,7 +378,7 @@ def segmentation_from_cuts(sentence: Sentence, cuts: tuple[int, ...] | list) -> 
     bounds = (0, *cuts, len(sentence))
     if not all(map(lt, bounds, bounds[1:])):
         segmentation_from_spans(sentence, zip([b + 1 for b in bounds[:-1]], bounds[1:]))
-    return Segmentation._from_ends(sentence, bounds[1:])
+    return Segmentation(sentence, bounds[1:])
 
 
 def _decoded(data: str | bytes, error: type[RhesisError]) -> str:
@@ -734,4 +732,4 @@ def _align_sentence(sentence: Sentence, lines: list[str]) -> Segmentation:
         bounds.append(tok)
     if tok != n:
         raise AlignmentError(f"sentence {sent_id!r}: gold covers {tok} of {n} tokens")
-    return Segmentation._from_ends(sentence, tuple(bounds))
+    return Segmentation(sentence, tuple(bounds))

@@ -73,10 +73,8 @@ def render_html(segs: list[Segmentation], opts: RenderOptions = RenderOptions("h
 
     The nowrap hint keeps a rendering engine from breaking a line inside a
     unit of meaning; ids (when enabled) are "<sentence_id>-r<k>" so a reader
-    can address units individually.  Units are joined by the sentence's own
-    spacing, so a joint without a space shows none; a segmentation built
-    through the ``Segmentation`` constructor knows no sentence, and its
-    units are joined by one space.
+    can address units individually.  Units are joined by the text between
+    them in the segmentation's sentence, so a joint without a space shows none.
     """
     prefix = opts.html_class_prefix
     lines = []
@@ -84,9 +82,7 @@ def render_html(segs: list[Segmentation], opts: RenderOptions = RenderOptions("h
         sentence = seg._sentence
         spans = []
         for k, (start, _, text) in enumerate(seg._units(), start=1):
-            if k > 1 and sentence is None:
-                spans.append(" ")
-            elif k > 1:  # the sentence's text between the previous unit and this one
+            if k > 1:  # the sentence's text between the previous unit and this one
                 joint = slice(sentence.ends[start - 2], sentence.starts[start - 1])
                 spans.append(sentence.text[joint])
             ident = f' id="{_escape(seg.sentence_id)}-r{k}"' if opts.include_ids else ""

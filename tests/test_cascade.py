@@ -14,8 +14,6 @@ from rhesis import (
     CascadeConfig,
     CutLevel,
     OversizedTokenWarning,
-    Rhesis,
-    Segmentation,
     Sentence,
     SpanConfig,
     Token,
@@ -319,39 +317,47 @@ class TestRegroup:
         ids=["last-merge", "single", "first", "middle"],
     )
     def test_units_past_the_last_token_raise_value_error(self, spans):
-        rows = [(f"m{i}", "X", 0 if i == 1 else 1, "dep", True) for i in range(1, 7)]
-        sent = _sent("six", rows)
-        foreign = Segmentation("six", tuple(Rhesis(a, b, "x") for a, b in spans))
-        with pytest.raises(ValueError):
-            regroup(sent, foreign, CFG)
+        # a longer sentence under the same id: its units run past the sixth token
+        rows = [(f"m{i}", "X", 0 if i == 1 else 1, "dep", True) for i in range(1, 10)]
+        sent = _sent("six", rows[:6])
+        longer = segmentation_from_spans(_sent("six", rows[: spans[-1][1]]), spans)
+        with pytest.raises(ValueError, match="segmentation of 'six' given for 'six'"):
+            regroup(sent, longer, CFG)
+
+    @staticmethod
+    def _fixture_sentence():
+        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
+        return parse_conllu(fixture.read_bytes())[0]
 
     @pytest.mark.parametrize(
-        "sent_id, spans, match",
+        "sent_id, change, match",
         [
-            ("conte1-s01", [(1, 2), (4, 9)], r"do not tile the sentence at \(4, 9\)"),
-            ("conte1-s01", [(1, 2), (2, 9)], r"do not tile the sentence at \(2, 9\)"),
-            ("other", [(1, 2), (3, 9)], "segmentation of 'other' given for 'conte1-s01'"),
+            ("other", None, "segmentation of 'other' given for 'conte1-s01'"),
+            ("conte1-s01", "form", "segmentation of 'conte1-s01' given for 'conte1-s01'"),
+            ("conte1-s01", "drop", "segmentation of 'conte1-s01' given for 'conte1-s01'"),
         ],
-        ids=["gap", "overlap", "foreign-id"],
+        ids=["foreign-id", "same-id-other-tokens", "same-id-fewer-tokens"],
     )
-    def test_a_segmentation_that_does_not_tile_the_sentence_raises(self, sent_id, spans, match):
-        # each of these would merge into one unit, so no later check sees the fault
-        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
-        sent = parse_conllu(fixture.read_bytes())[0]
-        seg = Segmentation(sent_id, tuple(Rhesis(a, b, sent.span_text(a, b)) for a, b in spans))
+    def test_a_segmentation_that_does_not_tile_the_sentence_raises(self, sent_id, change, match):
+        sent = self._fixture_sentence()
+        tokens = list(sent.tokens)
+        if change == "form":
+            tokens[0] = dataclasses.replace(tokens[0], form="autre")
+        elif change == "drop":
+            tokens.pop()  # the final full stop
+        seg = segmentation_from_spans(
+            Sentence.from_tokens(sent_id, tokens), [(1, 2), (3, len(tokens))]
+        )
         with pytest.raises(ValueError, match=match):
             regroup(sent, seg, CFG)
 
-    @pytest.mark.parametrize("sent_id, match", [
-        ("conte1-s01", "runs to token 0 of"),
-        ("other", "segmentation of 'other' given for 'conte1-s01'"),
-    ], ids=["own-id", "foreign-id"])
-    def test_an_empty_segmentation_raises(self, sent_id, match):
-        # every sentence has a token, so no empty segmentation tiles one
-        fixture = resources.files("rhesis").joinpath("data", "fixture.conllu")
-        sent = parse_conllu(fixture.read_bytes())[0]
-        with pytest.raises(ValueError, match=match):
-            regroup(sent, Segmentation(sent_id, ()), CFG)
+    def test_a_segmentation_of_an_equal_sentence_is_accepted(self):
+        sent, twin = self._fixture_sentence(), self._fixture_sentence()
+        assert sent is not twin and sent == twin
+        pieces = [(1, 2), (3, 5), (6, len(sent))]
+        own = regroup(sent, segmentation_from_spans(sent, pieces), CFG)
+        grouped = regroup(sent, segmentation_from_spans(twin, pieces), CFG)
+        assert grouped == own and grouped._sentence is sent
 
     def test_idempotent_on_random_cascade_output(self):
         rng = random.Random(5150)

@@ -1,12 +1,14 @@
-"""A segmentation built by a producer records its sentence and its unit ends;
-its ``Rhesis`` units are built on the first read of ``rhesis``.
+"""A segmentation records its sentence and each unit's last token; its
+``Rhesis`` units are built on the first read of ``rhesis``.
 
-Lazy and eager segmentations of the same units are interchangeable: equal
-both ways, with one ``hash`` and ``repr``, the same bounds before and after
-the units are built, and the same ``copy``, ``deepcopy`` and ``pickle``
-round trips.  The paths that need only bounds or texts (the cascade pair,
-both DPs, gold alignment, the report, ``length_stats`` and the renderers)
-build no unit at all.
+Every producer's segmentation has the oracle's units: the sentence id, and
+each span's bounds and its text sliced from the sentence.  It equals the same
+producer's segmentation of a separately built, equal sentence, both ways,
+with one ``hash`` and ``repr``, before and after units are read (lazy, then
+eager), and keeps the same bounds throughout.  ``copy``, ``deepcopy`` and
+``pickle`` give an equal segmentation.  The paths that need only bounds or
+texts (the cascade pair, both DPs, gold alignment, the report,
+``length_stats`` and the renderers) build no unit at all.
 """
 
 import copy
@@ -23,7 +25,6 @@ from hypothesis import strategies as st
 import rhesis.corpus
 from rhesis import (
     CascadeConfig,
-    Rhesis,
     ScoreTable,
     ScoringWeights,
     Segmentation,
@@ -60,26 +61,31 @@ SPACING = Sentence.from_tokens("sp", [
 ])
 
 
-def _eager(sentence: Sentence, spans) -> Segmentation:
-    return Segmentation(
-        sentence.sent_id, tuple(Rhesis(a, b, sentence.span_text(a, b)) for a, b in spans)
-    )
-
-
 def _bounds(seg: Segmentation):
     return seg.spans(), seg.cuts(), seg.token_count
 
 
-def _assert_lazy_equals_eager(lazy: Segmentation, sentence: Sentence, spans) -> None:
-    """``lazy`` has ``spans`` and equals their eager segmentation, before and after its units."""
-    eager = _eager(sentence, spans)
-    before = _bounds(lazy)
-    assert before == _bounds(eager)
-    assert lazy == eager and eager == lazy
-    assert hash(lazy) == hash(eager)
-    assert repr(lazy) == repr(eager)
-    assert lazy.rhesis == eager.rhesis
-    assert _bounds(lazy) == before
+def _oracle(sentence: Sentence, spans):
+    """The sentence id and each span's ``(start, end, text)``, sliced from the sentence."""
+    return sentence.sent_id, [(a, b, sentence.span_text(a, b)) for a, b in spans]
+
+
+def _assert_one_segmentation(seg: Segmentation, twin: Segmentation, sentence: Sentence, spans):
+    """``seg`` has the oracle's units for ``spans`` and equals ``twin``, the same
+    producer's segmentation of an equal sentence, before and after either's units."""
+    assert seg._sentence is not twin._sentence
+    before = _bounds(seg)
+    assert before[0] == tuple(spans)
+    assert _bounds(twin) == before
+    assert seg == twin and twin == seg
+    assert hash(seg) == hash(twin)
+    assert twin.rhesis  # eager twin, lazy seg
+    assert seg == twin and twin == seg
+    assert hash(seg) == hash(twin)
+    assert repr(seg) == repr(twin)
+    units = [(r.start, r.end, r.text) for r in seg.rhesis]
+    assert (seg.sentence_id, units) == _oracle(sentence, spans)
+    assert _bounds(seg) == before and _bounds(twin) == before
 
 
 # --- copy, deepcopy, pickle and assignment
@@ -92,25 +98,30 @@ _ROUND_TRIPS = {
 }
 
 
+def _segmentation(cuts, kind: str) -> Segmentation:
+    """A segmentation of ``SPACING`` whose units were read (eager) or not (lazy)."""
+    seg = segmentation_from_cuts(SPACING, cuts)
+    if kind == "eager":
+        seg.rhesis
+    return seg
+
+
 @pytest.mark.parametrize("how", sorted(_ROUND_TRIPS))
 @pytest.mark.parametrize("kind", ["lazy", "eager"])
 def test_a_segmentation_round_trips_to_an_equal_one(how, kind):
-    lazy = segmentation_from_cuts(SPACING, (2,))
-    seg = lazy if kind == "lazy" else _eager(SPACING, lazy.spans())
+    seg = _segmentation((2,), kind)
     html = render_html([segmentation_from_cuts(SPACING, (2,))])
     back = _ROUND_TRIPS[how](seg)
     assert back == seg and seg == back
     assert hash(back) == hash(seg)
     assert _bounds(back) == _bounds(seg)
-    if kind == "lazy":
-        assert render_html([back]) == html
-        assert "dort</span><span" in html  # the sentence's spacing, not one space a joint
+    assert render_html([back]) == html
+    assert "dort</span><span" in html  # the sentence's spacing: no space after "dort"
 
 
 @pytest.mark.parametrize("kind", ["lazy", "eager"])
 def test_every_field_refuses_assignment(kind):
-    lazy = segmentation_from_cuts(SPACING, (3,))
-    seg = lazy if kind == "lazy" else _eager(SPACING, lazy.spans())
+    seg = _segmentation((3,), kind)
     for f in dataclasses.fields(Segmentation):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(seg, f.name, None)
@@ -118,9 +129,33 @@ def test_every_field_refuses_assignment(kind):
             delattr(seg, f.name)
     # Python 3.11's frozen slots dataclass raises TypeError for a name
     # that is no field; either way nothing is set.
-    with pytest.raises((dataclasses.FrozenInstanceError, TypeError, AttributeError)):
-        seg.units = ()
+    for name in ("sentence_id", "rhesis", "units"):
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError, AttributeError)):
+            setattr(seg, name, ())
     assert seg.spans() == ((1, 3), (4, 6))
+    assert seg.sentence_id == "sp" and len(seg.rhesis) == 2
+
+
+_OTHERS = {
+    "twin": (Sentence.from_tokens("sp", SPACING.tokens), (2,), True),
+    "other-id": (Sentence.from_tokens("sq", SPACING.tokens), (2,), False),
+    "other-text": (
+        Sentence.from_tokens("sp", [dataclasses.replace(SPACING.tokens[0], form="Elle"),
+                                    *SPACING.tokens[1:]]),
+        (2,),
+        False,
+    ),
+    "other-cuts": (SPACING, (3,), False),
+}
+
+
+@pytest.mark.parametrize("other", sorted(_OTHERS))
+def test_equality_reads_the_id_and_each_units_bounds_and_text(other):
+    sentence, cuts, equal = _OTHERS[other]
+    seg, that = segmentation_from_cuts(SPACING, (2,)), segmentation_from_cuts(sentence, cuts)
+    assert (seg == that, that == seg, seg != that) == (equal, equal, not equal)
+    assert (hash(seg) == hash(that)) is equal
+    assert seg != seg.spans() and seg != seg.rhesis
 
 
 def test_an_unknown_attribute_is_an_attribute_error():
@@ -130,19 +165,7 @@ def test_an_unknown_attribute_is_an_attribute_error():
     assert not hasattr(seg, "__deepcopy__")
 
 
-def test_a_constructor_built_segmentation_keeps_its_units():
-    units = (Rhesis(1, 2, "x"), Rhesis(4, 6, "y"))  # a gap, and texts not the sentence's
-    seg = Segmentation("sp", units, SPACING)
-    assert seg.rhesis is units
-    assert seg.spans() == ((1, 2), (4, 6))
-    assert seg.cuts() == (2,)
-    assert seg.token_count == 6
-    assert render_text([seg]) == "x\ny\n\n"
-    with pytest.raises(ValueError, match=r"do not tile the sentence at \(4, 6\)"):
-        regroup(SPACING, seg, CascadeConfig())
-
-
-# --- lazy equals eager, for every producer
+# --- every producer gives the oracle's units, and equal sentences equal segmentations
 
 # Forms with the characters the gold escape and HTML treat specially.
 _FORMS = st.sampled_from(
@@ -151,28 +174,30 @@ _FORMS = st.sampled_from(
 
 
 @st.composite
-def _sentences(draw):
+def _tokens(draw):
     n = draw(st.integers(1, 14))
     tree = random_sentence(random.Random(draw(st.integers(0, 2**32 - 1))), n, n, sent_id="h")
     forms = draw(st.lists(_FORMS, min_size=n, max_size=n))
     spaced = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     upos = draw(st.lists(st.sampled_from(UPOS), min_size=n, max_size=n))
-    return Sentence.from_tokens("h", [
+    return [
         dataclasses.replace(
             tok, form=form, upos=pos, misc="" if space else "SpaceAfter=No",
             deprel=tok.deprel if tok.head == 0 else draw(st.sampled_from(DEPRELS)),
         )
         for tok, form, space, pos in zip(tree.tokens, forms, spaced, upos)
-    ])
+    ]
 
 
 @st.composite
 def _tiled(draw):
-    sentence = draw(_sentences())
+    """Two separately built, equal sentences, and cuts and spans over them."""
+    tokens = draw(_tokens())
+    sentence, twin = Sentence.from_tokens("h", tokens), Sentence.from_tokens("h", tokens)
     n = len(sentence)
     cuts = tuple(sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=n - 1))))
     bounds = (0, *cuts, n)
-    return sentence, cuts, tuple(zip([b + 1 for b in bounds[:-1]], bounds[1:]))
+    return sentence, twin, cuts, tuple(zip([b + 1 for b in bounds[:-1]], bounds[1:]))
 
 
 _SPAN = st.builds(
@@ -190,7 +215,7 @@ def _loose(line: str) -> str:
 @settings(max_examples=200, deadline=None)
 @given(tiled=_tiled(), span=_SPAN, seed=st.integers(0, 2**32 - 1))
 def test_every_producer_equals_its_eager_segmentation(tiled, span, seed):
-    sentence, cuts, spans = tiled
+    sentence, twin, cuts, spans = tiled
     rng = random.Random(seed)
     cfg = CascadeConfig(span=span)
     table = ScoreTable({
@@ -202,23 +227,21 @@ def test_every_producer_equals_its_eager_segmentation(tiled, span, seed):
     weights = ScoringWeights(w_count=rng.random(), w_balance=rng.random())
     texts = [sentence.span_text(a, b) for a, b in spans]
     produced = {
-        "from_spans": lambda: segmentation_from_spans(sentence, spans),
-        "from_cuts": lambda: segmentation_from_cuts(sentence, cuts),
-        "cascade": lambda: cascade_segment(sentence, cfg),
-        "regroup": lambda: regroup(sentence, segmentation_from_spans(sentence, spans), cfg),
-        "tree": lambda: segment_best(sentence, weights, span),
-        "scores": lambda: segment_by_scores(sentence, table, span),
-        "gold": lambda: align_gold([sentence], [("", texts)]).entries[0].gold,
-        "loose gold": lambda: align_gold(
-            [sentence], [("", [_loose(t) for t in texts])]
-        ).entries[0].gold,
+        "from_spans": lambda s: segmentation_from_spans(s, spans),
+        "from_cuts": lambda s: segmentation_from_cuts(s, cuts),
+        "cascade": lambda s: cascade_segment(s, cfg),
+        "regroup": lambda s: regroup(s, segmentation_from_spans(s, spans), cfg),
+        "tree": lambda s: segment_best(s, weights, span),
+        "scores": lambda s: segment_by_scores(s, table, span),
+        "gold": lambda s: align_gold([s], [("", texts)]).entries[0].gold,
+        "loose gold": lambda s: align_gold([s], [("", [_loose(t) for t in texts])]).entries[0].gold,
     }
     for name, produce in produced.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # oversized units
-            seg = produce()
+            seg, other = produce(sentence), produce(twin)
         want = seg.spans() if name in ("cascade", "regroup", "tree", "scores") else spans
-        _assert_lazy_equals_eager(seg, sentence, want)
+        _assert_one_segmentation(seg, other, sentence, want)
 
 
 # --- the hot paths build no unit

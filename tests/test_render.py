@@ -16,7 +16,6 @@ from rhesis import (
     RenderOptions,
     ScoreTable,
     ScoringWeights,
-    Segmentation,
     Sentence,
     SpanConfig,
     Token,
@@ -161,11 +160,6 @@ class TestRenderHtml:
         html_line = render_html([segmentation_from_cuts(PLAIN, (3,))])
         assert "dort</span><span" in html_line
         assert html_line.count("</span> <span") == 0
-
-    def test_a_constructor_built_segmentation_joins_units_with_one_space(self):
-        seg = segmentation_from_cuts(PLAIN, (3,))
-        html_line = render_html([Segmentation(seg.sentence_id, seg.rhesis)])
-        assert "dort</span> <span" in html_line
 
 
 # Forms with the characters HTML escapes, an escape of its own and an inner space.

@@ -1,7 +1,8 @@
 """Rules on the package source that keep one front end per input file.
 
 ``corpus._decoded`` is the only decoder and the only code that handles line
-ends, and ``cli._named`` is the only code that installs a warning hook.
+ends, ``cli._named`` is the only code that installs a warning hook, and
+``corpus.py`` holds the only calls of the ``Segmentation`` constructor.
 """
 
 import ast
@@ -68,3 +69,14 @@ def test_the_warning_hook_is_assigned_only_in_named():
         node for text in SOURCES.values() for node in _hook_assignments(ast.parse(text))
     ]
     assert len(everywhere) == len(inside)
+
+
+def test_only_corpus_builds_a_segmentation():
+    callers = {
+        name
+        for name, text in SOURCES.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] == "Segmentation"  # bare or qualified
+    }
+    assert callers == {"corpus.py"}
