@@ -13,17 +13,21 @@ whose every segment is admissible, breaking ties toward fewer segments and
 then the lexicographically smallest cut tuple.  That order is total on
 distinct segmentations, so the optimum is unique.
 
-The caller hands over the terms as a table, not as callbacks: one row per
-start, holding the terms of the admissible segments from that start, which
-must be contiguous (``a..a`` up to some last end) and never empty.  Every
-single-token segment is therefore admissible, oversized ones included.  The
-search runs over suffixes, from the last start down to the first, so each
-step reads only finished results and the cost is O(n·w) integer additions
-for ``n`` tokens and segments of at most ``w`` tokens.
+Two loops share that order.  ``best_cuts`` takes the segment terms as a
+table, one row per start, holding the terms of the admissible segments from
+that start, which must be contiguous (``a..a`` up to some last end) and
+never empty; the scores DP builds these rows.  ``best_measured_cuts`` takes
+token offsets and one term per measure, and reads each segment's term where
+it uses it; the tree DP, whose segment term depends on the measure alone,
+runs it.  In both, every single-token segment is admissible, oversized ones
+included.  The search runs over suffixes, from the last start down to the
+first, so each step reads only finished results and the cost is O(n·w)
+integer additions for ``n`` tokens and segments of at most ``w`` tokens.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 SCALE = 1 << 40
@@ -69,6 +73,49 @@ def best_cuts(rows: Sequence[Sequence[int]], cut_terms: Sequence[int]) -> tuple[
             s = term + tail[b]
             if s > best_s or (s == best_s and count[b + 1] < best_c):
                 best_b, best_s, best_c = b, s, count[b + 1]
+        count[a] = best_c + 1
+        nxt[a] = best_b + 1
+        if a > 1:
+            tail[a - 1] = cut_terms[a - 2] + best_s
+    cuts = []
+    a = nxt[1]
+    while a <= n:
+        cuts.append(a - 1)
+        a = nxt[a]
+    return tuple(cuts)
+
+
+def best_measured_cuts(
+    hi: Sequence[int], lo: Sequence[int], terms: Sequence[int], cut_terms: Sequence[int]
+) -> tuple[int, ...]:
+    """``best_cuts`` for segment terms that depend on a segment's measure alone.
+
+    The segment ``a..b`` measures ``hi[b] - lo[a]`` (both offsets 1-based and
+    never decreasing) and scores ``terms[hi[b] - lo[a]]``; it is admissible
+    when that measure is below ``len(terms)``, or when ``a == b``, and a
+    singleton whose measure has no term scores 0.  From each start ``a`` the
+    ends ``b`` are walked upward until the first measure without a term,
+    so no row and no last end is built, and the tie rule is ``best_cuts``'s:
+    the higher score, then fewer segments, then the smallest ``b``.
+    """
+    n = len(hi) - 1
+    hi = [*hi, math.inf]  # no measure reaches past the last token
+    top = len(terms) - 1
+    count = [0] * (n + 2)
+    nxt = [0] * (n + 1)
+    tail = [0] * (n + 1)
+    for a in range(n, 0, -1):
+        base = lo[a]
+        bound, h = base + top, hi[a]
+        best_b, best_s, best_c = a, (terms[h - base] if h <= bound else 0) + tail[a], count[a + 1]
+        b = a + 1
+        h = hi[b]
+        while h <= bound:
+            s = terms[h - base] + tail[b]
+            if s > best_s or (s == best_s and count[b + 1] < best_c):
+                best_b, best_s, best_c = b, s, count[b + 1]
+            b += 1
+            h = hi[b]
         count[a] = best_c + 1
         nxt[a] = best_b + 1
         if a > 1:

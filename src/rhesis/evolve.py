@@ -13,10 +13,11 @@ Gaussian mutation — driven by one seeded generator, so runs are fully
 reproducible.
 
 Each generation's new, distinct genomes are scored in one batch, a matrix
-of genome vectors: numpy runs ``_dp.best_cuts`` on every (genome, sentence)
-pair at once, and the result equals one ``scoring._optimal_cuts`` per pair
-bit for bit.  A vector is decoded to ``ScoringWeights`` only for the scalar
-fallback below.  The blocks are position-major, genomes on the last axis.
+of genome vectors: numpy runs the tree DP's recurrence
+(``_dp.best_measured_cuts``) on every (genome, sentence) pair at once, and
+the result equals one ``scoring._optimal_cuts`` per pair bit for bit.  A
+vector is decoded to ``ScoringWeights`` only for the scalar fallback below.
+The blocks are position-major, genomes on the last axis.
 Each block plans its steps once, and each step of the recurrence reads a
 forward window of the suffix rows, kept in reverse position order, on the
 leading lanes: the sentences still running.  The equality rests on four facts.
@@ -37,6 +38,7 @@ module-level import would load numpy for every command; only tuning needs it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -105,8 +107,8 @@ class EvoConfig:
         for name in ("crossover_rate", "mutation_rate"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.mutation_sigma <= 0:
-            raise ValueError("mutation_sigma must be positive")
+        if not (math.isfinite(self.mutation_sigma) and self.mutation_sigma > 0):
+            raise ValueError("mutation_sigma must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.fitness_metric not in _METRICS:
@@ -200,7 +202,7 @@ class _Block:
         ``cut[p, s, g]`` and ``balance[m, g]`` are genome ``g``'s integer cut
         and balance terms, ``m`` a measure; the last row of ``balance`` is
         ``_OUT``, which every ``_NONE`` clips to.  The recurrence is
-        ``_dp.best_cuts`` run on every (sentence, genome) lane at once.
+        ``_dp.best_measured_cuts`` run on every (sentence, genome) lane at once.
         ``tail`` and ``state`` hold one row per suffix in reverse position
         order: row ``n_max - i`` is the suffix from ``a = n - i + 1``, so
         row ``n_max`` is the empty one.  ``tail[n_max - i]`` is the cut

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from pathlib import Path
 
-from ._dp import SCALE, best_cuts, scaled
+from ._dp import SCALE, best_measured_cuts, scaled
 from .corpus import Segmentation, Sentence, _decoded, segmentation_from_cuts, token_depth
 from .errors import FormatError, OversizedTokenWarning
 from .span import SpanConfig, fits_span, text_measure
@@ -167,16 +167,17 @@ class _Structure:
     oversized unit, read ``hi``, ``lo`` and ``max_units``.  The rest is
     built on first use, so a consumer pays only for what it reads.  The
     span fact: ``fit_end`` (the last end that fits from each start), one
-    bisection of ``hi`` per start; both DPs, the batched tuner and the
+    bisection of ``hi`` per start; the scores DP, the batched tuner and the
     export read the measure of each admissible segment straight off ``hi``,
-    ``lo`` and ``fit_end``.  The tree fact: ``cut_features``, the three
-    sequences behind ``crossing_edges(sentence, p)`` that a cut score reads
-    (the primary edge's deprel, its depth and the crossing count, at index
-    ``p - 1``), read by the tree DP and the tuner.  It takes each token's
-    depth from one pass over the traversal the sentence kept of its cycle
-    check, then sweeps the edges once, in O(n + total arc length).  None of
-    these depends on the weights, so the tuner builds them once per
-    sentence.
+    ``lo`` and ``fit_end``.  The tree DP reads ``hi`` and ``lo`` alone:
+    from each start it walks the ends until the first that does not fit.
+    The tree fact: ``cut_features``, the three sequences behind
+    ``crossing_edges(sentence, p)`` that a cut score reads (the primary
+    edge's deprel, its depth and the crossing count, at index ``p - 1``),
+    read by the tree DP and the tuner.  It takes each token's depth from one
+    pass over the traversal the sentence kept of its cycle check, then
+    sweeps the edges once, in O(n + total arc length).  None of these
+    depends on the weights, so the tuner builds them once per sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
@@ -201,7 +202,7 @@ class _Structure:
     def fit_end(self) -> list[int]:
         """``fit_end[s]``: the last ``e`` with ``measure(s, e) <= max_units``, ``s - 1`` if none.
 
-        An oversized single token does not fit; the DP rows still list it alone.
+        An oversized single token does not fit; the scores DP's rows still list it alone.
         """
         hi, lo, cap = self.hi, self.lo, self.max_units
         return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]
@@ -248,20 +249,15 @@ def _balance_table(w_balance: float, target: int, top: int) -> tuple[int, ...]:
 
 def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     # the balance term depends on a segment only through its measure
-    # ``hi[b] - lo[a]``: each row reads the ends ``a..fit_end[a]`` straight
-    # off ``hi`` into one table over ``0..top``, and ``top`` never exceeds the
-    # sentence's own measure, so a huge span costs no more than the sentence;
-    # an oversized token stands alone in every segmentation: its term is 0
-    hi, lo, target = struct.hi, struct.lo, struct.target
-    table = _balance_table(w.w_balance, target, min(struct.max_units, hi[struct.n] - lo[1]))
-    rows = []
-    for a, e in enumerate(struct.fit_end[1:], 1):
-        if e < a:
-            rows.append([0])
-        else:
-            base = lo[a]
-            rows.append([table[h - base] for h in hi[a : e + 1]])
-    return best_cuts(rows, _cut_terms(struct, w))
+    # ``hi[b] - lo[a]``: the DP reads it off ``hi`` and ``lo`` into one table
+    # over ``0..top`` and walks the ends from each start until the first
+    # measure past ``top``; no segment measures more than the sentence, so
+    # ``top`` is the cap, or the sentence's measure when that is smaller, and
+    # a huge span costs no more than the sentence; an oversized token stands
+    # alone in every segmentation: its term is 0
+    hi, lo = struct.hi, struct.lo
+    table = _balance_table(w.w_balance, struct.target, min(struct.max_units, hi[struct.n] - lo[1]))
+    return best_measured_cuts(hi, lo, table, _cut_terms(struct, w))
 
 
 def _finish(sentence: Sentence, struct: _Structure, cuts: tuple[int, ...]) -> Segmentation:

@@ -570,6 +570,21 @@ class TestTune:
         assert manifest["labels"] == sorted(manifest["labels"])
         assert "best fitness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_a_non_finite_mutation_sigma_is_refused(self, sigma, data, tmp_path, capsys):
+        cfg = tmp_path / "evo.ini"
+        cfg.write_text(f"[evo]\nmutation_sigma = {sigma}\n", encoding="utf-8")
+        out = tmp_path / "tuned.json"
+        code = main(["tune", "--conllu", data["conllu"], "--gold", data["gold"],
+                     "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"rhesis: error: config {cfg}: mutation_sigma must be positive and finite"
+        ]
+        assert not out.exists()
+
     def test_a_negative_seed_fails_before_the_echo(self, data, tmp_path, capsys):
         code = main(["tune", "--conllu", data["conllu"], "--gold", data["gold"],
                      "--seed", "-1", "--out", str(tmp_path / "tuned.json")])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from importlib import resources
 
@@ -91,8 +92,11 @@ class TestEvoConfig:
             ("generations", -1, "generations must be >= 0"),
             ("tournament_k", 0, "tournament_k must be >= 1"),
             ("mutation_sigma", 0, "mutation_sigma must be positive"),
+            ("mutation_sigma", math.nan, "mutation_sigma must be positive and finite"),
+            ("mutation_sigma", math.inf, "mutation_sigma must be positive and finite"),
         ],
-        ids=["generations", "tournament_k", "mutation_sigma"],
+        ids=["generations", "tournament_k", "mutation_sigma", "mutation_sigma-nan",
+             "mutation_sigma-inf"],
     )
     def test_refuses_a_value_out_of_range(self, name, value, message):
         with pytest.raises(ValueError, match=message):

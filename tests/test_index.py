@@ -2,9 +2,9 @@
 
 The index (``scoring._Structure``) must agree with the reference tree and
 span queries it replaces, the cascade's clause onsets with the subtree
-spans, ``_dp.best_cuts`` with a full scan of every start, which is kept
-here as the reference, and both optimizing segmenters with exhaustive
-enumeration where the span binds.
+spans, ``_dp.best_cuts`` and ``_dp.best_measured_cuts`` with a full scan of
+every start, which is kept here as the reference, and both optimizing
+segmenters with exhaustive enumeration where the span binds.
 """
 
 import dataclasses
@@ -38,7 +38,7 @@ from rhesis import (
     subtree_span,
 )
 from rhesis import cascade, corpus, scoring
-from rhesis._dp import best_cuts, scaled
+from rhesis._dp import best_cuts, best_measured_cuts, scaled
 from rhesis.cascade import _clause_onsets
 from rhesis.corpus import segmentation_from_cuts
 from rhesis.evolve import _NONE, _Block, _FitnessContext, _spans_from_cuts
@@ -373,6 +373,30 @@ def test_windowed_best_cuts_equals_a_full_scan(data, n, spread):
     rows = [[seg[a, b] for b in range(a, last[a] + 1)] for a in range(1, n + 1)]
     assert best_cuts(rows, cut[1:]) == _full_scan_cuts(
         n, lambda a, b: seg[a, b], lambda i: cut[i], admissible
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), spread=st.integers(0, 3))
+def test_measured_best_cuts_equals_a_full_scan(data, n, spread):
+    # offsets laid out as the index lays them: token a ends at hi[a] and a
+    # span from a starts at lo[a], one before hi[a - 1] when a continues a word
+    hi, lo = [0], [0]
+    for _ in range(n):
+        lo.append(hi[-1] - (len(hi) > 1 and data.draw(st.booleans())))
+        hi.append(hi[-1] + data.draw(st.integers(1, 4)))
+    top = data.draw(st.integers(0, hi[n] - lo[1] + 1))
+    terms = [data.draw(st.integers(-spread, spread)) for _ in range(top + 1)]
+    cut = [data.draw(st.integers(-spread, spread)) for _ in range(n)]
+
+    def admissible(a, b):
+        return a == b or hi[b] - lo[a] <= top
+
+    def segment_term(a, b):
+        return terms[hi[b] - lo[a]] if hi[b] - lo[a] <= top else 0
+
+    assert best_measured_cuts(hi, lo, terms, cut[1:]) == _full_scan_cuts(
+        n, segment_term, lambda i: cut[i], admissible
     )
 
 

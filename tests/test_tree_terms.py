@@ -1,15 +1,18 @@
-"""The tree DP's terms read straight from the index: rows from the offsets, one
-shared balance table per weight set and span, and one dict lookup per cut.
+"""The tree DP's terms read straight from the index: each segment's balance
+term off the offsets where the DP uses it, one shared balance table per
+weight set and span, and one dict lookup per cut.
 
 ``scoring_reference`` keeps the rows mapped through ``measure_rows`` and the
 cut score read from a full ``CutCandidate``; the current ``_optimal_cuts``
 and ``_cut_terms`` must agree with it, whatever the cache holds from
-earlier calls.
+earlier calls, on short sentences of any forms and on 60-120-token ones
+with an oversized form.
 """
 
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +84,38 @@ def test_terms_equal_the_reference_across_weight_sets_and_spans(
         for span in spans:
             for balance in balances:
                 _agrees(sent, span, dataclasses.replace(w, w_balance=balance))
+
+
+# The benchmark's tree weights (bench/inputs.py), and a set under which every
+# segmentation ties, so only the segment count and the cut order decide.
+_LONG_BAND_WEIGHTS = [
+    ScoringWeights(
+        w_dep=1.0, w_count=0.1, w_balance=0.05, w_depth=0.02, w_cross=0.01,
+        deprel_weights={"conj": 0.9, "advcl": 0.8, "det": -0.8, "acl:relcl": 0.35},
+    ),
+    ScoringWeights(w_dep=0.0),
+]
+# 54 characters and 5 words: oversized under 45 and 20 characters
+_OVERSIZED = " ".join(["abcdefghij"] * 5)
+
+
+@pytest.mark.parametrize("mode", ["characters", "words"])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_long_sentences_with_an_oversized_form_equal_the_reference(mode, where):
+    for seed in range(4):
+        sent = random_sentence(random.Random(seed), 60, 120, sent_id="t")
+        k = {"start": 1, "middle": len(sent) // 2, "end": len(sent)}[where]
+        toks = list(sent.tokens)
+        toks[k - 1] = dataclasses.replace(toks[k - 1], form=_OVERSIZED)
+        sent = Sentence.from_tokens("t", toks)
+        below = text_measure(_OVERSIZED, SpanConfig(count_mode=mode)) - 1
+        for cap, target in ((45, 32), (20, 12), (below, max(1, below // 2))):
+            span = SpanConfig(max_chars=cap, target_chars=target, count_mode=mode)
+            index = _Structure(sent, span)
+            if cap == below:
+                assert index.measure(k, k) > cap
+            for w in _LONG_BAND_WEIGHTS:
+                _agrees(sent, span, w)
 
 
 def test_a_huge_span_builds_no_table_longer_than_the_sentence(monkeypatch):
