@@ -54,6 +54,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("segment", help="segment a parsed document")
+    p.set_defaults(run=_cmd_segment)
     p.add_argument("--input", required=True, help="CoNLL-U file")
     p.add_argument("--method", required=True, choices=("cascade", "tree", "scores"))
     p.add_argument("--weights", help="weight file (required for --method tree)")
@@ -64,6 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("tune", help="evolve scoring weights against gold data")
+    p.set_defaults(run=_cmd_tune)
     p.add_argument("--conllu", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--seed", type=int, help="override [evo] seed")
@@ -72,6 +74,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="weight file to write")
 
     p = sub.add_parser("eval", help="score an automatic segmentation against gold")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--auto", required=True, help="automatic segmentation (.rhz)")
     p.add_argument("--gold", required=True, help="gold segmentation (.rhz)")
     p.add_argument("--conllu", required=True)
@@ -79,6 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", help="also write the report as JSON here")
 
     p = sub.add_parser("export-dataset", help="export labeled classifier candidates")
+    p.set_defaults(run=_cmd_export)
     p.add_argument("--conllu", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--negatives", type=int, default=3, help="negatives per positive")
@@ -87,32 +91,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="TSV path (manifest: <out>.manifest.json)")
 
     p = sub.add_parser("stats", help="length statistics of a segmentation")
+    p.set_defaults(run=_cmd_stats)
     p.add_argument("--rhz", required=True)
     p.add_argument("--conllu", required=True)
     p.add_argument("--config", help="config file (else $RHESIS_CONFIG)")
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
-    span = getattr(args, "span", None)
-    if span is not None:
-        cfg = replace(cfg, span=_with_max_chars(cfg.span, span))
-    seed = getattr(args, "seed", None)
-    generations = getattr(args, "generations", None)
-    if args.command == "tune" and (seed is not None or generations is not None):
-        evo = cfg.evo
-        if seed is not None:
-            evo = replace(evo, seed=seed)
-        if generations is not None:
-            evo = replace(evo, generations=generations)
-        cfg = replace(cfg, evo=evo)
+    """``cfg`` with the command's overrides; ``export-dataset --seed`` seeds only the export."""
+    if args.command == "segment" and args.span is not None:
+        return replace(cfg, span=_with_max_chars(cfg.span, args.span))
+    if args.command == "tune":
+        given = {k: v for k in ("seed", "generations") if (v := getattr(args, k)) is not None}
+        return replace(cfg, evo=replace(cfg.evo, **given))
     return cfg
 
 
@@ -172,8 +164,11 @@ def _cmd_segment(args, cfg: EngineConfig) -> int:
     if args.method == "scores":
         with _named("--scores", args.scores):
             _warn_unscored(table, sentences, segs)
-    opts = RenderOptions(format=args.format, include_ids=args.format == "html")
-    _emit(render(segs, opts), args.out)
+    text = render(segs, RenderOptions(format=args.format, include_ids=args.format == "html"))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -181,10 +176,7 @@ def _warn_unscored(table, sentences, segs) -> None:
     """One warning counting score rows no segmentation can use and chosen
     units that had no row (they scored epsilon); none when all are zero."""
     unknown, past_end = unmatched_rows(table, sentences)
-    get = table.probabilities.get
-    epsilon = sum(
-        get((seg.sentence_id, a, b)) is None for seg in segs for a, b in seg.spans()
-    )
+    epsilon = sum(table.get(seg.sentence_id, a, b) is None for seg in segs for a, b in seg.spans())
     counts = []
     if unknown or past_end:
         counts.append(
@@ -250,15 +242,6 @@ def _cmd_stats(args, cfg: EngineConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "segment": _cmd_segment,
-    "tune": _cmd_tune,
-    "eval": _cmd_eval,
-    "export-dataset": _cmd_export,
-    "stats": _cmd_stats,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -273,13 +256,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _effective(load_config(getattr(args, "config", None)), args)
+        cfg = _effective(load_config(args.config), args)
         header = {"command": args.command, "config": effective_config(cfg)}
         print(
             "# effective-config " + json.dumps(header, sort_keys=True, ensure_ascii=False),
             file=sys.stderr,
         )
-        return _HANDLERS[args.command](args, cfg)
+        return args.run(args, cfg)
     except (RhesisError, ValueError, OSError, Warning) as exc:  # Warning: a filter's "error"
         print(f"rhesis: error: {exc}", file=sys.stderr)
         return 2

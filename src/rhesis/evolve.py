@@ -47,7 +47,7 @@ from ._dp import SCALE
 from .corpus import AlignedCorpus
 from .evaluate import _matches, _rates
 from .scoring import _SCALAR_FIELDS as SCALAR_ORDER, ScoringWeights, _optimal_cuts, _Structure
-from .span import SpanConfig
+from .span import SpanConfig, _count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,6 +98,8 @@ class EvoConfig:
     fitness_metric: str = "precision"
 
     def __post_init__(self) -> None:
+        for name in ("population", "generations", "tournament_k", "elitism", "seed"):
+            _count(name, getattr(self, name))
         if not 0 <= self.elitism < self.population:
             raise ValueError("need population > elitism >= 0")
         if self.generations < 0:

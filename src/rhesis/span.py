@@ -8,6 +8,7 @@ when ``count_mode`` is ``"words"``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 __all__ = ["SpanConfig", "fits_span", "text_measure"]
@@ -22,6 +23,8 @@ class SpanConfig:
     count_mode: str = "characters"
 
     def __post_init__(self) -> None:
+        for name in ("max_chars", "target_chars"):
+            _count(name, getattr(self, name))
         if self.max_chars <= 0:
             raise ValueError(f"max_chars must be positive, got {self.max_chars}")
         if not 0 < self.target_chars <= self.max_chars:
@@ -30,6 +33,17 @@ class SpanConfig:
             )
         if self.count_mode not in _COUNT_MODES:
             raise ValueError(f"count_mode must be one of {_COUNT_MODES}")
+
+
+def _count(name: str, value) -> None:
+    """Refuse a count that is a bool or that ``operator.index`` rejects, such as ``45.0``."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def text_measure(text: str, config: SpanConfig) -> int:

@@ -15,9 +15,13 @@ import pytest
 
 import rhesis
 from rhesis import (
+    EngineConfig,
+    EvoConfig,
     ScoringWeights,
+    SpanConfig,
     align_gold,
     document_report,
+    effective_config,
     parse_conllu,
     parse_gold,
     read_weights,
@@ -548,6 +552,36 @@ class TestConfigPlumbing:
         assert _config_line(capsys)["config"]["tree"] == {"score_epsilon": 0.01}
 
 
+# The command and its overrides, then the [span] and the [evo] changes the echo
+# must show over a config of [evo] population 8, generations 2 and seed 7.
+_OVERRIDES = {
+    "segment-span": (["segment", "--method", "cascade", "--span", "20"],
+                     SpanConfig(max_chars=20, target_chars=20), {}),
+    "tune-seed-generations": (["tune", "--seed", "5", "--generations", "1"],
+                              SpanConfig(), {"seed": 5, "generations": 1}),
+    "tune-seed-0": (["tune", "--seed", "0"], SpanConfig(), {"seed": 0}),
+    "tune-neither": (["tune"], SpanConfig(), {}),
+    "export-seed": (["export-dataset", "--seed", "3"], SpanConfig(), {}),
+}
+
+
+@pytest.mark.parametrize("argv, span, evo", _OVERRIDES.values(), ids=_OVERRIDES)
+def test_each_command_overrides_only_its_own_settings(argv, span, evo, data, tmp_path, capsys):
+    cfg = tmp_path / "evo.ini"
+    cfg.write_text("[evo]\npopulation = 8\ngenerations = 2\nseed = 7\n", encoding="utf-8")
+    inputs = {
+        "segment": ["--input", data["conllu"]],
+        "tune": ["--conllu", data["conllu"], "--gold", data["gold"]],
+        "export-dataset": ["--conllu", data["conllu"], "--gold", data["gold"]],
+    }[argv[0]]
+    out = [] if argv[0] == "segment" else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *inputs, *out, "--config", str(cfg)]) == 0
+    expected = EngineConfig(
+        span=span, evo=EvoConfig(**{"population": 8, "generations": 2, "seed": 7, **evo})
+    )
+    assert _config_line(capsys) == {"command": argv[0], "config": effective_config(expected)}
+
+
 class TestTune:
     def _config(self, tmp_path):
         cfg = tmp_path / "evo.ini"
@@ -765,6 +799,19 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert "Le chat dort" in proc.stdout
         assert "# effective-config" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, handler", [
+    (["segment", "--input", "x", "--method", "cascade"], "_cmd_segment"),
+    (["tune", "--conllu", "x", "--gold", "y", "--out", "z"], "_cmd_tune"),
+    (["eval", "--auto", "x", "--gold", "y", "--conllu", "z"], "_cmd_eval"),
+    (["export-dataset", "--conllu", "x", "--gold", "y", "--out", "z"], "_cmd_export"),
+    (["stats", "--rhz", "x", "--conllu", "y"], "_cmd_stats"),
+])
+def test_every_subcommand_names_its_handler(argv, handler):
+    from rhesis import cli
+
+    assert cli._build_parser().parse_args(argv).run is getattr(cli, handler)
 
 
 def test_one_parser_per_process_gives_the_runs_of_fresh_parsers(data, capsys):

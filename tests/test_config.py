@@ -200,6 +200,13 @@ class TestRejection:
             load_config(tmp_path / "nowhere.ini")
 
 
+@pytest.mark.parametrize("value", [20.5, 20.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("name", ["max_chars", "target_chars"])
+def test_a_span_budget_must_be_an_integer(name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+        SpanConfig(**{name: value})
+
+
 # One file for each kind of error a config can hold: bytes that are not UTF-8,
 # INI syntax, an unknown section, an unknown key, a number that cannot be read
 # and a value a config constructor refuses.

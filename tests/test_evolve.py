@@ -102,6 +102,14 @@ class TestEvoConfig:
         with pytest.raises(ValueError, match=message):
             EvoConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["float", "integral-float", "bool"])
+    @pytest.mark.parametrize(
+        "name", ["population", "generations", "tournament_k", "elitism", "seed"]
+    )
+    def test_refuses_a_count_that_is_not_an_integer(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            EvoConfig(**{name: value})
+
 
 class TestCorpusLabels:
     def test_sorted_unique_labels(self):
