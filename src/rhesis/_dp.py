@@ -13,22 +13,33 @@ whose every segment is admissible, breaking ties toward fewer segments and
 then the lexicographically smallest cut tuple.  That order is total on
 distinct segmentations, so the optimum is unique.
 
-Two loops share that order.  ``best_cuts`` takes the segment terms as a
-table, one row per start, holding the terms of the admissible segments from
-that start, which must be contiguous (``a..a`` up to some last end) and
-never empty; the scores DP builds these rows.  ``best_measured_cuts`` takes
-token offsets and one term per measure, and reads each segment's term where
-it uses it; the tree DP, whose segment term depends on the measure alone,
-runs it.  In both, every single-token segment is admissible, oversized ones
-included.  The search runs over suffixes, from the last start down to the
-first, so each step reads only finished results and the cost is O(n·w)
-integer additions for ``n`` tokens and segments of at most ``w`` tokens.
+Three loops share that order.  Each runs over suffixes, from the last start
+down to the first, so each step reads only finished results, and in each
+every single-token segment is admissible, oversized ones included.
+
+- ``best_cuts`` is the dense reference: it takes the segment terms as a
+  table, one row per start, holding the terms of the admissible segments
+  from that start, which must be contiguous (``a..a`` up to some last end)
+  and never empty.  No segmenter runs it; the tests check the other two
+  against it.  It costs O(n·w) for ``n`` tokens and segments of at most
+  ``w`` tokens.
+- ``best_measured_cuts`` takes token offsets and one term per measure, and
+  reads each segment's term where it uses it.  The tree DP, whose segment
+  term depends on the measure alone, runs it, in O(n·w).
+- ``best_sparse_cuts`` takes token offsets, one constant term for every
+  segment and a few overrides per start, with no cut terms.  The scores DP
+  runs it: its constant is the ``epsilon`` term and its overrides are the
+  classifier's rows.  It keeps the best constant-term end of a sliding
+  window in a monotone deque, so it costs O(n + rows), save the starts whose
+  window's best end is overridden by a lower term: each of those scans its
+  window, O(w).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Mapping, Sequence
 
 SCALE = 1 << 40
 
@@ -39,7 +50,7 @@ def scaled(value: float) -> int:
 
 
 def best_cuts(rows: Sequence[Sequence[int]], cut_terms: Sequence[int]) -> tuple[int, ...]:
-    """Optimal internal cut positions for a sentence of ``len(rows)`` tokens.
+    """Optimal internal cut positions for a sentence of ``len(rows)`` tokens: the dense reference.
 
     ``rows[a - 1][k]`` scores the segment of tokens ``a..a + k`` (1-based,
     inclusive) on the integer grid; the row lists every admissible segment
@@ -120,6 +131,80 @@ def best_measured_cuts(
         nxt[a] = best_b + 1
         if a > 1:
             tail[a - 1] = cut_terms[a - 2] + best_s
+    cuts = []
+    a = nxt[1]
+    while a <= n:
+        cuts.append(a - 1)
+        a = nxt[a]
+    return tuple(cuts)
+
+
+def best_sparse_cuts(
+    hi: Sequence[int],
+    lo: Sequence[int],
+    cap: int,
+    fallback: int,
+    scored: Mapping[int, Mapping[int, int]],
+) -> tuple[int, ...]:
+    """``best_cuts`` for segments that all score ``fallback`` but a few, with no cut terms.
+
+    The segment ``a..b`` measures ``hi[b] - lo[a]`` (both offsets 1-based and
+    never decreasing) and is admissible when that measure is at most ``cap``,
+    or when ``a == b``.  It scores ``scored[a][b]`` when that is present and
+    ``fallback`` otherwise; entries whose end is before ``a`` or past the last
+    admissible end, and starts outside ``1..n``, are never read.  The tie
+    rule is ``best_cuts``'s: the higher score, then fewer segments, then the
+    smallest ``b``.
+
+    The admissible ends from ``a`` are ``a..top``, and ``top`` only moves
+    down as ``a`` does.  Among them, the best end at ``fallback`` is the one
+    with the greatest ``(tail[b], -count[b + 1], -b)``: ``window`` holds the
+    candidates in ascending ``b`` with that key ascending, so the best is on
+    the right.  A start's own entries are then compared on their terms.
+    Only when the window's best end has an entry below ``fallback`` are the
+    start's other ends scanned, since the next best may be any of them.
+    """
+    n = len(hi) - 1
+    count = [0] * (n + 2)
+    nxt = [0] * (n + 1)
+    tail = [0] * (n + 1)
+    window: deque[int] = deque()
+    top = n
+    for a in range(n, 0, -1):
+        t, c = tail[a], count[a + 1]
+        # a beats every end after it with a lower tail, or an equal one and no fewer segments
+        while window and (u := tail[f := window[0]]) <= t and (u < t or count[f + 1] >= c):
+            window.popleft()
+        window.appendleft(a)
+        bound = lo[a] + cap
+        while top > a and hi[top] > bound:
+            top -= 1
+        while window[-1] > top:
+            window.pop()
+        best_b = window[-1]
+        best_s, best_c = fallback + tail[best_b], count[best_b + 1]
+        row = scored.get(a)
+        if row:
+            if row.get(best_b, fallback) < fallback:
+                # its row puts the window's best end below fallback: scan the ends without a row
+                best_b, best_s, best_c = 0, -math.inf, 0
+                for b in range(a, top + 1):
+                    if b not in row:
+                        s = fallback + tail[b]
+                        if s > best_s or (s == best_s and count[b + 1] < best_c):
+                            best_b, best_s, best_c = b, s, count[b + 1]
+            # a row at or above fallback only lifts the window's best end: no other end is needed
+            for b, term in row.items():
+                if a <= b <= top:
+                    s, c = term + tail[b], count[b + 1]
+                    if s > best_s or (
+                        s == best_s and (c < best_c or (c == best_c and b < best_b))
+                    ):
+                        best_b, best_s, best_c = b, s, c
+        count[a] = best_c + 1
+        nxt[a] = best_b + 1
+        if a > 1:
+            tail[a - 1] = best_s
     cuts = []
     a = nxt[1]
     while a <= n:

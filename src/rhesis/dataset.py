@@ -6,8 +6,11 @@ boundary with the gold rhesis they were derived from, so the classifier sees
 near misses rather than arbitrary spans, each a ``CandidateExample`` named
 tuple whose fields are the TSV columns, in order.  Predicted probabilities come
 back as a score table, and a log-probability dynamic program composes them into
-one segmentation per sentence.  The table groups its rows by sentence once,
-on first use, so a sentence costs its admissible spans and its own rows.
+one segmentation per sentence.  The table groups its rows by sentence and
+start once, on first use, and the dynamic program reads a sentence's own rows
+there, so a sentence costs its tokens and its own rows, save a start whose
+best ``epsilon`` span has a row below ``epsilon``: that start scans its
+admissible spans.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
-from ._dp import best_cuts, scaled
+from ._dp import best_sparse_cuts, scaled
 from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded
 from .errors import FormatError
 from .scoring import _finish, _Structure
@@ -169,21 +172,30 @@ class ScoreTable:
     """Probabilities for (sentence_id, start, end) spans, from a classifier.
 
     The first segmentation or row count groups the rows by sentence id and
-    keeps that view; do not mutate ``probabilities`` after that.  Grouping
-    raises ``ValueError`` for a key whose start or end is not an int.
+    start and keeps that view; do not mutate ``probabilities`` after that.
+    Grouping raises ``ValueError`` for a key whose start or end is not an
+    int, or whose probability is NaN or outside [0, 1].
     """
 
     probabilities: dict[tuple[str, int, int], float]
     _grouped: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _rows(self) -> dict[str, list[tuple[int, int, int]]]:
-        """sentence_id -> [(start, end, scaled log-probability)], built once."""
+    def _rows(self) -> dict[str, dict[int, dict[int, int]]]:
+        """sentence_id -> start -> {end: scaled log-probability}, built once."""
         if self._grouped is None:
-            grouped: dict[str, list[tuple[int, int, int]]] = {}
+            grouped: dict[str, dict[int, dict[int, int]]] = {}
             for (sid, a, b), p in self.probabilities.items():
                 if not (isinstance(a, int) and isinstance(b, int)):
                     raise ValueError(f"score key {(sid, a, b)!r}: start and end must be ints")
-                grouped.setdefault(sid, []).append((a, b, scaled(math.log(max(p, 1e-300)))))
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError(f"score key {(sid, a, b)!r}: probability {p} outside [0, 1]")
+                starts = grouped.get(sid)
+                if starts is None:
+                    starts = grouped[sid] = {}
+                ends = starts.get(a)
+                if ends is None:
+                    ends = starts[a] = {}
+                ends[b] = scaled(math.log(max(p, 1e-300)))
             object.__setattr__(self, "_grouped", grouped)
         return self._grouped
 
@@ -245,12 +257,12 @@ def unmatched_rows(scores: ScoreTable, sentences: list[Sentence]) -> tuple[int, 
     """
     lengths = {s.sent_id: len(s) for s in sentences}
     unknown = past_end = 0
-    for sentence_id, rows in scores._rows().items():
+    for sentence_id, starts in scores._rows().items():
         n = lengths.get(sentence_id)
         if n is None:
-            unknown += len(rows)
+            unknown += sum(map(len, starts.values()))
         else:
-            past_end += sum(end > n for _, end, _ in rows)
+            past_end += sum(end > n for ends in starts.values() for end in ends)
     return unknown, past_end
 
 
@@ -263,18 +275,18 @@ def segment_by_scores(
     """Best segmentation under summed log-probabilities of its rhesis.
 
     Spans missing from the table score ``epsilon``; stored zeros are floored
-    to keep the logarithm finite.  Every admissible span starts at the
-    ``epsilon`` term, then the sentence's own rows that are admissible
-    overwrite theirs.  Ties go to fewer rhesis, then the earliest cut set,
-    like the tree segmenter.
+    to keep the logarithm finite.  The sentence's rows, grouped by start,
+    go to the dynamic program as they are: it slides a window over the
+    ``epsilon`` spans and compares each admissible row on its own term, so
+    the cost follows the sentence's tokens and its rows; only a start whose
+    best ``epsilon`` span has a row below ``epsilon`` scans its admissible
+    spans.  Ties go to fewer rhesis, then the earliest cut set, like the
+    tree segmenter.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     struct = _Structure(sentence, span)
     fallback = scaled(math.log(max(epsilon, 1e-300)))
-    n, last = struct.n, struct.fit_end
-    rows = [[fallback] * (max(a, last[a]) - a + 1) for a in range(1, n + 1)]
-    for a, b, term in scores._rows().get(sentence.sent_id, ()):
-        if 1 <= a <= n and a <= b <= max(a, last[a]):
-            rows[a - 1][b - a] = term
-    return _finish(sentence, struct, best_cuts(rows, [0] * (n - 1)))
+    rows = scores._rows().get(sentence.sent_id, {})
+    cuts = best_sparse_cuts(struct.hi, struct.lo, struct.max_units, fallback, rows)
+    return _finish(sentence, struct, cuts)

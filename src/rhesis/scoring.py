@@ -167,10 +167,11 @@ class _Structure:
     oversized unit, read ``hi``, ``lo`` and ``max_units``.  The rest is
     built on first use, so a consumer pays only for what it reads.  The
     span fact: ``fit_end`` (the last end that fits from each start), one
-    bisection of ``hi`` per start; the scores DP, the batched tuner and the
-    export read the measure of each admissible segment straight off ``hi``,
-    ``lo`` and ``fit_end``.  The tree DP reads ``hi`` and ``lo`` alone:
-    from each start it walks the ends until the first that does not fit.
+    bisection of ``hi`` per start; the batched tuner and the export read the
+    measure of each admissible segment straight off ``hi``, ``lo`` and
+    ``fit_end``.  Both DPs read ``hi`` and ``lo`` alone: from each start the
+    tree DP walks the ends until the first that does not fit, and the
+    scores DP lowers its last end until it fits.
     The tree fact: ``cut_features``, the three sequences behind
     ``crossing_edges(sentence, p)`` that a cut score reads (the primary
     edge's deprel, its depth and the crossing count, at index ``p - 1``),
@@ -202,7 +203,7 @@ class _Structure:
     def fit_end(self) -> list[int]:
         """``fit_end[s]``: the last ``e`` with ``measure(s, e) <= max_units``, ``s - 1`` if none.
 
-        An oversized single token does not fit; the scores DP's rows still list it alone.
+        An oversized single token does not fit; the tuner still lists it alone.
         """
         hi, lo, cap = self.hi, self.lo, self.max_units
         return [0, *(bisect_right(hi, lo[s] + cap, s) - 1 for s in range(1, self.n + 1))]

@@ -38,7 +38,7 @@ from rhesis import (
     subtree_span,
 )
 from rhesis import cascade, corpus, scoring
-from rhesis._dp import best_cuts, best_measured_cuts, scaled
+from rhesis._dp import best_cuts, best_measured_cuts, best_sparse_cuts, scaled
 from rhesis.cascade import _clause_onsets
 from rhesis.corpus import segmentation_from_cuts
 from rhesis.evolve import _NONE, _Block, _FitnessContext, _spans_from_cuts
@@ -398,6 +398,41 @@ def test_measured_best_cuts_equals_a_full_scan(data, n, spread):
     assert best_measured_cuts(hi, lo, terms, cut[1:]) == _full_scan_cuts(
         n, segment_term, lambda i: cut[i], admissible
     )
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), spread=st.integers(0, 3))
+def test_sparse_best_cuts_equals_the_dense_rows(data, n, spread):
+    hi, lo = [0], [0]
+    for _ in range(n):
+        lo.append(hi[-1] - (len(hi) > 1 and data.draw(st.booleans())))
+        hi.append(hi[-1] + data.draw(st.integers(1, 4)))
+    # a cap below 4 leaves some tokens too long to fit alone
+    cap = data.draw(st.integers(0, hi[n] - lo[1] + 1))
+    fallback = data.draw(st.integers(-spread, spread))
+    # overrides below, at and above the fallback, with ends before their start
+    # and past the cap, and starts outside the sentence, which no segment reads
+    keys = st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))
+    terms = st.integers(fallback - spread, fallback + spread)
+    scored = {}
+    for (a, b), term in data.draw(st.dictionaries(keys, terms, max_size=3 * n)).items():
+        scored.setdefault(a, {})[b] = term
+
+    def last(a):
+        return max([b for b in range(a, n + 1) if hi[b] - lo[a] <= cap], default=a)
+
+    rows = [
+        [scored.get(a, {}).get(b, fallback) for b in range(a, last(a) + 1)]
+        for a in range(1, n + 1)
+    ]
+    assert best_sparse_cuts(hi, lo, cap, fallback, scored) == best_cuts(rows, [0] * (n - 1))
+
+
+def test_sparse_best_cuts_scans_to_the_earliest_of_tied_ends():
+    # from start 1 every end ties at fallback but 3, the fewest segments, has a
+    # row below it; of the other ends 1 and 2, which tie on score and count, 1 wins
+    hi, lo, rows = [0, 1, 2, 3], [0, 0, 1, 2], [[0, 0, -1], [0, 0], [0]]
+    assert best_sparse_cuts(hi, lo, 10, 0, {1: {3: -1}}) == best_cuts(rows, [0, 0]) == (1,)
 
 
 def test_best_cuts_refuses_an_empty_sentence():
