@@ -13,19 +13,22 @@ whose every segment is admissible, breaking ties toward fewer segments and
 then the lexicographically smallest cut tuple.  That order is total on
 distinct segmentations, so the optimum is unique.
 
-Three loops share that order.  Each runs over suffixes, from the last start
-down to the first, so each step reads only finished results, and in each
-every single-token segment is admissible, oversized ones included.
+Two loops share that order.  Each runs over suffixes, from the last start
+``a = n`` down to ``1``, so each step reads only finished results: the best
+cover of ``b + 1..n`` for every end ``b`` from ``a``.  A candidate end
+replaces the current best only on a higher score, or on an equal score with
+fewer segments, or, where ends are not tried in ascending order, on an
+equal score and count with a smaller end.  On a full tie the smallest end
+survives, and that is the lexicographically smallest cut tuple: tied
+candidates from ``a`` have equal segment counts, and their cut tuples first
+differ at that end.  In both loops every single-token segment is
+admissible, oversized ones included.  The tests check both against a dense
+reference that takes one row of terms per start.
 
-- ``best_cuts`` is the dense reference: it takes the segment terms as a
-  table, one row per start, holding the terms of the admissible segments
-  from that start, which must be contiguous (``a..a`` up to some last end)
-  and never empty.  No segmenter runs it; the tests check the other two
-  against it.  It costs O(n·w) for ``n`` tokens and segments of at most
-  ``w`` tokens.
 - ``best_measured_cuts`` takes token offsets and one term per measure, and
   reads each segment's term where it uses it.  The tree DP, whose segment
-  term depends on the measure alone, runs it, in O(n·w).
+  term depends on the measure alone, runs it, in O(n·w) for ``n`` tokens
+  and segments of at most ``w`` tokens.
 - ``best_sparse_cuts`` takes token offsets, one constant term for every
   segment and a few overrides per start, with no cut terms.  The scores DP
   runs it: its constant is the ``epsilon`` term and its overrides are the
@@ -49,65 +52,19 @@ def scaled(value: float) -> int:
     return round(value * SCALE)
 
 
-def best_cuts(rows: Sequence[Sequence[int]], cut_terms: Sequence[int]) -> tuple[int, ...]:
-    """Optimal internal cut positions for a sentence of ``len(rows)`` tokens: the dense reference.
-
-    ``rows[a - 1][k]`` scores the segment of tokens ``a..a + k`` (1-based,
-    inclusive) on the integer grid; the row lists every admissible segment
-    from ``a`` and no other, so it starts with the singleton ``a..a`` and
-    ends at the last admissible end.  ``cut_terms[i - 1]`` scores a cut
-    between tokens ``i`` and ``i + 1``.
-
-    The starts run from ``n`` down to ``1``.  For start ``a`` the ends ``b``
-    are tried in ascending order against the best cover of ``b + 1..n``
-    found earlier, and a candidate replaces the current best only on a
-    higher score, or on an equal score with fewer segments.  So on a full
-    tie the smallest ``b`` survives, and that is the lexicographically
-    smallest cut tuple: tied candidates from ``a`` have equal segment
-    counts, and their cut tuples first differ at ``b``.  The optimum under
-    (score, fewer segments, earlier cuts) therefore comes out of plain
-    integer comparisons, in O(n·w) steps for segments of at most ``w``
-    tokens.
-    """
-    n = len(rows)
-    if n <= 0:
-        raise ValueError("need at least one token")
-    # count[a]: segments in the best cover of a..n; nxt[a]: the start after its first segment;
-    # tail[b]: the cut after b plus the best cover of b + 1..n (nothing after the last token)
-    count = [0] * (n + 2)
-    nxt = [0] * (n + 1)
-    tail = [0] * (n + 1)
-    for a in range(n, 0, -1):
-        row = rows[a - 1]
-        best_b, best_s, best_c = a, row[0] + tail[a], count[a + 1]
-        for b, term in enumerate(row[1:], a + 1):
-            s = term + tail[b]
-            if s > best_s or (s == best_s and count[b + 1] < best_c):
-                best_b, best_s, best_c = b, s, count[b + 1]
-        count[a] = best_c + 1
-        nxt[a] = best_b + 1
-        if a > 1:
-            tail[a - 1] = cut_terms[a - 2] + best_s
-    cuts = []
-    a = nxt[1]
-    while a <= n:
-        cuts.append(a - 1)
-        a = nxt[a]
-    return tuple(cuts)
-
-
 def best_measured_cuts(
     hi: Sequence[int], lo: Sequence[int], terms: Sequence[int], cut_terms: Sequence[int]
 ) -> tuple[int, ...]:
-    """``best_cuts`` for segment terms that depend on a segment's measure alone.
+    """Optimal internal cut positions for segment terms that depend on a segment's measure alone.
 
     The segment ``a..b`` measures ``hi[b] - lo[a]`` (both offsets 1-based and
     never decreasing) and scores ``terms[hi[b] - lo[a]]``; it is admissible
     when that measure is below ``len(terms)``, or when ``a == b``, and a
     singleton whose measure has no term scores 0.  From each start ``a`` the
     ends ``b`` are walked upward until the first measure without a term,
-    so no row and no last end is built, and the tie rule is ``best_cuts``'s:
-    the higher score, then fewer segments, then the smallest ``b``.
+    so no row and no last end is built, and the tie rule is the module's:
+    the higher score, then fewer segments, then the smallest ``b``.  A cut
+    between tokens ``i`` and ``i + 1`` scores ``cut_terms[i - 1]``.
     """
     n = len(hi) - 1
     hi = [*hi, math.inf]  # no measure reaches past the last token
@@ -146,15 +103,15 @@ def best_sparse_cuts(
     fallback: int,
     scored: Mapping[int, Mapping[int, int]],
 ) -> tuple[int, ...]:
-    """``best_cuts`` for segments that all score ``fallback`` but a few, with no cut terms.
+    """Optimal internal cut positions for segments that all score ``fallback`` but a few.
 
     The segment ``a..b`` measures ``hi[b] - lo[a]`` (both offsets 1-based and
     never decreasing) and is admissible when that measure is at most ``cap``,
     or when ``a == b``.  It scores ``scored[a][b]`` when that is present and
     ``fallback`` otherwise; entries whose end is before ``a`` or past the last
-    admissible end, and starts outside ``1..n``, are never read.  The tie
-    rule is ``best_cuts``'s: the higher score, then fewer segments, then the
-    smallest ``b``.
+    admissible end, and starts outside ``1..n``, are never read.  No cut
+    scores anything.  The tie rule is the module's: the higher score, then
+    fewer segments, then the smallest ``b``.
 
     The admissible ends from ``a`` are ``a..top``, and ``top`` only moves
     down as ``a`` does.  Among them, the best end at ``fallback`` is the one

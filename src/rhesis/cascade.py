@@ -2,21 +2,23 @@
 
 Levels run from the strongest break to the weakest: punctuation, clause
 onsets, priority prepositions, chunk edges, remaining prepositions, and
-finally any word boundary.  Each level is one set of positions over the
-whole sentence, found at most once per sentence.  A segment that already
-fits is left alone; otherwise the first level with a position inside it
-splits it and the smaller pieces continue down the cascade.  A greedy
-regrouping pass can then merge adjacent rhesis back together while they
-still fit, which undoes over-eager cuts.  Both passes read each fit off the
-sentence index, ``hi[b] - lo[a]``, which equals ``text_measure`` of the text.
+finally any word boundary.  A segment that already fits is left alone.
+Each level makes one pass over the pieces that do not, splitting them at
+its positions inside them, and the parts that still do not fit continue at
+the next level.  So a level reads each pending token at most once; only the
+clause onsets are one sentence-wide list, built once per sentence.  A
+greedy regrouping pass can then merge adjacent rhesis back together while
+they still fit, which undoes over-eager cuts.  Both passes read each fit
+off the sentence index: ``hi[b] - lo[a]`` is the text's ``text_measure``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .corpus import Segmentation, Sentence, segmentation_from_spans
+from .corpus import Segmentation, Sentence, segmentation_from_cuts
 from .scoring import _finish, _Structure
 from .span import SpanConfig
 
@@ -119,7 +121,7 @@ def find_cuts_at_level(
     positions for a segment ``(lo, hi)`` are ``lo <= i <= hi - 1``.
     """
     lo, hi = _checked(sentence, segment)
-    return {c for c in _level_cuts(sentence, level, config) if lo <= c < hi}
+    return set(_piece_cuts(sentence, level, config)(lo, hi))
 
 
 def _checked(sentence: Sentence, segment: tuple[int, int]) -> tuple[int, int]:
@@ -131,27 +133,43 @@ def _checked(sentence: Sentence, segment: tuple[int, int]) -> tuple[int, int]:
     return lo, hi
 
 
-def _level_cuts(sentence: Sentence, level: CutLevel, config: CascadeConfig) -> set[int]:
-    """The level's cut positions over the whole sentence; ``(lo, hi)`` holds ``lo <= c < hi``."""
-    upos, forms = sentence.upos, sentence.forms
-    name = level.name
+def _piece_cuts(
+    sentence: Sentence, level: CutLevel, config: CascadeConfig
+) -> Callable[[int, int], list[int]]:
+    """The level's rule for one piece: ``cuts(a, b)`` lists its positions ``a <= c < b`` in order.
+
+    Only the clause rule reads outside the piece: a token outside it can set
+    a clause onset, its subtree's left edge, so the rule slices one sorted,
+    sentence-wide list, built here.
+    """
+    upos, forms, name = sentence.upos, sentence.forms, level.name
     if name == "punctuation":
         marks = config.cut_punctuation
-        return {i for i, pos in enumerate(upos, 1) if pos == "PUNCT" and forms[i - 1] in marks}
+        return lambda a, b: [
+            c for c in range(a, b) if upos[c - 1] == "PUNCT" and forms[c - 1] in marks
+        ]
     if name == "clause":
-        return _clause_onsets(sentence, config)
+        onsets = sorted(_clause_onsets(sentence, config))
+        return lambda a, b: onsets[bisect_left(onsets, a) : bisect_left(onsets, b)]
     if name in ("priority_preposition", "other_preposition"):
-        priority = name == "priority_preposition"
-        return {
-            i - 1
-            for i, pos in enumerate(upos, 1)
-            if pos == "ADP" and (forms[i - 1].lower() in config.priority_prepositions) == priority
-        }
-    if name == "chunk":
-        return chunk_boundaries(sentence, (1, len(sentence)), config)
+        priority, words = name == "priority_preposition", config.priority_prepositions
+        return lambda a, b: [  # the cut lands before the preposition, token c + 1
+            c for c in range(a, b) if upos[c] == "ADP" and (forms[c].lower() in words) == priority
+        ]
     if name == "word":
-        return set(range(1, len(sentence)))
-    raise ValueError(f"unknown cut level {name!r}")
+        return lambda a, b: list(range(a, b))
+    if name != "chunk":
+        raise ValueError(f"unknown cut level {name!r}")
+    heads, deprels, glue = sentence.heads, sentence.deprels, config.glue_deprels
+    return lambda a, b: [  # left token i, right token i + 1
+        i
+        for i in range(a, b)
+        if not (
+            (heads[i] == i and deprels[i] in glue)
+            or (heads[i - 1] == i + 1 and deprels[i - 1] in glue)
+            or (heads[i - 1] == heads[i] and deprels[i - 1] in glue and deprels[i] in glue)
+        )
+    ]
 
 
 def chunk_boundaries(
@@ -163,53 +181,40 @@ def chunk_boundaries(
     relation, or when they share a head and both bear glue relations.
     """
     lo, hi = _checked(sentence, segment)
-    heads, deprels, glue = sentence.heads, sentence.deprels, config.glue_deprels
-    cuts = set()
-    for i in range(lo, hi):  # left token i, right token i + 1
-        left_head, right_head = heads[i - 1], heads[i]
-        glued = (
-            (right_head == i and deprels[i] in glue)
-            or (left_head == i + 1 and deprels[i - 1] in glue)
-            or (left_head == right_head and deprels[i - 1] in glue and deprels[i] in glue)
-        )
-        if not glued:
-            cuts.add(i)
-    return cuts
+    return set(_piece_cuts(sentence, CutLevel(4, "chunk"), config)(lo, hi))
 
 
 def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:
-    """Segment a sentence by recursive application of the cut levels.
+    """Segment a sentence by applying the cut levels one at a time.
 
-    Each piece that does not fit the span is split at the first level (from
-    its current position in the cascade) that proposes cuts; pieces continue
-    with the next level.  A piece no level can split is kept as-is, and
-    ``_finish``, which every segmenter ends in, warns for it with an
-    OversizedTokenWarning naming the caller.  Each level is one sorted,
-    sentence-wide list of positions, found at most once per sentence; a
-    piece reads its cuts as the slice of that list between its bounds.
+    The pieces that do not fit the span are pending.  Each level splits each
+    pending piece at its positions inside it; the parts that fit are done,
+    and the rest, like a piece the level does not cut, continue at the next
+    level, in the order a recursion would take.  So each level reads each
+    pending token at most once, and the clause onsets are built once per
+    sentence.  A piece no level can split is kept as-is, and ``_finish``,
+    which every segmenter ends in, warns for it with an OversizedTokenWarning.
     """
-    ends: list[int] = []
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units
-    found: dict[int, list[int]] = {}
-
-    def descend(a: int, b: int, level_index: int) -> None:
-        if hi[b] - lo[a] <= cap:
-            ends.append(b)
-            return
-        for next_index, level in enumerate(CUT_LEVELS[level_index:], level_index + 1):
-            if next_index not in found:
-                found[next_index] = sorted(_level_cuts(sentence, level, config))
-            positions = found[next_index]
-            cuts = positions[bisect_left(positions, a) : bisect_left(positions, b)]
-            if cuts:
-                bounds = [a - 1, *cuts, b]
-                for start, end in zip(bounds, bounds[1:]):
-                    descend(start + 1, end, next_index)
-                return
-        ends.append(b)  # no level cuts it: it does not fit
-
-    descend(1, len(sentence), 0)
+    n = len(sentence)
+    ends: list[int] = []
+    pending = [(1, n)] if hi[n] - lo[1] > cap else []  # a sentence that fits has no cuts
+    for level in CUT_LEVELS:
+        if not pending:
+            break
+        cuts_in = _piece_cuts(sentence, level, config)
+        rest = []
+        for a, b in pending:
+            for end in (*cuts_in(a, b), b):  # uncut, the piece stays pending
+                if hi[end] - lo[a] <= cap:
+                    ends.append(end)
+                else:
+                    rest.append((a, end))
+                a = end + 1
+        pending = rest
+    ends.extend(b for _, b in pending)  # no level cuts them: they do not fit
+    ends.sort()
     return _finish(sentence, index, ends[:-1])
 
 
@@ -227,16 +232,12 @@ def regroup(sentence: Sentence, seg: Segmentation, config: CascadeConfig) -> Seg
         raise ValueError(f"segmentation of {seg.sentence_id!r} given for {sentence.sent_id!r}")
     index = _Structure(sentence, config.span)
     hi, lo, cap = index.hi, index.lo, index.max_units
-    merged: list[tuple[int, int]] = []
-    spans = seg.spans()
-    cur_start, cur_end = spans[0]
-    for start, end in spans[1:]:
-        last = cur_end - 1
-        blocked = sentence.upos[last] == "PUNCT" and sentence.forms[last] in _FINAL_PUNCTUATION
-        if not blocked and hi[end] - lo[cur_start] <= cap:
-            cur_end = end
-        else:
-            merged.append((cur_start, cur_end))
-            cur_start, cur_end = start, end
-    merged.append((cur_start, cur_end))
-    return segmentation_from_spans(sentence, merged)
+    cuts = seg.cuts()
+    kept = []
+    start = 1  # of the current rhesis; the cut at c would merge c + 1..end into it
+    for c, end in zip(cuts, (*cuts[1:], len(sentence))):
+        blocked = sentence.upos[c - 1] == "PUNCT" and sentence.forms[c - 1] in _FINAL_PUNCTUATION
+        if blocked or hi[end] - lo[start] > cap:
+            kept.append(c)
+            start = c + 1
+    return segmentation_from_cuts(sentence, kept)

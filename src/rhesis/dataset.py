@@ -174,7 +174,7 @@ class ScoreTable:
     The first segmentation or row count groups the rows by sentence id and
     start and keeps that view; do not mutate ``probabilities`` after that.
     Grouping raises ``ValueError`` for a key whose start or end is not an
-    int, or whose probability is NaN or outside [0, 1].
+    int, or whose probability is not a number, is NaN or is outside [0, 1].
     """
 
     probabilities: dict[tuple[str, int, int], float]
@@ -187,7 +187,13 @@ class ScoreTable:
             for (sid, a, b), p in self.probabilities.items():
                 if not (isinstance(a, int) and isinstance(b, int)):
                     raise ValueError(f"score key {(sid, a, b)!r}: start and end must be ints")
-                if not 0.0 <= p <= 1.0:
+                try:
+                    in_range = 0.0 <= p <= 1.0
+                except TypeError:
+                    raise ValueError(
+                        f"score key {(sid, a, b)!r}: probability {p!r} is not a number"
+                    ) from None
+                if not in_range:
                     raise ValueError(f"score key {(sid, a, b)!r}: probability {p} outside [0, 1]")
                 starts = grouped.get(sid)
                 if starts is None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from rhesis._dp import best_cuts, scaled
+from dp_reference import best_cuts
+from rhesis._dp import scaled
 from rhesis.corpus import Segmentation, Sentence
 from rhesis.dataset import ScoreTable
 from rhesis.scoring import _finish, _Structure

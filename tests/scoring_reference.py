@@ -10,7 +10,8 @@ boundary, and the balance rows mapped through a dict over
 
 from functools import cached_property
 
-from rhesis._dp import best_cuts, scaled
+from dp_reference import best_cuts
+from rhesis._dp import scaled
 from rhesis.corpus import Sentence, _top_down
 from rhesis.scoring import CutCandidate, ScoringWeights
 from rhesis.span import SpanConfig

@@ -24,6 +24,7 @@ from rhesis import (
     regroup,
     segmentation_from_spans,
 )
+from rhesis import cascade
 
 import cascade_reference
 from helpers import DEPRELS, FORMS, random_segmentation, random_sentence
@@ -244,6 +245,58 @@ class TestCascadeSegment:
                 seg = cascade_segment(sent, CFG)
                 for (a, b), r in zip(seg.spans(), seg.rhesis):
                     assert len(r.text) <= CFG.span.max_chars or a == b
+
+
+class TestClauseOnsetCost:
+    """The clause onsets are built at most once per sentence, and only when
+    some piece that does not fit reaches the clause level."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, onsets = [], cascade._clause_onsets
+
+        def counting(sentence, config):
+            calls.append(sentence.sent_id)
+            return onsets(sentence, config)
+
+        monkeypatch.setattr(cascade, "_clause_onsets", counting)
+        return calls
+
+    def test_a_sentence_that_fits_builds_none(self, built):
+        rows = [
+            ("La", "DET", 2, "det", True),
+            ("lune", "NOUN", 3, "nsubj", True),
+            ("brillait", "VERB", 0, "root", False),
+            (".", "PUNCT", 3, "punct", True),
+        ]
+        assert cascade_segment(_sent("fits", rows), CFG).spans() == ((1, 4),)
+        assert built == []
+
+    def test_punctuation_pieces_that_fit_build_none(self, built):
+        rows = [
+            ("Le", "DET", 2, "det", True),
+            ("chat", "NOUN", 3, "nsubj", True),
+            ("dormait", "VERB", 0, "root", False),
+            (",", "PUNCT", 7, "punct", True),
+            ("le", "DET", 6, "det", True),
+            ("chien", "NOUN", 7, "nsubj", True),
+            ("jouait", "VERB", 3, "conj", False),
+            (",", "PUNCT", 11, "punct", True),
+            ("la", "DET", 10, "det", True),
+            ("souris", "NOUN", 11, "nsubj", True),
+            ("courait", "VERB", 3, "conj", False),
+            (".", "PUNCT", 3, "punct", True),
+        ]
+        sent = _sent("commas", rows)
+        assert len(sent.text) > CFG.span.max_chars
+        assert cascade_segment(sent, CFG).spans() == ((1, 4), (5, 8), (9, 12))
+        assert built == []
+
+    def test_a_sentence_that_reaches_the_clause_level_builds_them_once(self, built):
+        # both pieces either side of the comma miss the span and go on to the clause level
+        assert all(len(STORY.span_text(a, b)) > CFG.span.max_chars for a, b in [(1, 14), (15, 26)])
+        cascade_segment(STORY, CFG)
+        assert built == ["story"]
 
 
 class TestRegroup:

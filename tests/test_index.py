@@ -2,8 +2,8 @@
 
 The index (``scoring._Structure``) must agree with the reference tree and
 span queries it replaces, the cascade's clause onsets with the subtree
-spans, ``_dp.best_cuts`` and ``_dp.best_measured_cuts`` with a full scan of
-every start, which is kept here as the reference, and both optimizing
+spans, ``dp_reference.best_cuts`` and ``_dp.best_measured_cuts`` with a full
+scan of every start, which is kept here as the reference, and both optimizing
 segmenters with exhaustive enumeration where the span binds.
 """
 
@@ -38,7 +38,7 @@ from rhesis import (
     subtree_span,
 )
 from rhesis import cascade, corpus, scoring
-from rhesis._dp import best_cuts, best_measured_cuts, best_sparse_cuts, scaled
+from rhesis._dp import best_measured_cuts, best_sparse_cuts, scaled
 from rhesis.cascade import _clause_onsets
 from rhesis.corpus import segmentation_from_cuts
 from rhesis.evolve import _NONE, _Block, _FitnessContext, _spans_from_cuts
@@ -46,6 +46,7 @@ from rhesis.scoring import _cut_terms, _optimal_cuts, _Structure
 from rhesis.span import text_measure
 
 import scoring_reference
+from dp_reference import best_cuts
 from helpers import DEPRELS, corpus_from_golds, random_segmentation, random_sentence
 
 SEEDS = st.integers(0, 2**32 - 1)

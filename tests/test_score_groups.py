@@ -128,6 +128,22 @@ def test_a_key_that_is_not_int_fails_when_grouped(key):
     assert len(table) == 2  # building the table checks nothing
 
 
+@pytest.mark.parametrize("p", ["0.5", None, 0.5j])
+def test_a_probability_that_is_not_a_number_fails_when_grouped(p):
+    sentence = random_sentence(random.Random(1), 3, 3, sent_id="s")
+    key = ("s", 1, 2)
+    for read in (
+        lambda table: segment_by_scores(sentence, table, SpanConfig()),
+        lambda table: unmatched_rows(table, [sentence]),
+    ):
+        table = ScoreTable(probabilities={("s", 1, 1): 0.5, key: p})
+        with pytest.raises(
+            ValueError, match=re.escape(f"score key {key!r}: probability {p!r} is not a number")
+        ):
+            read(table)
+    assert len(table) == 2  # building the table checks nothing
+
+
 class TestContract:
     def _used(self):
         sentences, probs = _corpus(3, count=4)

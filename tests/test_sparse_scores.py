@@ -1,8 +1,8 @@
 """The scores DP's sparse loop on long sentences, and the probabilities a table refuses.
 
 ``dataset_reference.segment_by_scores`` builds a dense row for every start
-and runs ``_dp.best_cuts``; the segmenter slides a window over the ends
-without a row instead.  On seeded 60-120-token sentences, in both count
+and runs ``dp_reference.best_cuts``; the segmenter slides a window over the
+ends without a row instead.  On seeded 60-120-token sentences, in both count
 modes, the two must agree for a table shaped like the benchmark's (gold
 near misses, one row in ten dropped) and for tables that score every, or
 about half, of the admissible spans 0.0.  There the window's best end has a
