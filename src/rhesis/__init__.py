@@ -8,7 +8,7 @@ an external classifier (`dataset`), and render or drive it all from the
 command line (`render`, `cli`).
 """
 
-from .cascade import CascadeConfig, CutLevel, CUT_LEVELS, cascade_segment, chunk_boundaries, find_cuts_at_level, regroup
+from .cascade import CascadeConfig, CutLevel, CUT_LEVELS, cascade_segment, find_cuts_at_level, regroup
 from .config import EngineConfig, effective_config, load_config
 from .corpus import (
     AlignedCorpus,
@@ -22,7 +22,6 @@ from .corpus import (
     parse_gold,
     segmentation_from_cuts,
     segmentation_from_spans,
-    subtree_span,
     token_depth,
 )
 from .dataset import (

@@ -27,7 +27,6 @@ __all__ = [
     "CUT_LEVELS",
     "CascadeConfig",
     "find_cuts_at_level",
-    "chunk_boundaries",
     "cascade_segment",
     "regroup",
 ]
@@ -120,17 +119,11 @@ def find_cuts_at_level(
     A position ``i`` separates token ``i`` from token ``i + 1``; valid
     positions for a segment ``(lo, hi)`` are ``lo <= i <= hi - 1``.
     """
-    lo, hi = _checked(sentence, segment)
-    return set(_piece_cuts(sentence, level, config)(lo, hi))
-
-
-def _checked(sentence: Sentence, segment: tuple[int, int]) -> tuple[int, int]:
-    """``segment`` as ``(lo, hi)``, refused unless ``1 <= lo <= hi <= len(sentence)``."""
     lo, hi = segment
     n = len(sentence)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad segment ({lo}, {hi}) for {n} tokens")
-    return lo, hi
+    return set(_piece_cuts(sentence, level, config)(lo, hi))
 
 
 def _piece_cuts(
@@ -160,6 +153,8 @@ def _piece_cuts(
         return lambda a, b: list(range(a, b))
     if name != "chunk":
         raise ValueError(f"unknown cut level {name!r}")
+    # Two neighbours stay glued when one governs the other through a glue
+    # relation, or when they share a head and both bear glue relations.
     heads, deprels, glue = sentence.heads, sentence.deprels, config.glue_deprels
     return lambda a, b: [  # left token i, right token i + 1
         i
@@ -170,18 +165,6 @@ def _piece_cuts(
             or (heads[i - 1] == heads[i] and deprels[i - 1] in glue and deprels[i] in glue)
         )
     ]
-
-
-def chunk_boundaries(
-    sentence: Sentence, segment: tuple[int, int], config: CascadeConfig
-) -> set[int]:
-    """Positions between adjacent tokens that do not belong to one chunk.
-
-    Two neighbours stay glued when one governs the other through a glue
-    relation, or when they share a head and both bear glue relations.
-    """
-    lo, hi = _checked(sentence, segment)
-    return set(_piece_cuts(sentence, CutLevel(4, "chunk"), config)(lo, hi))
 
 
 def cascade_segment(sentence: Sentence, config: CascadeConfig) -> Segmentation:

@@ -58,7 +58,6 @@ __all__ = [
     "parse_gold",
     "align_gold",
     "token_depth",
-    "subtree_span",
     "segmentation_from_spans",
     "segmentation_from_cuts",
 ]
@@ -259,21 +258,6 @@ def token_depth(sentence: Sentence, index: int) -> int:
         depth += 1
         cur = heads[cur - 1]
     return depth
-
-
-def subtree_span(sentence: Sentence, index: int) -> tuple[int, int]:
-    """Leftmost and rightmost token index in the subtree rooted at ``index``."""
-    if not 1 <= index <= len(sentence):
-        raise ValueError(f"token index {index} out of range")
-    children = sentence._tree[0]
-    lo = hi = index
-    stack = [index]
-    while stack:
-        node = stack.pop()
-        lo = min(lo, node)
-        hi = max(hi, node)
-        stack.extend(children[node])
-    return lo, hi
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from ._dp import best_sparse_cuts, scaled
 from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded
 from .errors import FormatError
 from .scoring import _finish, _Structure
-from .span import SpanConfig
+from .span import SpanConfig, _count
 
 __all__ = [
     "CandidateExample",
@@ -86,8 +86,10 @@ def export_candidates(
     """
     if not corpus.entries:
         raise ValueError("empty corpus")
-    if negatives_per_positive < 0:
-        raise ValueError("negatives_per_positive must be >= 0")
+    for name, value in (("negatives_per_positive", negatives_per_positive), ("seed", seed)):
+        _count(name, value)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
     rng = random.Random(seed)
     examples: list[CandidateExample] = []
     for entry in corpus:
@@ -185,9 +187,11 @@ class ScoreTable:
         if self._grouped is None:
             grouped: dict[str, dict[int, dict[int, int]]] = {}
             for (sid, a, b), p in self.probabilities.items():
-                if not (isinstance(a, int) and isinstance(b, int)):
+                if not (type(a) is int and type(b) is int):
                     raise ValueError(f"score key {(sid, a, b)!r}: start and end must be ints")
                 try:
+                    if type(p) is bool:
+                        raise TypeError
                     in_range = 0.0 <= p <= 1.0
                 except TypeError:
                     raise ValueError(

@@ -1,10 +1,12 @@
 """The cascade as it stood before each level became one sentence-wide set.
 
-``find_cuts_at_level``, ``_level_cuts``, ``cascade_segment`` and ``regroup``
-are kept verbatim from that version: each oversized piece re-scans its own
-tokens, clause onsets come through a per-sentence cached thunk, and regroup
-decides fit with a second per-sentence index.  ``test_cascade`` checks the
-current module against them.
+``find_cuts_at_level``, ``cascade_segment`` and ``regroup`` are kept
+verbatim from that version: each oversized piece re-scans its own tokens,
+clause onsets come through a per-sentence cached thunk, and regroup decides
+fit with a second per-sentence index.  So is ``_level_cuts``, but for its
+chunk rule: that version asked the module under test for it, so here the
+glue rule is written over ``sentence.tokens`` like the other levels.
+``test_cascade`` checks the current module against them.
 """
 
 import warnings
@@ -17,7 +19,6 @@ from rhesis.cascade import (
     CascadeConfig,
     CutLevel,
     _clause_onsets,
-    chunk_boundaries,
 )
 from rhesis.corpus import Segmentation, Sentence, segmentation_from_spans
 from rhesis.errors import OversizedTokenWarning
@@ -67,7 +68,15 @@ def _level_cuts(
             if tok.upos == "ADP" and tok.form.lower() in config.priority_prepositions:
                 cuts.add(tok.index - 1)
     elif level.name == "chunk":
-        cuts = chunk_boundaries(sentence, segment, config)
+        glue = config.glue_deprels
+        for left, right in zip(toks[lo - 1 : hi - 1], toks[lo:hi]):
+            glued = (
+                (right.head == left.index and right.deprel in glue)
+                or (left.head == right.index and left.deprel in glue)
+                or (left.head == right.head and left.deprel in glue and right.deprel in glue)
+            )
+            if not glued:
+                cuts.add(left.index)
     elif level.name == "other_preposition":
         for tok in toks[lo - 1 : hi]:
             if tok.upos == "ADP" and tok.form.lower() not in config.priority_prepositions:

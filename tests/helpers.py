@@ -1,4 +1,4 @@
-"""Shared generators for the randomized suites.
+"""Shared generators for the randomized suites, and a subtree oracle.
 
 Trees are built by attaching each token (in a random order) to one already
 placed, so every draw is a valid single-root dependency tree with arbitrary
@@ -77,6 +77,21 @@ def random_segmentation(rng: random.Random, sentence: Sentence) -> Segmentation:
     n = len(sentence.tokens)
     cuts = tuple(pos for pos in range(1, n) if rng.random() < 0.35)
     return segmentation_from_cuts(sentence, cuts)
+
+
+def subtree_span(sentence: Sentence, index: int) -> tuple[int, int]:
+    """Leftmost and rightmost token index in the subtree rooted at ``index``."""
+    if not 1 <= index <= len(sentence):
+        raise ValueError(f"token index {index} out of range")
+    children = sentence._tree[0]
+    lo = hi = index
+    stack = [index]
+    while stack:
+        node = stack.pop()
+        lo = min(lo, node)
+        hi = max(hi, node)
+        stack.extend(children[node])
+    return lo, hi
 
 
 def corpus_from_golds(

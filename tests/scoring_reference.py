@@ -39,12 +39,13 @@ class _Structure:
     Everything else is built on first use, so a consumer pays only for what
     it reads.  The span facts: ``fit_end`` (the last end that fits from
     each start) from one two-pointer pass, and ``measure_rows``, the measure
-    of every admissible segment laid out the way ``_dp.best_cuts`` reads
-    its rows.  The tree facts: ``depth[i] == token_depth(sentence, i)`` and
-    ``extents[i] == subtree_span(sentence, i)`` from one pass each, and
-    ``candidates[p - 1] == crossing_edges(sentence, p)`` for every boundary
-    from one sweep over the edges, in O(n + total arc length).  None of
-    these depends on the weights, so the tuner builds them once per sentence.
+    of every admissible segment laid out the way ``dp_reference.best_cuts``
+    reads its rows.  The tree facts: ``depth[i] == token_depth(sentence, i)``
+    and ``extents[i] == helpers.subtree_span(sentence, i)`` from one pass
+    each, and ``candidates[p - 1] == crossing_edges(sentence, p)`` for every
+    boundary from one sweep over the edges, in O(n + total arc length).  None
+    of these depends on the weights, so the tuner builds them once per
+    sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):

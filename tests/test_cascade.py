@@ -18,7 +18,6 @@ from rhesis import (
     SpanConfig,
     Token,
     cascade_segment,
-    chunk_boundaries,
     find_cuts_at_level,
     parse_conllu,
     regroup,
@@ -150,7 +149,7 @@ class TestChunkBoundaries:
             (".", "PUNCT", 4, "punct", True),
         ]
         sent = _sent("chunk", rows)
-        assert chunk_boundaries(sent, (1, 10), CFG) == {2, 3, 4, 5, 9}
+        assert find_cuts_at_level(sent, (1, 10), CUT_LEVELS[3], CFG) == {2, 3, 4, 5, 9}
 
     def test_shared_head_glue_pair(self):
         # "dans le" both attach to "jardin" with glue relations: no cut between
@@ -162,7 +161,7 @@ class TestChunkBoundaries:
             (".", "PUNCT", 1, "punct", True),
         ]
         sent = _sent("pair", rows)
-        assert chunk_boundaries(sent, (1, 5), CFG) == {1, 4}
+        assert find_cuts_at_level(sent, (1, 5), CUT_LEVELS[3], CFG) == {1, 4}
 
     @pytest.mark.parametrize("segment", [(0, 9), (1, 10), (5, 2)])
     def test_segment_outside_the_sentence_is_refused(self, segment):
@@ -172,7 +171,7 @@ class TestChunkBoundaries:
         assert len(sent) == 9
         lo, hi = segment
         with pytest.raises(ValueError, match=rf"bad segment \({lo}, {hi}\) for 9 tokens"):
-            chunk_boundaries(sent, segment, CFG)
+            find_cuts_at_level(sent, segment, CUT_LEVELS[3], CFG)
 
 
 class TestCascadeSegment:

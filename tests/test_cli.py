@@ -706,6 +706,16 @@ class TestExportDataset:
         assert manifest["examples"]["positive"] == 4
         assert "examples ->" in capsys.readouterr().err
 
+    def test_a_negative_seed_writes_no_file(self, data, tmp_path, capsys):
+        # random.Random seeds with the absolute value, so -1 would export what 1 does
+        out = tmp_path / "candidates.tsv"
+        code = main(["export-dataset", "--conllu", data["conllu"],
+                     "--gold", data["gold"], "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "rhesis: error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "candidates.tsv.manifest.json").exists()
+
     @pytest.mark.parametrize(
         "old, new, error",
         [

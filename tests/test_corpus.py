@@ -20,13 +20,12 @@ from rhesis import (
     parse_gold,
     segmentation_from_cuts,
     segmentation_from_spans,
-    subtree_span,
     token_depth,
 )
 from rhesis.scoring import _Structure
 
 import corpus_reference
-from helpers import random_sentence
+from helpers import random_sentence, subtree_span
 
 SAMPLE = """\
 # newdoc id = demo

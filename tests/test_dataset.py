@@ -126,6 +126,29 @@ class TestExportCandidates:
         with pytest.raises(ValueError, match=">= 0"):
             export_candidates(corpus, -1, seed=1, span=WIDE)
 
+    def test_negative_seed_rejected(self):
+        corpus = _corpus((TEN, (4,)))
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            export_candidates(corpus, 2, seed=-1, span=WIDE)
+
+    @pytest.mark.parametrize(
+        "negatives, seed, message",
+        [
+            (True, 1, "negatives_per_positive must be an integer, got True"),
+            (2.5, 1, "negatives_per_positive must be an integer, got 2.5"),
+            (2.0, 1, "negatives_per_positive must be an integer, got 2.0"),
+            ("2", 1, "negatives_per_positive must be an integer, got '2'"),
+            (2, False, "seed must be an integer, got False"),
+            (2, 1.5, "seed must be an integer, got 1.5"),
+            (2, "1", "seed must be an integer, got '1'"),
+        ],
+    )
+    def test_a_count_or_seed_that_is_not_an_integer_is_refused(self, negatives, seed, message):
+        corpus = _corpus((TEN, (4,)))
+        with pytest.raises(TypeError) as caught:
+            export_candidates(corpus, negatives, seed=seed, span=WIDE)
+        assert str(caught.value) == message
+
 
 class TestCandidatesToTsv:
     def test_header_and_rows(self):

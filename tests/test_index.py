@@ -35,7 +35,6 @@ from rhesis import (
     find_cuts_at_level,
     segment_best,
     segment_by_scores,
-    subtree_span,
 )
 from rhesis import cascade, corpus, scoring
 from rhesis._dp import best_measured_cuts, best_sparse_cuts, scaled
@@ -47,7 +46,7 @@ from rhesis.span import text_measure
 
 import scoring_reference
 from dp_reference import best_cuts
-from helpers import DEPRELS, corpus_from_golds, random_segmentation, random_sentence
+from helpers import DEPRELS, corpus_from_golds, random_segmentation, random_sentence, subtree_span
 
 SEEDS = st.integers(0, 2**32 - 1)
 

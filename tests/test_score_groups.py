@@ -115,7 +115,9 @@ def test_the_view_is_built_once_across_calls():
     assert counting.walks == 1
 
 
-@pytest.mark.parametrize("key", [("s", 1.0, 2), ("s", 1, 2.0), ("s", "1", 2)])
+@pytest.mark.parametrize(
+    "key", [("s", 1.0, 2), ("s", 1, 2.0), ("s", "1", 2), ("s", True, 2), ("s", 2, True)]
+)
 def test_a_key_that_is_not_int_fails_when_grouped(key):
     sentence = random_sentence(random.Random(1), 3, 3, sent_id="s")
     for read in (
@@ -128,7 +130,7 @@ def test_a_key_that_is_not_int_fails_when_grouped(key):
     assert len(table) == 2  # building the table checks nothing
 
 
-@pytest.mark.parametrize("p", ["0.5", None, 0.5j])
+@pytest.mark.parametrize("p", ["0.5", None, 0.5j, True, False])
 def test_a_probability_that_is_not_a_number_fails_when_grouped(p):
     sentence = random_sentence(random.Random(1), 3, 3, sent_id="s")
     key = ("s", 1, 2)
