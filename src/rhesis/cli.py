@@ -176,7 +176,10 @@ def _warn_unscored(table, sentences, segs) -> None:
     """One warning counting score rows no segmentation can use and chosen
     units that had no row (they scored epsilon); none when all are zero."""
     unknown, past_end = unmatched_rows(table, sentences)
-    epsilon = sum(table.get(seg.sentence_id, a, b) is None for seg in segs for a, b in seg.spans())
+    rows = table._rows()  # the grouped view: a loaded table never builds its key dict
+    epsilon = sum(
+        b not in rows.get(seg.sentence_id, {}).get(a, ()) for seg in segs for a, b in seg.spans()
+    )
     counts = []
     if unknown or past_end:
         counts.append(

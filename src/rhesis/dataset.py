@@ -7,10 +7,14 @@ near misses rather than arbitrary spans, each a ``CandidateExample`` named
 tuple whose fields are the TSV columns, in order.  Predicted probabilities come
 back as a score table, and a log-probability dynamic program composes them into
 one segmentation per sentence.  The table groups its rows by sentence and
-start once, on first use, and the dynamic program reads a sentence's own rows
-there, so a sentence costs its tokens and its own rows, save a start whose
-best ``epsilon`` span has a row below ``epsilon``: that start scans its
-admissible spans.
+start, each row's probability as its scaled log, and the dynamic program reads
+a sentence's own rows there, so a sentence costs its tokens and its own rows,
+save a start whose best ``epsilon`` span has a row below ``epsilon``: that
+start scans its admissible spans.  ``load_scores`` builds that view as it
+reads: it cuts the text once, reads and checks each column whole, and fills
+the view in one loop.  Only a text that fails a column check, or repeats a
+key, is read again a line at a time, which names the first bad line or
+counts the repeats.  A hand-built table groups its rows on first use.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
+from operator import le, mul
 from typing import NamedTuple
 
-from ._dp import best_sparse_cuts, scaled
+from ._dp import SCALE, best_sparse_cuts, scaled
 from .corpus import AlignedCorpus, Segmentation, Sentence, _decoded
 from .errors import FormatError
 from .scoring import _finish, _Structure
@@ -173,14 +178,37 @@ def finetune_manifest(
 class ScoreTable:
     """Probabilities for (sentence_id, start, end) spans, from a classifier.
 
-    The first segmentation or row count groups the rows by sentence id and
-    start and keeps that view; do not mutate ``probabilities`` after that.
-    Grouping raises ``ValueError`` for a key whose start or end is not an
-    int, or whose probability is not a number, is NaN or is outside [0, 1].
+    A table built by hand groups its rows by sentence id and start on its
+    first segmentation or ``unmatched_rows`` and keeps that view; do not
+    mutate ``probabilities`` after that.  Grouping raises ``ValueError`` for
+    a key whose start or end is not an int, or whose probability is not a
+    number, is NaN or is outside [0, 1].
+
+    A table from ``load_scores`` holds that view from the start, and keeps
+    the text it read in place of the ``probabilities`` dict.  The dict is
+    read from that text when something first asks for it (``probabilities``,
+    ``get``, ``==``, ``repr``, ``dataclasses.replace``), and kept.  ``len``
+    reads the view, so segmenting never builds the dict.
     """
 
     probabilities: dict[tuple[str, int, int], float]
     _grouped: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _loaded(cls, grouped: dict, text: str) -> ScoreTable:
+        table = object.__new__(cls)
+        object.__setattr__(table, "_grouped", grouped)
+        object.__setattr__(table, "_text", text)
+        return table
+
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: a loaded table's dict, before anything read it
+        if name != "probabilities" or self._text is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "probabilities", _read_lines(self._text))
+        object.__setattr__(self, "_text", None)
+        return self.probabilities
 
     def _rows(self) -> dict[str, dict[int, dict[int, int]]]:
         """sentence_id -> start -> {end: scaled log-probability}, built once."""
@@ -213,21 +241,70 @@ class ScoreTable:
         return self.probabilities.get((sentence_id, start, end), default)
 
     def __len__(self) -> int:
+        if self._text is not None:
+            return _row_count(self._grouped)
         return len(self.probabilities)
 
 
-def load_scores(data: str | bytes) -> ScoreTable:
-    """Parse a TSV score stream: sentence_id, start, end, probability.
+def _row_count(grouped: dict[str, dict[int, dict[int, int]]]) -> int:
+    return sum(map(len, chain.from_iterable(map(dict.values, grouped.values()))))
 
-    Blank lines are skipped.  Duplicate keys keep the last value, and one
-    warning counts them; malformed lines, spans that are not
-    ``1 <= start <= end`` and out-of-range probabilities fail with the line
-    number.
-    """
-    data = _decoded(data, FormatError)
+
+def _read_columns(text: str) -> tuple[list[str], list[int], list[int], list[float]] | None:
+    """The sentence id, start, end and probability columns of ``text``'s
+    non-blank lines, or None unless every line has four fields that
+    ``_read_lines`` would accept."""
+    lines = list(filter(str.strip, text.split("\n")))
+    if not lines:
+        return [], [], [], []
+    # Joined with "\n\t", every line but the last ends in a cell that ends in
+    # "\n".  Four cells a line in all, and every such cell in the probability
+    # column, prove four cells on each line: a short line beside a long one
+    # has the same total, but puts a line's "\n" in another column.
+    cells = "\n\t".join(lines).split("\t")
+    probs = cells[3::4]
+    if len(cells) != 4 * len(lines) or "".join(probs).count("\n") != len(lines) - 1:
+        return None
+    try:  # int and float read a cell as _read_lines does; both ignore the "\n"
+        starts, ends = list(map(int, cells[1::4])), list(map(int, cells[2::4]))
+        probs = list(map(float, probs))
+    except ValueError:
+        return None
+    if min(starts) < 1 or not all(map(le, starts, ends)):
+        return None
+    if min(probs) < 0.0 or max(probs) > 1.0 or any(map(math.isnan, probs)):
+        return None
+    return cells[0::4], starts, ends, probs
+
+
+def _group_columns(ids, starts, ends, probs) -> dict[str, dict[int, dict[int, int]]] | None:
+    """``ScoreTable._rows``'s view of checked columns, or None when a
+    ``(sentence_id, start, end)`` repeats."""
+    if min(probs, default=1.0) < 1e-300:
+        probs = map(max, probs, repeat(1e-300))
+    # scaled(math.log(p)) for every p, with no Python call per row (the float scale is exact)
+    terms = map(float.__round__, map(mul, map(math.log, probs), repeat(float(SCALE))))
+    grouped: dict[str, dict[int, dict[int, int]]] = {}
+    sid = start = ends_of = None
+    for s, a, b, term in zip(ids, starts, ends, terms):
+        if a != start or s != sid:  # rows of one sentence and start tend to be adjacent
+            sid, start = s, a
+            by_start = grouped.get(s)
+            if by_start is None:
+                by_start = grouped[s] = {}
+            ends_of = by_start.get(a)
+            if ends_of is None:
+                ends_of = by_start[a] = {}
+        ends_of[b] = term
+    return grouped if _row_count(grouped) == len(ids) else None
+
+
+def _read_lines(text: str) -> dict[tuple[str, int, int], float]:
+    """The table one line at a time, as one dict keyed by (sentence_id, start,
+    end): raises at the first bad line, and warns once about repeated keys."""
     table: dict[tuple[str, int, int], float] = {}
     duplicates, first = 0, 0
-    for lineno, line in enumerate(data.split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -256,7 +333,29 @@ def load_scores(data: str | bytes) -> ScoreTable:
         warnings.warn(
             f"{duplicates} duplicate score rows (the first on line {first}), keeping the last"
         )
-    return ScoreTable(probabilities=table)
+    return table
+
+
+def load_scores(data: str | bytes) -> ScoreTable:
+    """Parse a TSV score stream: sentence_id, start, end, probability.
+
+    Blank lines are skipped.  Duplicate keys keep the last value, and one
+    warning counts them; malformed lines, spans that are not
+    ``1 <= start <= end`` and out-of-range probabilities fail with the line
+    number.  The text is cut once and read column by column, and the rows
+    are grouped by sentence and start as they are read, so the table comes
+    back with the view its segmentations read.  Only when a column fails a
+    check, or a key repeats, is the text read again one line at a time, to
+    name the line or count the repeats.
+    """
+    text = _decoded(data, FormatError)
+    columns = _read_columns(text)
+    grouped = None if columns is None else _group_columns(*columns)
+    if grouped is not None:
+        return ScoreTable._loaded(grouped, text)
+    table = ScoreTable(probabilities=_read_lines(text))
+    table._rows()
+    return table
 
 
 def unmatched_rows(scores: ScoreTable, sentences: list[Sentence]) -> tuple[int, int]:

@@ -1,4 +1,5 @@
-"""Shared generators for the randomized suites, and a subtree oracle.
+"""Shared generators for the randomized suites, a subtree oracle, and an
+inference-shaped score table.
 
 Trees are built by attaching each token (in a random order) to one already
 placed, so every draw is a valid single-root dependency tree with arbitrary
@@ -13,9 +14,11 @@ from rhesis import (
     AlignedEntry,
     Segmentation,
     Sentence,
+    SpanConfig,
     Token,
     segmentation_from_cuts,
 )
+from rhesis.scoring import _Structure
 
 FORMS = [
     "le", "la", "un", "de", "et", "il", "elle", "sur", "dans", "avec",
@@ -116,3 +119,27 @@ def relabelled_fixture_gold() -> str:
     runs = ["\n\n".join(blocks[k : k + 6]) for k in range(0, 30, 6)]
     heads = ["", "#doc B\n", "#doc A\n", "#doc B\n", "#doc A\n"]
     return "\n\n".join(head + run for head, run in zip(heads, runs)) + "\n"
+
+
+def dense_scores(
+    corpus: AlignedCorpus, seed: int, span: SpanConfig = SpanConfig()
+) -> dict[tuple[str, int, int], float]:
+    """The table a classifier writes at inference: every span the scores DP
+    may choose under ``span`` (from each start, every end up to the last
+    that fits, and the start alone), each gold rhesis at 0.9-0.99 and every
+    other span at 0.001-0.05, rounded to six places."""
+    rng = random.Random(seed)
+    probs = {}
+    for entry in corpus:
+        sentence = entry.sentence
+        gold = set(entry.gold.spans())
+        for a, last in enumerate(_Structure(sentence, span).fit_end[1:], 1):
+            for b in range(a, max(a, last) + 1):
+                low, width = (0.9, 0.09) if (a, b) in gold else (0.001, 0.049)
+                probs[(sentence.sent_id, a, b)] = round(low + width * rng.random(), 6)
+    return probs
+
+
+def scores_tsv(probs: dict[tuple[str, int, int], float]) -> str:
+    """``probs`` as ``load_scores`` reads them, one row per key in order."""
+    return "".join(f"{sid}\t{a}\t{b}\t{p!r}\n" for (sid, a, b), p in probs.items())
