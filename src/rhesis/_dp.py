@@ -1,12 +1,20 @@
 """Exact dynamic program shared by the scored segmenters.
 
 Scores are quantized to a fixed binary grid (``round(x * 2**40)``) and summed
-as Python ints.  Integer sums are associative, so the optimum and every
+as integers.  Integer sums are associative, so the optimum and every
 tie-break come out identical no matter how candidate segmentations are
 enumerated — which is what lets a brute-force oracle reproduce the DP answer
 bit for bit.  With per-term magnitudes below ~2000 the scaled values stay
 well inside float64's exact-integer range, so the quantization itself is
 deterministic.
+
+The loops only add and compare their terms, so they work on Python ints and
+on floats that hold integers alike.  A double holds every integer below
+2^53, and the sum of two such integers exactly while it stays below 2^53.
+``scoring._optimal_cuts`` hands ``best_measured_cuts`` a float balance table
+when its weights and sentence length bound every sum the DP forms below
+2^52, since float additions are cheaper than those of ints past 2^30, and
+ints otherwise; both give the same cuts.
 
 The DP maximizes  sum(segment terms) + sum(cut terms)  over all segmentations
 whose every segment is admissible, breaking ties toward fewer segments and

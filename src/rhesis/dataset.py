@@ -370,7 +370,7 @@ def unmatched_rows(scores: ScoreTable, sentences: list[Sentence]) -> tuple[int, 
         n = lengths.get(sentence_id)
         if n is None:
             unknown += sum(map(len, starts.values()))
-        else:
+        elif max(chain.from_iterable(starts.values())) > n:  # rare: then count them
             past_end += sum(end > n for ends in starts.values() for end in ends)
     return unknown, past_end
 

@@ -175,10 +175,18 @@ class _Structure:
     The tree fact: ``cut_features``, the three sequences behind
     ``crossing_edges(sentence, p)`` that a cut score reads (the primary
     edge's deprel, its depth and the crossing count, at index ``p - 1``),
-    read by the tree DP and the tuner.  It takes each token's depth from one
-    pass over the traversal the sentence kept of its cycle check, then
-    sweeps the edges once, in O(n + total arc length).  None of these
-    depends on the weights, so the tuner builds them once per sentence.
+    read by the tree DP and the tuner.  Of the two sides of ``p``, let S be
+    the one without the root.  The primary edge's dependent is the token of
+    S first in (depth, head, index) order: a crossing edge whose dependent
+    is on the root's side has its head in S, so that dependent is deeper
+    than S's shallowest token; and S's shallowest token has its head outside
+    S, or that head would be shallower, so its edge crosses ``p``.  So one
+    pass over the traversal the sentence kept of its cycle check gives each
+    token's depth and head and marks where each edge starts and stops
+    crossing; a prefix minimum left of the root and a suffix minimum right
+    of it give the primary edges, and a running sum the crossing counts, in
+    O(n).  None of these depends on the weights, so the tuner builds them
+    once per sentence.
     """
 
     def __init__(self, sentence: Sentence, span: SpanConfig):
@@ -212,25 +220,34 @@ class _Structure:
     def cut_features(self) -> tuple[list[str], list[int], list[int]]:
         """Per boundary ``p`` at index ``p - 1``: the primary deprel, its depth, the crossing count."""
         n, deprels, (children, order) = self.n, self._deprels, self._tree
-        depth = [0] * (n + 1)
-        for node in order:
+        m = n + 1
+        key = [0] * m  # key[t] = depth(t)·m + head(t): depth first, then the head
+        opened = [0] * m  # edges that start crossing at p, less those that stop
+        for node in order:  # every edge once, from its head
+            child_key = key[node] - key[node] % m + m + node
             for child in children[node]:
-                depth[child] = depth[node] + 1
-        deprel = [""] * n
-        shallowest = [n] * n
-        opened = [0] * (n + 1)  # edges that start crossing at p, less those that stop
-        # edges in (head, dependent) order: the first shallowest edge is the primary one
-        for head, dependents in enumerate(children[1:], 1):
-            for dep in dependents:
-                lo, hi = (head, dep) if head < dep else (dep, head)
-                opened[lo] += 1
-                opened[hi] -= 1
-                d, label = depth[dep], deprels[dep - 1]
-                for p in range(lo, hi):
-                    if d < shallowest[p]:
-                        shallowest[p] = d
-                        deprel[p] = label
-        return deprel[1:], shallowest[1:], list(accumulate(opened[1:n]))
+                key[child] = child_key
+                if node < child:
+                    opened[node] += 1
+                    opened[child] -= 1
+                else:
+                    opened[child] += 1
+                    opened[node] -= 1
+        deprel, depth = [""] * (n - 1), [0] * (n - 1)
+        root = children[0][0]
+        best = m * m  # above every key
+        for p in range(1, root):  # S = 1..p, walked rightward: a tie keeps the leftmost
+            k = key[p]
+            if k < best:
+                best, label, d = k, deprels[p - 1], k // m
+            deprel[p - 1], depth[p - 1] = label, d
+        best = m * m
+        for p in range(n - 1, root - 1, -1):  # S = p + 1..n, walked leftward: a tie moves left
+            k = key[p + 1]
+            if k <= best:
+                best, label, d = k, deprels[p], k // m
+            deprel[p - 1], depth[p - 1] = label, d
+        return deprel, depth, list(accumulate(opened[1:n]))
 
 
 def _cut_terms(struct: _Structure, w: ScoringWeights) -> list[int]:
@@ -248,6 +265,14 @@ def _balance_table(w_balance: float, target: int, top: int) -> tuple[int, ...]:
     return tuple(scaled(-w_balance * abs(m - target)) for m in range(top + 1))
 
 
+# Keyed on the int table itself: a fresh copy per call costs more than the
+# float sums save on a sentence of 5-20 tokens.
+@lru_cache(maxsize=128)
+def _float_table(table: tuple[int, ...]) -> tuple[float, ...]:
+    """``table`` as floats, for ``_optimal_cuts`` to pass below the exact-sum bound."""
+    return tuple(map(float, table))
+
+
 def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     # the balance term depends on a segment only through its measure
     # ``hi[b] - lo[a]``: the DP reads it off ``hi`` and ``lo`` into one table
@@ -256,8 +281,16 @@ def _optimal_cuts(struct: _Structure, w: ScoringWeights) -> tuple[int, ...]:
     # ``top`` is the cap, or the sentence's measure when that is smaller, and
     # a huge span costs no more than the sentence; an oversized token stands
     # alone in every segmentation: its term is 0
-    hi, lo = struct.hi, struct.lo
-    table = _balance_table(w.w_balance, struct.target, min(struct.max_units, hi[struct.n] - lo[1]))
+    hi, lo, n = struct.hi, struct.lo, struct.n
+    table = _balance_table(w.w_balance, struct.target, min(struct.max_units, hi[n] - lo[1]))
+    # a cover sums at most n balance terms, the largest in size at an end of
+    # the table, and n - 1 cut terms, each at most ``cut_bound`` in size: the
+    # deprel weights lie in [-1, 1], and a depth and a crossing count are
+    # below n; while n times both stays below 2^52, every sum the DP forms is
+    # an integer a double holds exactly, and float sums are the cheaper
+    cut_bound = (w.w_dep + (w.w_depth + w.w_cross) * n + w.w_count) * SCALE
+    if n * (max(-table[0], -table[-1]) + cut_bound) < 2**52:
+        table = _float_table(table)
     return best_measured_cuts(hi, lo, table, _cut_terms(struct, w))
 
 

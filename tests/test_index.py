@@ -68,6 +68,56 @@ def test_cut_features_equal_crossing_edges(seed):
         assert crossings[p - 1] == len(cand.crossing)
 
 
+def _crossing_features(sent: Sentence) -> tuple[list[str], list[int], list[int]]:
+    cands = [crossing_edges(sent, p) for p in range(1, len(sent))]
+    return (
+        [c.primary_edge[2] for c in cands],
+        [c.depth for c in cands],
+        [len(c.crossing) for c in cands],
+    )
+
+
+def _from_heads(heads: list[int]) -> Sentence:
+    """Token ``t`` governed by ``heads[t - 1]`` and labelled ``d<t>``."""
+    return Sentence.from_tokens("h", [
+        Token(index=t, form=f"w{t}", upos="X", head=head, deprel="root" if head == 0 else f"d{t}")
+        for t, head in enumerate(heads, 1)
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS)
+def test_cut_features_equal_crossing_edges_where_arcs_are_long(seed):
+    # 60-120 tokens, non-projective, arcs in either direction: many arcs span most boundaries
+    sent = random_sentence(random.Random(seed), 60, 120)
+    assert _Structure(sent, SpanConfig()).cut_features == _crossing_features(sent)
+
+
+# (heads, then per boundary: the primary dependent, its depth, the crossing count)
+_PINNED_FEATURES = {
+    # S lies right of every boundary; 2 and 5 share the shallowest depth and the head at p = 1
+    "root-first": ([0, 1, 2, 2, 1], [2, 5, 5, 5], [1, 1, 1, 1], [2, 3, 2, 1]),
+    # S lies left of every boundary; 1 and 4 share the shallowest depth and the head at p = 4
+    "root-last": ([5, 4, 4, 5, 0], [1, 1, 1, 1], [1, 1, 1, 1], [1, 2, 3, 2]),
+    # at p = 2 and 3, S = 1..p: 1 (head 5) and 2 (head 4) are the shallowest, the leftmost
+    # head wins over the leftmost dependent; at p = 5, 4 and 5 share head 6 and 4 wins
+    "heads-left": ([5, 4, 2, 6, 6, 0], [1, 2, 2, 4, 4], [2, 2, 2, 1, 1], [1, 3, 2, 2, 2]),
+    # at p = 3, S = 4..6: 4 (head 3) and 5 (head 2) are the shallowest, the leftmost head wins
+    "heads-right": ([0, 1, 1, 3, 2, 5], [2, 3, 5, 5, 6], [1, 1, 2, 2, 3], [2, 2, 2, 1, 1]),
+    # arcs 1-3 and 2-4 cross: at p = 1 the arc to 3 crosses with its deeper dependent on the
+    # root's side; at p = 2 both cross and the shallower dependent, 4, is primary
+    "crossing-arcs": ([2, 0, 1, 2], [1, 4, 4], [1, 1, 1], [2, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_FEATURES))
+def test_cut_features_on_pinned_trees(case):
+    heads, primary, depths, crossings = _PINNED_FEATURES[case]
+    sent = _from_heads(heads)
+    want = ([f"d{t}" for t in primary], depths, crossings)
+    assert _Structure(sent, SpanConfig()).cut_features == want == _crossing_features(sent)
+
+
 def test_index_reads_the_traversal_the_sentence_kept(monkeypatch):
     sent = _tree(3)
     assert "_tree" not in repr(sent)
