@@ -14,7 +14,8 @@ start scans its admissible spans.  ``load_scores`` builds that view as it
 reads: it cuts the text once, reads and checks each column whole, and fills
 the view in one loop.  Only a text that fails a column check, or repeats a
 key, is read again a line at a time, which names the first bad line or
-counts the repeats.  A hand-built table groups its rows on first use.
+counts the repeats.  A hand-built table checks its rows on first use and
+fills the view through that loop.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import random
 import warnings
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
@@ -213,7 +215,7 @@ class ScoreTable:
     def _rows(self) -> dict[str, dict[int, dict[int, int]]]:
         """sentence_id -> start -> {end: scaled log-probability}, built once."""
         if self._grouped is None:
-            grouped: dict[str, dict[int, dict[int, int]]] = {}
+            keys, probs = [], []
             for (sid, a, b), p in self.probabilities.items():
                 if not (type(a) is int and type(b) is int):
                     raise ValueError(f"score key {(sid, a, b)!r}: start and end must be ints")
@@ -227,14 +229,10 @@ class ScoreTable:
                     ) from None
                 if not in_range:
                     raise ValueError(f"score key {(sid, a, b)!r}: probability {p} outside [0, 1]")
-                starts = grouped.get(sid)
-                if starts is None:
-                    starts = grouped[sid] = {}
-                ends = starts.get(a)
-                if ends is None:
-                    ends = starts[a] = {}
-                ends[b] = scaled(math.log(max(p, 1e-300)))
-            object.__setattr__(self, "_grouped", grouped)
+                keys.append((sid, a, b))
+                probs.append(p)
+            # a dict's keys are distinct, so no row repeats and the view is never None
+            object.__setattr__(self, "_grouped", _group_columns(keys, probs))
         return self._grouped
 
     def get(self, sentence_id: str, start: int, end: int, default=None):
@@ -250,13 +248,13 @@ def _row_count(grouped: dict[str, dict[int, dict[int, int]]]) -> int:
     return sum(map(len, chain.from_iterable(map(dict.values, grouped.values()))))
 
 
-def _read_columns(text: str) -> tuple[list[str], list[int], list[int], list[float]] | None:
-    """The sentence id, start, end and probability columns of ``text``'s
-    non-blank lines, or None unless every line has four fields that
-    ``_read_lines`` would accept."""
+def _read_columns(text: str) -> tuple[Iterable[tuple[str, int, int]], list[float]] | None:
+    """The ``(sentence_id, start, end)`` keys and the probabilities of
+    ``text``'s non-blank lines, read column by column, or None unless every
+    line has four fields that ``_read_lines`` would accept."""
     lines = list(filter(str.strip, text.split("\n")))
     if not lines:
-        return [], [], [], []
+        return [], []
     # Joined with "\n\t", every line but the last ends in a cell that ends in
     # "\n".  Four cells a line in all, and every such cell in the probability
     # column, prove four cells on each line: a short line beside a long one
@@ -274,19 +272,18 @@ def _read_columns(text: str) -> tuple[list[str], list[int], list[int], list[floa
         return None
     if min(probs) < 0.0 or max(probs) > 1.0 or any(map(math.isnan, probs)):
         return None
-    return cells[0::4], starts, ends, probs
+    return zip(cells[0::4], starts, ends), probs
 
 
-def _group_columns(ids, starts, ends, probs) -> dict[str, dict[int, dict[int, int]]] | None:
-    """``ScoreTable._rows``'s view of checked columns, or None when a
-    ``(sentence_id, start, end)`` repeats."""
-    if min(probs, default=1.0) < 1e-300:
-        probs = map(max, probs, repeat(1e-300))
+def _group_columns(keys, probs) -> dict[str, dict[int, dict[int, int]]] | None:
+    """``ScoreTable._rows``'s view of checked keys and their probabilities,
+    or None when a ``(sentence_id, start, end)`` repeats."""
+    floored = probs if min(probs, default=1.0) >= 1e-300 else map(max, probs, repeat(1e-300))
     # scaled(math.log(p)) for every p, with no Python call per row (the float scale is exact)
-    terms = map(float.__round__, map(mul, map(math.log, probs), repeat(float(SCALE))))
+    terms = map(float.__round__, map(mul, map(math.log, floored), repeat(float(SCALE))))
     grouped: dict[str, dict[int, dict[int, int]]] = {}
     sid = start = ends_of = None
-    for s, a, b, term in zip(ids, starts, ends, terms):
+    for (s, a, b), term in zip(keys, terms):
         if a != start or s != sid:  # rows of one sentence and start tend to be adjacent
             sid, start = s, a
             by_start = grouped.get(s)
@@ -296,7 +293,7 @@ def _group_columns(ids, starts, ends, probs) -> dict[str, dict[int, dict[int, in
             if ends_of is None:
                 ends_of = by_start[a] = {}
         ends_of[b] = term
-    return grouped if _row_count(grouped) == len(ids) else None
+    return grouped if _row_count(grouped) == len(probs) else None
 
 
 def _read_lines(text: str) -> dict[tuple[str, int, int], float]:
