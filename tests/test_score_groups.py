@@ -10,6 +10,8 @@ rows once.
 """
 
 import dataclasses
+import fractions
+import math
 import random
 import re
 import warnings
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhesis import ScoreTable, SpanConfig, segment_by_scores, unmatched_rows
+from rhesis._dp import scaled
 
 import dataset_reference
 from helpers import random_sentence
@@ -67,6 +70,33 @@ def test_grouped_table_equals_the_per_span_lookup(data, seed, forms, span, epsil
         assert unmatched_rows(table, sentences) == dataset_reference.unmatched_rows(
             table, sentences
         )
+
+
+# probabilities as a hand-built table may hold them: floats, ints and exact fractions
+_ANY_PROBS = (
+    _PROBS
+    | st.sampled_from([0, 1])
+    | st.fractions(0, 1)
+    | st.builds(fractions.Fraction, st.integers(0, 1), st.integers(1, 10**400))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    probs=st.dictionaries(
+        st.tuples(st.sampled_from(["t", "u", ""]), st.integers(-2, 6), st.integers(-2, 6)),
+        _ANY_PROBS,
+        max_size=30,
+    )
+)
+def test_the_view_is_each_rows_scaled_log_probability(probs):
+    # the per-row formula, written out here: the loaded and hand-built tables share
+    # the builder, so comparing them cannot check it; keys with start <= 0 or
+    # end < start, which no segmentation reads, are grouped all the same
+    want = {}
+    for (sid, a, b), p in probs.items():
+        want.setdefault(sid, {}).setdefault(a, {})[b] = scaled(math.log(max(p, 1e-300)))
+    assert ScoreTable(probabilities=probs)._rows() == want
 
 
 def _corpus(seed: int, count: int = 25):
