@@ -2,15 +2,14 @@
 
 A genome is the weight set flattened to a real vector: the five scalars in
 a fixed order, then one gene per dependency label observed in the corpus
-(sorted).  Fitness is the corpus-level common-rhesis precision (or F1) of
-segment_best against the gold segmentations: matches over produced units
-across every sentence, computed by ``evaluate``'s ``_matches`` and
-``_rates``.  It is not the headline ``eval`` prints, the gold-count-weighted
-mean of per-document rows (``document_report``); the two differ once the
-gold holds more than one ``#doc``.  The loop is a plain
-generational GA — elitism, tournament selection, uniform crossover, additive
-Gaussian mutation — driven by one seeded generator, so runs are fully
-reproducible.
+(sorted).  Fitness is the headline ``eval`` prints for segment_best against
+the gold segmentations: each ``#doc``'s common-rhesis precision (or F1),
+counted by ``evaluate``'s ``_matches`` and ``_rates``, averaged with the
+documents' gold rhesis counts as weights in ``document_report``'s order and
+``_weighted_mean``'s sum, so it equals that report's figure bit for bit.
+The loop is a plain generational GA — elitism, tournament selection,
+uniform crossover, additive Gaussian mutation — driven by one seeded
+generator, so runs are fully reproducible.
 
 Each generation's new, distinct genomes are scored in one batch, a matrix
 of genome vectors: numpy runs the tree DP's recurrence
@@ -199,7 +198,8 @@ class _Block:
         ]
 
     def tallies(self, cut: np.ndarray, balance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per genome, the rhesis count and the gold matches of the optimal segmentations.
+        """Per sentence and genome, the rhesis count and the gold matches of the optimal
+        segmentation.
 
         ``cut[p, s, g]`` and ``balance[m, g]`` are genome ``g``'s integer cut
         and balance terms, ``m`` a measure; the last row of ``balance`` is
@@ -230,13 +230,18 @@ class _Block:
             keys = np.minimum.reduce(keys, where=scores == best, initial=_LAST)
             np.bitwise_and(keys, _KEEP, out=state[r - 1, :run])
         final = state[n_max - self.n, np.arange(lanes)]
-        return (final >> 40).sum(axis=0), (final & (_K - 1)).sum(axis=0)
+        return final >> 40, final & (_K - 1)
 
 
 class _FitnessContext:
-    """Per-sentence structures, gold spans and their batched layout, built once per run."""
+    """Per-sentence structures, gold spans and their batched layout, built once per run.
 
-    __slots__ = ("items", "gold_total", "metric", "labels", "distance", "blocks")
+    ``docs[i]`` numbers the document of ``items[i]`` in first-seen ``#doc`` order,
+    ``doc_gold`` holds each document's gold rhesis count, and ``lanes[k]`` the
+    document of each sentence of ``blocks[k]``.
+    """
+
+    __slots__ = ("items", "docs", "doc_gold", "metric", "labels", "distance", "blocks", "lanes")
 
     def __init__(self, corpus: AlignedCorpus, span: SpanConfig, metric: str):
         import numpy as np
@@ -248,14 +253,18 @@ class _FitnessContext:
             (_Structure(entry.sentence, span), frozenset(entry.gold.spans()))
             for entry in corpus
         ]
-        self.gold_total = sum(len(spans) for _, spans in self.items)
+        doc_number: dict[str, int] = {}
+        self.docs = [doc_number.setdefault(entry.doc_label, len(doc_number)) for entry in corpus]
+        self.doc_gold = [0] * len(doc_number)
+        for doc, (_, spans) in zip(self.docs, self.items):
+            self.doc_gold[doc] += len(spans)
         self.metric = metric
         self.labels = corpus_labels(corpus)
         label_id = {label: i for i, label in enumerate(self.labels)}
-        ranked = sorted(self.items, key=lambda item: -item[0].n)
-        self.blocks = [
-            _Block(ranked[k : k + _BLOCK], label_id) for k in range(0, len(ranked), _BLOCK)
-        ]
+        ranked = sorted(range(len(self.items)), key=lambda i: -self.items[i][0].n)
+        chunks = [ranked[k : k + _BLOCK] for k in range(0, len(ranked), _BLOCK)]
+        self.blocks = [_Block([self.items[i] for i in chunk], label_id) for chunk in chunks]
+        self.lanes = [np.array([self.docs[i] for i in chunk]) for chunk in chunks]
         # one balance row per measure up to the largest admissible one; _NONE clips past it
         top = max(int(b.measure[b.measure < _NONE].max()) for b in self.blocks)
         self.distance = np.abs(np.arange(top + 1) - span.target_chars)
@@ -279,9 +288,9 @@ class _FitnessContext:
         table = genes[:, len(SCALAR_ORDER) :].T.copy()
         balance = np.rint(-scalar["w_balance"] * self.distance[:, None] * SCALE)
         terms = np.concatenate([balance.astype(np.int64), np.full((1, len(genes)), _OUT)])
-        matched = np.zeros(len(genes), dtype=np.int64)
-        total = np.zeros(len(genes), dtype=np.int64)
-        for block in self.blocks:
+        matched = np.zeros((len(self.doc_gold), len(genes)), dtype=np.int64)
+        total = np.zeros_like(matched)
+        for block, lanes in zip(self.blocks, self.lanes):
             cut = np.rint(
                 (
                     scalar["w_dep"] * table[block.dep]
@@ -299,23 +308,26 @@ class _FitnessContext:
                 count, hits = block.tallies(cut.astype(np.int64), terms)
             else:
                 count, hits = self._scalar_tallies(block, genes)
-            total += count
-            matched += hits
-        return [self._score(int(m), int(t)) for m, t in zip(matched, total)]
+            np.add.at(total, lanes, count)
+            np.add.at(matched, lanes, hits)
+        return list(map(self._score, matched.T.tolist(), total.T.tolist()))
 
     def _scalar_tallies(self, block: _Block, genes: np.ndarray):
         """``tallies`` by one ``_optimal_cuts`` per (sentence, genome): each row decoded here."""
         import numpy as np
         batch = [_genome_from_vector(self.labels, row).decode() for row in genes]
         matched, count, _ = np.array([
-            _matches((_spans_from_cuts(_optimal_cuts(s, w), s.n), gold) for s, gold in block.items)
-            for w in batch
-        ], dtype=np.int64).T
+            [_matches([(_spans_from_cuts(_optimal_cuts(s, w), s.n), gold)]) for w in batch]
+            for s, gold in block.items
+        ], dtype=np.int64).transpose(2, 0, 1)
         return count, matched
 
-    def _score(self, matched: int, auto_total: int) -> float:
-        rates = _rates(matched, auto_total, self.gold_total, 0.0)
-        return rates[0] if self.metric == "precision" else rates[2]
+    def _score(self, matched: list[int], auto_total: list[int]) -> float:
+        """``_weighted_mean`` of the documents' rates: one count per document, in order."""
+        k = 0 if self.metric == "precision" else 2
+        return sum(
+            g * _rates(m, a, g, 0.0)[k] for m, a, g in zip(matched, auto_total, self.doc_gold)
+        ) / sum(self.doc_gold)
 
 
 def fitness(
@@ -324,7 +336,7 @@ def fitness(
     span: SpanConfig,
     metric: str = "precision",
 ) -> float:
-    """Corpus-level precision (or F1) of segment_best under this genome."""
+    """``eval``'s weighted precision (or F1) of segment_best under this genome."""
     return _FitnessContext(corpus, span, metric).evaluate_batch([genome.decode()])[0]
 
 

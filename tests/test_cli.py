@@ -635,6 +635,23 @@ class TestTune:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_the_best_fitness_is_the_eval_headline_of_the_tuned_weights(self, tmp_path, capsys):
+        # the bundled gold holds two documents, so a corpus-wide ratio would differ here
+        fixture = resources.files("rhesis").joinpath("data")
+        conllu, gold, weights, auto, report = (tmp_path / name for name in (
+            "fixture.conllu", "fixture.rhz", "tuned.json", "auto.rhz", "report.json"))
+        conllu.write_bytes(fixture.joinpath("fixture.conllu").read_bytes())
+        gold.write_bytes(fixture.joinpath("fixture.rhz").read_bytes())
+        assert main(["tune", "--conllu", str(conllu), "--gold", str(gold),
+                     "--out", str(weights)]) == 0
+        assert main(["segment", "--input", str(conllu), "--method", "tree",
+                     "--weights", str(weights), "--out", str(auto)]) == 0
+        assert main(["eval", "--auto", str(auto), "--gold", str(gold), "--conllu", str(conllu),
+                     "--report", str(report)]) == 0
+        capsys.readouterr()
+        trace = json.loads((tmp_path / "tuned.json.manifest.json").read_text())["trace"]
+        assert json.loads(report.read_text())["weighted_precision"] == trace[-1]
+
 
 class TestEval:
     def test_perfect_agreement(self, data, tmp_path, capsys):

@@ -16,17 +16,18 @@ from rhesis import (
     SpanConfig,
     align_gold,
     corpus_labels,
+    document_report,
     evolve,
     fitness,
     parse_conllu,
     parse_gold,
-    rhesis_precision,
     segment_best,
     weights_to_json,
 )
+from rhesis.evaluate import _weighted_mean
 from rhesis.evolve import SCALAR_ORDER
 
-from helpers import corpus_from_golds, random_sentences
+from helpers import corpus_from_golds, random_sentences, relabelled_fixture_gold
 
 SPAN = SpanConfig(max_chars=30, target_chars=18)
 
@@ -220,16 +221,17 @@ def test_gene_order_follows_the_scalar_weight_fields():
 
 # SHA-256 of the tuned weights file plus the JSON trace, per span and fitness
 # metric, for EvoConfig(population=8, generations=5, seed=42) on the bundled
-# fixture.  A faster tuner must reproduce these bytes exactly.
+# fixture, whose gold holds two documents: the fitness is their gold-weighted
+# mean.  A faster tuner must reproduce these bytes exactly.
 _PINNED_TUNES = [
     (SpanConfig(), "precision",
-     "6204af001508c597a1e9b96eb47d0fd6fd820dfbaaa20c5ee4c3b3d1b0100c70"),
+     "4b9bd971ee0acf44a7cca561012f9c3f8021cb574848712c6b9b0c4a75aecbaf"),
     (SpanConfig(max_chars=20, target_chars=12), "precision",
-     "458ad46cad05db3e33ffbf111d63c7bb1353040014c3be02f802a65bccea4c72"),
+     "87bed6cb766a1a4c08d6e9d12f52f3b45439bfe35658469893c144ec2ad5f816"),
     (SpanConfig(max_chars=6, target_chars=3, count_mode="words"), "precision",
-     "acfca8e2fcccd0bbfcce77dc7e8b7c87aafa0097eb72232f6da7a71079159820"),
+     "871b599b2f86f4d8e6db10256bc82cea24d62ab7da6dffa48b61cc6e3390d668"),
     (SpanConfig(), "f1",
-     "efeba812a6f6717ba50408976ef5d825d890335445e488db2d777449cdb7cc4b"),
+     "560f93135ee4aac35994f1e2403e53ee2c772df80a616ec617fd06ef98ae53ff"),
 ]
 
 
@@ -251,18 +253,22 @@ def test_fixture_tune_is_byte_identical(span, metric, digest):
     ids=["default", "chars20", "words4"],
 )
 def test_fitness_is_the_eval_metric_exactly(span):
-    """The tuner's fitness is the corpus-level ``rhesis_precision`` (or its F1), to the last bit;
-    ``eval``'s headline weights per-document rows instead."""
+    """The tuner's fitness is ``eval``'s headline, to the last bit: the gold-weighted mean of
+    ``document_report``'s per-document precisions (or F1s).  Besides the bundled gold, the
+    relabelled one puts the fixture under three documents, two of them in two runs; tripled,
+    that corpus fills two batched blocks, each holding sentences of every document."""
     data = resources.files("rhesis").joinpath("data")
     sentences = parse_conllu(data.joinpath("fixture.conllu").read_bytes())
-    corpus = align_gold(sentences, parse_gold(data.joinpath("fixture.rhz").read_bytes()))
-    labels = corpus_labels(corpus)
-    rng = random.Random(25)
-    for _ in range(15):
-        values = [rng.uniform(0.0, 1.0) for _ in SCALAR_ORDER]
-        values += [rng.uniform(-1.0, 1.0) for _ in labels]
-        genome = Genome(labels=labels, values=tuple(values))
-        auto = [segment_best(e.sentence, genome.decode(), span) for e in corpus]
-        precision, _, f1 = rhesis_precision(auto, [e.gold for e in corpus])
-        assert fitness(genome, corpus, span, "precision") == precision
-        assert fitness(genome, corpus, span, "f1") == f1
+    bundled = align_gold(sentences, parse_gold(data.joinpath("fixture.rhz").read_bytes()))
+    relabelled = align_gold(sentences, parse_gold(relabelled_fixture_gold()))
+    for corpus in (bundled, AlignedCorpus(entries=relabelled.entries * 3)):
+        labels = corpus_labels(corpus)
+        rng = random.Random(25)
+        for _ in range(15):
+            values = [rng.uniform(0.0, 1.0) for _ in SCALAR_ORDER]
+            values += [rng.uniform(-1.0, 1.0) for _ in labels]
+            genome = Genome(labels=labels, values=tuple(values))
+            auto = [segment_best(e.sentence, genome.decode(), span) for e in corpus]
+            report = document_report(auto, corpus)
+            assert fitness(genome, corpus, span, "precision") == report.weighted_precision
+            assert fitness(genome, corpus, span, "f1") == _weighted_mean(report.per_doc, "f1")

@@ -568,12 +568,14 @@ def test_evolve_evaluates_each_distinct_genome_once(monkeypatch):
 
 
 def _scalar_fitness(context, w):
-    """The fitness from one ``_optimal_cuts`` per sentence: the batched DP's reference."""
-    matched = total = 0
-    for struct, gold_spans in context.items:
+    """The fitness from one ``_optimal_cuts`` per sentence: the batched DP's reference.
+
+    The counts are summed per document, in the context's document order."""
+    matched, total = [0] * len(context.doc_gold), [0] * len(context.doc_gold)
+    for (struct, gold_spans), doc in zip(context.items, context.docs):
         auto_spans = _spans_from_cuts(_optimal_cuts(struct, w), struct.n)
-        matched += len(auto_spans & gold_spans)
-        total += len(auto_spans)
+        matched[doc] += len(auto_spans & gold_spans)
+        total[doc] += len(auto_spans)
     return context._score(matched, total)
 
 
