@@ -2,11 +2,8 @@
 
 A genome is the weight set flattened to a real vector: the five scalars in
 a fixed order, then one gene per dependency label observed in the corpus
-(sorted).  Fitness is the headline ``eval`` prints for segment_best against
-the gold segmentations: each ``#doc``'s common-rhesis precision (or F1),
-counted by ``evaluate``'s ``_matches`` and ``_rates``, averaged with the
-documents' gold rhesis counts as weights in ``document_report``'s order and
-``_weighted_mean``'s sum, so it equals that report's figure bit for bit.
+(sorted).  Fitness is ``eval``'s headline for segment_best against the gold,
+by construction: ``_weighted_mean`` of one ``PerDocRow`` per ``#doc``.
 The loop is a plain generational GA — elitism, tournament selection,
 uniform crossover, additive Gaussian mutation — driven by one seeded
 generator, so runs are fully reproducible.
@@ -44,8 +41,9 @@ from typing import TYPE_CHECKING
 
 from ._dp import SCALE
 from .corpus import AlignedCorpus
-from .evaluate import _matches, _rates
-from .scoring import _SCALAR_FIELDS as SCALAR_ORDER, ScoringWeights, _optimal_cuts, _Structure
+from .evaluate import PerDocRow, _matches, _rates, _weighted_mean
+from .scoring import _DEPREL_RANGE, _SCALAR_RANGE, ScoringWeights, _optimal_cuts, _Structure
+from .scoring import _SCALAR_FIELDS as SCALAR_ORDER
 from .span import SpanConfig, _count
 
 if TYPE_CHECKING:
@@ -72,16 +70,13 @@ class Genome:
 
     def decode(self) -> ScoringWeights:
         """The ScoringWeights this genome encodes, with ranges clamped."""
-        scalars = [max(0.0, v) for v in self.values[: len(SCALAR_ORDER)]]
+        (lo, hi), (low, high) = _SCALAR_RANGE, _DEPREL_RANGE
+        scalars = [min(hi, max(lo, v)) for v in self.values[: len(SCALAR_ORDER)]]
         table = {
-            label: min(1.0, max(-1.0, v))
+            label: min(high, max(low, v))
             for label, v in zip(self.labels, self.values[len(SCALAR_ORDER) :])
         }
-        return ScoringWeights(
-            **dict(zip(SCALAR_ORDER, scalars)),
-            deprel_weights=table,
-            default_deprel_weight=0.0,
-        )
+        return ScoringWeights(**dict(zip(SCALAR_ORDER, scalars)), deprel_weights=table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,11 +318,10 @@ class _FitnessContext:
         return count, matched
 
     def _score(self, matched: list[int], auto_total: list[int]) -> float:
-        """``_weighted_mean`` of the documents' rates: one count per document, in order."""
-        k = 0 if self.metric == "precision" else 2
-        return sum(
-            g * _rates(m, a, g, 0.0)[k] for m, a, g in zip(matched, auto_total, self.doc_gold)
-        ) / sum(self.doc_gold)
+        """The fitness of one count per document, in first-seen ``#doc`` order."""
+        rows = zip(matched, auto_total, self.doc_gold)
+        return _weighted_mean([PerDocRow("", g, *_rates(m, a, g, 0.0)) for m, a, g in rows],
+                              self.metric)
 
 
 def fitness(
@@ -342,8 +336,8 @@ def fitness(
 
 def _clamped(vector: np.ndarray) -> np.ndarray:
     import numpy as np
-    vector[: len(SCALAR_ORDER)] = np.maximum(vector[: len(SCALAR_ORDER)], 0.0)
-    vector[len(SCALAR_ORDER) :] = np.clip(vector[len(SCALAR_ORDER) :], -1.0, 1.0)
+    vector[: len(SCALAR_ORDER)] = np.clip(vector[: len(SCALAR_ORDER)], *_SCALAR_RANGE)
+    vector[len(SCALAR_ORDER) :] = np.clip(vector[len(SCALAR_ORDER) :], *_DEPREL_RANGE)
     return vector
 
 

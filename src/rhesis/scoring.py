@@ -11,13 +11,13 @@ done on an integer grid.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
+from numbers import Real
 from pathlib import Path
 
 from ._dp import SCALE, best_measured_cuts, scaled
@@ -40,11 +40,18 @@ __all__ = [
 ]
 
 
+# The closed ranges of a scalar weight and of a deprel weight, for the checks
+# below and the tuner's clamps.  The ceiling keeps a cut term, at most
+# 1e12 * (2n + 2), far from where ``round(term * SCALE)`` overflows (about 1.6e296).
+_SCALAR_RANGE = (0.0, 1e12)
+_DEPREL_RANGE = (-1.0, 1.0)
+
+
 @dataclass(frozen=True, slots=True)
 class ScoringWeights:
     """Linear weights for the cut objective.
 
-    Scalars are nonnegative; deprel weights live in [-1, 1] and say how
+    Scalars lie in [0, 1e12]; deprel weights live in [-1, 1] and say how
     cuttable a relation is (high: a good place to cut).  Labels absent from
     the table fall back to ``default_deprel_weight``.
     """
@@ -59,27 +66,25 @@ class ScoringWeights:
 
     def __post_init__(self) -> None:
         for name in _SCALAR_FIELDS:
-            value = _not_bool(name, getattr(self, name))
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _weight(name, getattr(self, name), *_SCALAR_RANGE)
         if not isinstance(self.deprel_weights, Mapping):
             raise TypeError(f"deprel_weights must be a mapping, got {self.deprel_weights!r}")
         for label, value in self.deprel_weights.items():
-            if not -1.0 <= _not_bool(f"deprel weight for {label!r}", value) <= 1.0:
-                raise ValueError(f"deprel weight for {label!r} must be in [-1, 1], got {value}")
-        if not -1.0 <= _not_bool("default_deprel_weight", self.default_deprel_weight) <= 1.0:
-            raise ValueError("default_deprel_weight must be in [-1, 1]")
+            _weight(f"deprel weight for {label!r}", value, *_DEPREL_RANGE)
+        _weight("default_deprel_weight", self.default_deprel_weight, *_DEPREL_RANGE)
         object.__setattr__(self, "deprel_weights", dict(self.deprel_weights))
 
     def lookup(self, deprel: str) -> float:
         return self.deprel_weights.get(deprel, self.default_deprel_weight)
 
 
-def _not_bool(name: str, value):
-    """``value``, unless it is a bool: a JSON ``true`` or ``false`` is not a weight."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be a number, got {value}")
-    return value
+def _weight(name: str, value, lo: float, hi: float) -> None:
+    """Refuse ``value`` unless it is a number in ``[lo, hi]``: a JSON ``true``
+    or ``false`` is not a weight, and a NaN fails the comparison."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo:g}, {hi:g}], got {value}")
 
 
 # The nonnegative scalar weights, in declaration order (the tuner's gene order).
