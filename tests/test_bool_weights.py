@@ -22,6 +22,15 @@ BOOLEAN_PAYLOADS = {
                "deprel weight for 'conj' must be a number, got False"),
     "default": ('{"default_deprel_weight": true}',
                 "default_deprel_weight must be a number, got True"),
+    # not booleans, but refused the same way: strings, and scalars past the ceiling
+    "string-scalar": ('{"w_dep": "x"}', "w_dep must be a number, got 'x'"),
+    "string-deprel": ('{"deprel_weights": {"det": "x"}}',
+                      "deprel weight for 'det' must be a number, got 'x'"),
+    "string-default": ('{"default_deprel_weight": "x"}',
+                       "default_deprel_weight must be a number, got 'x'"),
+    "huge-balance": ('{"w_balance": 1e300}', "w_balance must be in [0, 1e+12], got 1e+300"),
+    "huge-count": ('{"w_count": 1e300}', "w_count must be in [0, 1e+12], got 1e+300"),
+    "huge-depth": ('{"w_depth": 1e300}', "w_depth must be in [0, 1e+12], got 1e+300"),
 }
 
 
