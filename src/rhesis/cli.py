@@ -269,3 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RhesisError, ValueError, OSError, Warning) as exc:  # Warning: a filter's "error"
         print(f"rhesis: error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -827,6 +827,20 @@ class TestInstalledScript:
         assert "Le chat dort" in proc.stdout
         assert "# effective-config" in proc.stderr
 
+    def test_python_dash_m_runs_the_cli(self, data, tmp_path):
+        """``python -m rhesis.cli tune`` writes the weight file ``main`` writes."""
+        args = ["tune", "--conllu", data["conllu"], "--gold", data["gold"], "--generations", "2"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rhesis.cli", *args, "--out", str(tmp_path / "child.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main([*args, "--out", str(tmp_path / "main.json")]) == 0
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
 
 @pytest.mark.parametrize("argv, handler", [
     (["segment", "--input", "x", "--method", "cascade"], "_cmd_segment"),
