@@ -282,7 +282,9 @@ class _FitnessContext:
         scalar = dict(zip(SCALAR_ORDER, genes.T))
         table = genes[:, len(SCALAR_ORDER) :].T.copy()
         balance = np.rint(-scalar["w_balance"] * self.distance[:, None] * SCALE)
-        terms = np.concatenate([balance.astype(np.int64), np.full((1, len(genes)), _OUT)])
+        # a term below _OUT fails the guard below: the clip only keeps the cast defined
+        terms = balance.clip(_OUT).astype(np.int64)
+        terms = np.concatenate([terms, np.full((1, len(genes)), _OUT)])
         matched = np.zeros((len(self.doc_gold), len(genes)), dtype=np.int64)
         total = np.zeros_like(matched)
         for block, lanes in zip(self.blocks, self.lanes):

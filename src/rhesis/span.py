@@ -14,6 +14,9 @@ from dataclasses import dataclass
 __all__ = ["SpanConfig", "fits_span", "text_measure"]
 
 _COUNT_MODES = ("characters", "words")
+# The budget's ceiling: below it a target's distance from a measure is an int64
+# for the tuner and a finite float for the tree DP's balance terms.
+_MAX_BUDGET = 10**18
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,6 +30,8 @@ class SpanConfig:
             _count(name, getattr(self, name))
         if self.max_chars <= 0:
             raise ValueError(f"max_chars must be positive, got {self.max_chars}")
+        if self.max_chars > _MAX_BUDGET:
+            raise ValueError(f"max_chars must be at most {_MAX_BUDGET:.0e}, got {self.max_chars}")
         if not 0 < self.target_chars <= self.max_chars:
             raise ValueError(
                 f"target_chars must be in 1..max_chars, got {self.target_chars}"
