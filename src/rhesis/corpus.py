@@ -12,18 +12,15 @@ Every reader decodes with ``_decoded``: CRLF reads as LF.  ``parse_conllu``
 reads the word rows of consecutive blank-line blocks a batch at a time, up to
 ``_BATCH_ROWS`` rows: one ``replace`` and one ``split`` cut the whole batch
 into cells, with no per-line work.  A comment is a block's id only when its
-key before ``=`` is exactly ``sent_id``.  A block is read one of three ways:
-
-- accepted batch: when the cells pass the column tests (10 columns, each
-  block's word ids ``1..k`` and heads ``0..512`` as written, non-blank
-  forms), each block's five columns and its forms' spacing are slices of
-  the batch's;
-- slice of a refused batch: a block whose rows have 10 cells each and whose
-  ids read ``1..k`` still takes its columns from the batch's cells;
-- line reader: any other block goes to ``_read_lines``, in order.  It lifts
-  out comments among the rows, ends a block at a blank-looking line, skips
-  multiword ranges and empty nodes, reads ids and heads with ``int`` and
-  raises ``ParseError`` at the first bad row, so every error names its line.
+key before ``=`` is exactly ``sent_id``.  Once every row of a batch has 10
+cells, its multiword ranges and empty nodes are dropped from the cells; when
+the rest pass the column tests (each block's word ids ``1..k`` and heads
+``0..512`` as written, non-blank forms), each block's five columns and its
+forms' spacing are slices of the batch's.  Every block of any other batch
+goes to the line reader, ``_read_lines``, in order.  It lifts out comments
+among the rows, ends a block at a blank-looking line, skips multiword ranges
+and empty nodes, reads ids and heads with ``int`` and raises ``ParseError``
+at the first bad row, so every error names its line.
 
 ``Sentence._build`` tests heads on whole columns, and a sentence that fails
 a test goes to the per-token checks, which name the first bad token.  The
@@ -39,10 +36,11 @@ line between sentences, ``#doc `` lines carrying document labels, and other
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, starmap
+from itertools import accumulate, chain, pairwise, starmap
 from operator import add, eq, lt
 
 from .errors import AlignmentError, FormatError, ParseError, RhesisError, StructuralError
@@ -392,8 +390,8 @@ def parse_conllu(data: str | bytes) -> list[Sentence]:
     sentence id that repeats an earlier one, given or ordinal, is an error.
 
     The word rows of consecutive blocks are read column-wise a batch at a
-    time; a block the batch refuses is read line by line, and the first
-    bad row raises at its line (see the module docstring).
+    time; a batch the column tests refuse is read line by line, and the
+    first bad row raises at its line (see the module docstring).
     """
     text = _decoded(data, ParseError)
     sentences: list[Sentence] = []
@@ -455,45 +453,52 @@ def _batch(blocks: list[tuple]):
     """``_blocks``' output for ``blocks``, whose rows are cut into cells at once.
 
     A block is ``(sent_id, id line, row count, rows, chunk, the chunk's
-    first line)``.  A batch ``_columns`` refuses is read a block at a time,
-    in order, so the first error in the document is the one raised (the
-    three reads are in the module docstring).
+    first line)``.  The rows ``_read_lines`` skips are dropped from the
+    cells, and an unnamed block's id line becomes its first word's.  A batch
+    ``_columns`` then refuses is read a block at a time, in order, so the
+    first error in the document is the one raised.
     """
     counts = [block[2] for block in blocks]
-    rows = sum(counts)
+    id_lines = [block[1] for block in blocks]
     cells = _cells("\n".join([block[3] for block in blocks]))
-    ids = cells[1::10]
-    plain: list[str] = []
-    for count in counts:
-        plain += _ROW_IDS[:count]
-    # A cell starts with a newline exactly when it starts a row, so matching
-    # ids at every tenth cell also proves 10 columns in every row.
-    columns = _columns(cells) if len(cells) == 10 * rows + 1 and ids == plain else None
-    if columns is not None:
-        forms, upos, heads, deprels, miscs = columns
-        parts = _parts(forms, miscs)  # laid out once for the batch
-        for (sent_id, id_line, count, *_), b in zip(blocks, accumulate(counts)):
-            a = b - count
-            yield (sent_id, id_line, forms[a:b], upos[a:b], heads[a:b], deprels[a:b],
-                   miscs[a:b], parts[a:b])
+    ids = "".join(cells[1::10])
+    columns = None
+    # A cell starts with a newline exactly when it starts a row, so a newline
+    # in every tenth cell proves 10 columns in every row.
+    if len(cells) - 1 == 10 * ids.count("\n") == 10 * sum(counts):
+        bounds = list(accumulate(counts))  # each block's last row, from 1
+        kept, start, row, at = [], 0, 0, 0
+        for match in _SKIPPED.finditer(ids):
+            row += ids.count("\n", at, match.end())
+            at = match.end()
+            k = bisect_left(bounds, row)
+            if row == bounds[k] - counts[k] + 1 and blocks[k][0] is None:
+                id_lines[k] += 1  # no word yet: the id line moves to the next row
+            counts[k] -= 1
+            kept += cells[start : 10 * row - 9]
+            start = 10 * row + 1
+        if start:
+            cells = kept + cells[start:]
+        plain = list(chain.from_iterable(_ROW_IDS[:count] for count in counts))
+        columns = _columns(cells) if cells[1::10] == plain else None
+    if columns is None:
+        for block in blocks:
+            yield from _read_lines(block[4], block[5])
         return
-    end = 0  # the last cell of the rows so far
-    for sent_id, id_line, count, body, chunk, first_line in blocks:
-        start, end = end, end + body.count("\t") + count
-        columns = None
-        # 10 cells a row exactly when each tenth cell starts a row ("\n1", "\n2", ...)
-        if end - start == 10 * count and cells[start + 1 : end : 10] == _ROW_IDS[:count]:
-            columns = _columns(cells[start : end + 1])
-        if columns is None:
-            yield from _read_lines(chunk, first_line)
-        else:
-            yield sent_id, id_line, *columns, _parts(columns[0], columns[4])
+    forms, upos, heads, deprels, miscs = columns
+    parts = _parts(forms, miscs)  # laid out once for the batch
+    for block, id_line, (a, b) in zip(blocks, id_lines, pairwise(accumulate(counts, initial=0))):
+        if a < b:  # a block of ranges and empty nodes alone holds no sentence
+            yield (block[0], id_line, forms[a:b], upos[a:b], heads[a:b], deprels[a:b],
+                   miscs[a:b], parts[a:b])
 
 
 _NO_MISC = {"_": ""}  # _NO_MISC.get(misc, misc): the MISC column as a Sentence keeps it
 # Rows cut by _cells: the ID cells of rows 1, 2, 3, ... read "\n1", "\n2", "\n3", ...
 _ROW_IDS = [f"\n{i}" for i in range(1, 513)]
 _HEADS = {str(i): i for i in range(513)}  # the HEAD cells of heads 0..512, as written
+# In a batch's ID cells joined, a row _read_lines skips: "-" or "." in a non-comment ID
+_SKIPPED = re.compile(r"\n(?!#)[^\n.-]*[.-]")
 
 
 def _cells(rows: str) -> list[str]:

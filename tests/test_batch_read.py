@@ -7,10 +7,11 @@ line ends and blank-looking separator lines, and run over several batches
 parse to ``corpus_reference``'s sentences, offsets and traversals
 included.  With one defect put into one block (a bad row, a duplicate id,
 two roots, a cycle or a blank form) they must raise the reference's
-exception with its message and line.  A clean document is read with one
-reader call per batch and never line by line, a refused batch sends only
-its irregular blocks to the line reader (a range row, a comment between
-rows), and a comment is a sentence id only under the exact key
+exception with its message and line.  A clean document, and one whose
+every block holds a range row and an empty node, is read with one reader
+call per batch and never line by line; a comment between rows sends every
+block of its batch to the line reader; an unnamed block's id line is its
+first word's; and a comment is a sentence id only under the exact key
 ``sent_id``.
 """
 
@@ -186,14 +187,35 @@ def _fixture_blocks(copies: int, between: bool = False) -> tuple[str, list[int]]
     return "\n\n".join(out) + "\n", counts
 
 
-def _batches(counts: list[int], cap: int) -> list[int]:
-    """The rows of each batch, cut greedily at ``cap`` rows."""
-    batches = [0]
+def _batches(counts: list[int], cap: int, skipped: int = 0) -> list[int]:
+    """The word rows of each batch, cut greedily at ``cap`` rows, each block
+    holding ``skipped`` rows (ranges, empty nodes) besides its words."""
+    batches, rows = [0], 0
     for count in counts:
-        if batches[-1] and batches[-1] + count > cap:
+        if rows and rows + count + skipped > cap:
             batches.append(0)
+            rows = 0
+        rows += count + skipped
         batches[-1] += count
     return batches
+
+
+def _count_reads(monkeypatch) -> list[int]:
+    """The rows each ``_columns`` call reads, filled as the parse runs; a line read fails."""
+    calls = []
+    reader = corpus._columns
+
+    def counted(cells):
+        calls.append((len(cells) - 1) // 10)  # rows read by this call
+        return reader(cells)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a batch was read block by block")
+
+    monkeypatch.setattr(corpus, "_columns", counted)
+    for name in ("_read_lines", "_check_tokens"):
+        monkeypatch.setattr(corpus, name, forbidden)
+    return calls
 
 
 @pytest.mark.parametrize("between", [False, True], ids=["clean", "comment-between"])
@@ -202,19 +224,7 @@ def test_a_clean_document_is_read_with_one_reader_call_per_batch(between, monkey
     expected = _batches(counts, corpus._BATCH_ROWS)
     assert len(expected) >= 3 and max(expected) <= corpus._BATCH_ROWS
     if not between:  # a comment between rows sends its batch to the line reader
-        calls = []
-        reader = corpus._columns
-
-        def counted(cells):
-            calls.append((len(cells) - 1) // 10)  # rows read by this call
-            return reader(cells)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a clean batch was read block by block")
-
-        monkeypatch.setattr(corpus, "_columns", counted)
-        for name in ("_read_lines", "_check_tokens"):
-            monkeypatch.setattr(corpus, name, forbidden)
+        calls = _count_reads(monkeypatch)
         sentences = parse_conllu(data)
         assert calls == expected
         assert len(sentences) == len(counts)
@@ -222,10 +232,29 @@ def test_a_clean_document_is_read_with_one_reader_call_per_batch(between, monkey
     assert _outcome(parse_conllu, data) == _outcome(corpus_reference.parse_conllu, data)
 
 
-def _line_reads(monkeypatch, row: str, at: int) -> tuple[list[str], int]:
-    """Line ``at`` of each chunk the line reader gets, ``row`` put there in every third block.
+def test_ranges_and_empty_nodes_in_every_block_keep_one_reader_call_per_batch(monkeypatch):
+    data, counts = _fixture_blocks(200)
+    blocks = []
+    for block in data.split("\n\n"):
+        lines = block.split("\n")  # the sent_id, then the rows
+        lines.insert(1, "\t".join(["1-2", "du", *["_"] * 8]))
+        lines.insert(3, "\t".join(["1.1", "e", *["_"] * 8]))
+        blocks.append("\n".join(lines))
+    data = "\n\n".join(blocks)
+    expected = _batches(counts, corpus._BATCH_ROWS, skipped=2)
+    assert len(expected) >= 3
+    calls = _count_reads(monkeypatch)
+    sentences = parse_conllu(data)
+    assert calls == expected
+    assert len(sentences) == len(counts)
+    monkeypatch.undo()
+    assert _outcome(parse_conllu, data) == _outcome(corpus_reference.parse_conllu, data)
 
-    Also returns how many blocks got ``row``; the document must parse as the
+
+def _line_reads(monkeypatch, row: str, at: int) -> tuple[list[str], list[str]]:
+    """The chunks the line reader gets, ``row`` put at line ``at`` of every third block.
+
+    Also returns the document's chunks; the document must parse as the
     reference parses it.
     """
     data, _ = _fixture_blocks(20)
@@ -235,30 +264,44 @@ def _line_reads(monkeypatch, row: str, at: int) -> tuple[list[str], int]:
         lines.insert(at, row)
         blocks[k] = "\n".join(lines)
     data = "\n\n".join(blocks)
-    alone = []
+    chunks = []
     reader = corpus._read_lines
 
     def counted(chunk, first_line):
-        alone.append(chunk.split("\n")[at])
+        chunks.append(chunk)
         return reader(chunk, first_line)
 
     monkeypatch.setattr(corpus, "_read_lines", counted)
     assert _outcome(parse_conllu, data) == _outcome(corpus_reference.parse_conllu, data)
-    return alone, len(range(0, len(blocks), 3))
+    return chunks, blocks
 
 
-def test_a_refused_batch_reads_only_its_irregular_blocks_alone(monkeypatch):
-    # a range row in every third block, under its sent_id: the other blocks
-    # still take their columns from the batch's cells
-    row = "\t".join(["1-2", "du", *["_"] * 8])
-    alone, irregular = _line_reads(monkeypatch, row, 1)
-    assert alone == [row] * irregular
+def test_range_rows_send_no_block_to_the_line_reader(monkeypatch):
+    # a range row in every third block, under its sent_id: it is dropped
+    # from the batch's cells, and every block takes its columns from them
+    chunks, _ = _line_reads(monkeypatch, "\t".join(["1-2", "du", *["_"] * 8]), 1)
+    assert chunks == []
 
 
-def test_a_comment_between_rows_sends_only_its_own_block_to_the_line_reader(monkeypatch):
-    # a one-cell row puts the batch's cells out of step with its rows
-    alone, irregular = _line_reads(monkeypatch, "# between the rows", 2)
-    assert alone == ["# between the rows"] * irregular
+def test_a_comment_between_rows_sends_its_whole_batch_to_the_line_reader(monkeypatch):
+    # a one-cell row puts the batch's cells out of step with its rows; here
+    # every batch holds one, so every block is read line by line, in order
+    chunks, blocks = _line_reads(monkeypatch, "# between the rows", 2)
+    assert chunks == blocks
+
+
+def test_an_unnamed_block_takes_its_first_words_line_as_its_id_line():
+    # the second block's ordinal id, s2, repeats the first block's; its id
+    # line is its first word's, past the range row and the empty node
+    data = "\n".join([
+        "# sent_id = s2", _row(1, "a", 0), "",
+        "\t".join(["1-2", "du", *["_"] * 8]), "\t".join(["0.1", "e", *["_"] * 8]),
+        _row(1, "de", 2), _row(2, "le", 0), "",
+    ])
+    with pytest.raises(ParseError) as raised:
+        parse_conllu(data)
+    assert str(raised.value) == "line 6: duplicate sentence id 's2'"
+    assert _outcome(parse_conllu, data) == _outcome(corpus_reference.parse_conllu, data)
 
 
 def test_a_defect_past_the_first_batch_is_named_at_its_line():
