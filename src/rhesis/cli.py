@@ -23,6 +23,7 @@ from .cascade import cascade_segment, regroup
 from .config import EngineConfig, _with_max_chars, effective_config, load_config
 from .corpus import align_gold, parse_conllu, parse_gold
 from .dataset import (
+    _at_least_zero,
     candidates_to_tsv,
     export_candidates,
     finetune_manifest,
@@ -99,25 +100,30 @@ def _build_parser() -> _Parser:
 
 
 def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
-    """``cfg`` with the command's overrides; ``export-dataset --seed`` seeds only the export."""
+    """``cfg`` with the command's overrides, each refused under its option's name;
+    ``export-dataset --seed`` seeds only the export."""
     if args.command == "segment" and args.span is not None:
-        return replace(cfg, span=_with_max_chars(cfg.span, args.span))
+        with _named("--span", args.span):
+            return replace(cfg, span=_with_max_chars(cfg.span, args.span))
     if args.command == "tune":
-        given = {k: v for k in ("seed", "generations") if (v := getattr(args, k)) is not None}
-        return replace(cfg, evo=replace(cfg.evo, **given))
+        for key in ("seed", "generations"):
+            if (value := getattr(args, key)) is not None:
+                with _named(f"--{key}", value):
+                    cfg = replace(cfg, evo=replace(cfg.evo, **{key: value}))
     return cfg
 
 
 @contextmanager
-def _named(option: str, path: str):
-    """Name the option and the file in each data error or warning raised inside."""
+def _named(option: str, path):
+    """Name the option and its file or value in each data error, value error or
+    warning raised inside."""
     with warnings.catch_warnings():  # the caller's filters apply; its hook comes back
         warnings.showwarning = lambda message, *_: print(
             f"rhesis: warning: {option} {path}: {message}", file=sys.stderr
         )
         try:
             yield
-        except (RhesisError, Warning) as exc:
+        except (RhesisError, ValueError, Warning) as exc:
             raise RhesisError(f"{option} {path}: {exc}") from exc
 
 
@@ -228,8 +234,12 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
 
 def _cmd_export(args, cfg: EngineConfig) -> int:
     corpus = _load_corpus(args.conllu, "--gold", args.gold)
+    with _named("--negatives", args.negatives):
+        _at_least_zero("negatives_per_positive", args.negatives)
     examples = export_candidates(corpus, args.negatives, args.seed, span=cfg.span)
-    Path(args.out).write_text(candidates_to_tsv(examples), encoding="utf-8")
+    with _named("--conllu", args.conllu):  # a form or an id that would spoil the rows
+        text = candidates_to_tsv(examples)
+    Path(args.out).write_text(text, encoding="utf-8")
     positives = sum(1 for ex in examples if ex.label == 1)
     _write_manifest(
         args.out, finetune_manifest(args.negatives, args.seed, positives, len(examples) - positives)

@@ -76,6 +76,13 @@ def _example(sentence: Sentence, start: int, end: int, label: int) -> CandidateE
     )
 
 
+def _at_least_zero(name: str, value) -> None:
+    """Refuse a count that is not an integer or is negative."""
+    _count(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def export_candidates(
     corpus: AlignedCorpus,
     negatives_per_positive: int,
@@ -94,9 +101,7 @@ def export_candidates(
     if not corpus.entries:
         raise ValueError("empty corpus")
     for name, value in (("negatives_per_positive", negatives_per_positive), ("seed", seed)):
-        _count(name, value)
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
+        _at_least_zero(name, value)
     rng = random.Random(seed)
     examples: list[CandidateExample] = []
     for entry in corpus:

@@ -623,7 +623,7 @@ class TestTune:
         code = main(["tune", "--conllu", data["conllu"], "--gold", data["gold"],
                      "--seed", "-1", "--out", str(tmp_path / "tuned.json")])
         assert code == 2
-        assert capsys.readouterr().err == "rhesis: error: seed must be >= 0\n"
+        assert capsys.readouterr().err == "rhesis: error: --seed -1: seed must be >= 0\n"
         assert not (tmp_path / "tuned.json").exists()
 
     def test_same_seed_rewrites_identical_bytes(self, data, tmp_path, capsys):
@@ -757,7 +757,7 @@ class TestExportDataset:
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"rhesis: error: {error} a tab or a line break" in err
+        assert f"rhesis: error: --conllu {conllu}: {error} a tab or a line break" in err
         assert not out.exists()
         assert not (tmp_path / "candidates.tsv.manifest.json").exists()
 
