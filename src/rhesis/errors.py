@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "RhesisError",
+    "ParseError",
+    "StructuralError",
+    "FormatError",
+    "AlignmentError",
+    "OversizedTokenWarning",
+]
+
 
 class RhesisError(Exception):
     """Base class for data and format errors raised by this package.

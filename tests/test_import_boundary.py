@@ -1,13 +1,16 @@
-"""numpy is loaded only by tuning, tuning leaves ``numpy.ma`` unloaded, and
-the name ``rhesis.evolve`` keeps both of its meanings: the package attribute
-is the function, the submodule stays importable under the same dotted name."""
+"""numpy is loaded only by tuning, tuning leaves ``numpy.ma`` unloaded, the
+package's public names are exactly its modules' ``__all__``, and the name
+``rhesis.evolve`` keeps both of its meanings: the package attribute is the
+function, the submodule stays importable under the same dotted name."""
 
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
+import types
 
 import rhesis
 from rhesis import evolve
@@ -84,3 +87,19 @@ def test_evolve_names_the_function_and_the_module():
     for name in ("SCALAR_ORDER", "EvoConfig", "_Block", "_FitnessContext"):
         assert hasattr(module, name), name
     assert module.SCALAR_ORDER[0] == "w_dep"
+
+
+def test_the_package_exports_exactly_its_library_modules_all():
+    # every public module but the command line is the library's, and declares __all__
+    modules = [
+        importlib.import_module(f"rhesis.{info.name}")
+        for info in pkgutil.iter_modules(rhesis.__path__)
+        if not info.name.startswith("_") and info.name != "cli"
+    ]
+    assert len(modules) == 10
+    exported = set().union(*(module.__all__ for module in modules))
+    public = {
+        name for name, value in vars(rhesis).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == exported
