@@ -828,18 +828,21 @@ class TestInstalledScript:
         assert "# effective-config" in proc.stderr
 
     def test_python_dash_m_runs_the_cli(self, data, tmp_path):
-        """``python -m rhesis.cli tune`` writes the weight file ``main`` writes."""
+        """``python -m rhesis tune`` and ``python -m rhesis.cli tune`` write the
+        weight file ``main`` writes."""
         args = ["tune", "--conllu", data["conllu"], "--gold", data["gold"], "--generations", "2"]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
         ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rhesis.cli", *args, "--out", str(tmp_path / "child.json")],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
         assert main([*args, "--out", str(tmp_path / "main.json")]) == 0
-        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+        for module in ("rhesis", "rhesis.cli"):
+            child = tmp_path / f"{module}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *args, "--out", str(child)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert child.read_bytes() == (tmp_path / "main.json").read_bytes(), module
 
 
 @pytest.mark.parametrize("argv, handler", [
