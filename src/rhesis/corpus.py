@@ -468,7 +468,7 @@ def _batch(blocks: list[tuple]):
     if len(cells) - 1 == 10 * ids.count("\n") == 10 * sum(counts):
         bounds = list(accumulate(counts))  # each block's last row, from 1
         kept, start, row, at = [], 0, 0, 0
-        for match in _SKIPPED.finditer(ids):
+        for match in _SKIPPED.finditer(ids) if "-" in ids or "." in ids else ():
             row += ids.count("\n", at, match.end())
             at = match.end()
             k = bisect_left(bounds, row)
@@ -477,8 +477,7 @@ def _batch(blocks: list[tuple]):
             counts[k] -= 1
             kept += cells[start : 10 * row - 9]
             start = 10 * row + 1
-        if start:
-            cells = kept + cells[start:]
+        cells = kept + cells[start:] if start else cells
         plain = list(chain.from_iterable(_ROW_IDS[:count] for count in counts))
         columns = _columns(cells) if cells[1::10] == plain else None
     if columns is None:
@@ -497,7 +496,8 @@ _NO_MISC = {"_": ""}  # _NO_MISC.get(misc, misc): the MISC column as a Sentence 
 # Rows cut by _cells: the ID cells of rows 1, 2, 3, ... read "\n1", "\n2", "\n3", ...
 _ROW_IDS = [f"\n{i}" for i in range(1, 513)]
 _HEADS = {str(i): i for i in range(513)}  # the HEAD cells of heads 0..512, as written
-# In a batch's ID cells joined, a row _read_lines skips: "-" or "." in a non-comment ID
+# In a batch's ID cells joined, a row _read_lines skips: "-" or "." in a non-comment ID.
+# It tries a match at every row, so a batch with neither character skips it.
 _SKIPPED = re.compile(r"\n(?!#)[^\n.-]*[.-]")
 
 
