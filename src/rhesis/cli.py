@@ -4,8 +4,8 @@ Subcommands: segment, tune, eval, export-dataset, stats.  Exit codes: 0 on
 success, 1 for usage errors, 2 for data or format errors.  Every run echoes
 its effective configuration as one JSON line on stderr, so outputs can be
 reproduced from logs.  A data error or warning raised in ``_named`` names its
-option and file; payload output (stdout or --out) carries no timestamps and
-is byte-stable for identical inputs.
+option and its file or value; payload output (stdout or --out) carries no
+timestamps and is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -114,17 +114,17 @@ def _effective(cfg: EngineConfig, args: argparse.Namespace) -> EngineConfig:
 
 
 @contextmanager
-def _named(option: str, path):
+def _named(option: str, source):
     """Name the option and its file or value in each data error, value error or
     warning raised inside."""
     with warnings.catch_warnings():  # the caller's filters apply; its hook comes back
         warnings.showwarning = lambda message, *_: print(
-            f"rhesis: warning: {option} {path}: {message}", file=sys.stderr
+            f"rhesis: warning: {option} {source}: {message}", file=sys.stderr
         )
         try:
             yield
         except (RhesisError, ValueError, Warning) as exc:
-            raise RhesisError(f"{option} {path}: {exc}") from exc
+            raise RhesisError(f"{option} {source}: {exc}") from exc
 
 
 def _read(option: str, path: str, parse):

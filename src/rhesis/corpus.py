@@ -416,7 +416,7 @@ def _blocks(text: str):
     A chunk between two ``"\\n\\n"`` is leading comment lines, then rows;
     consecutive chunks with rows go to ``_batch`` up to ``_BATCH_ROWS`` rows
     at a time.  The id is the last leading ``# sent_id`` comment's (None
-    without one); without one, the id line is the first row's.
+    without one); without one, the id line is the first word's.
     """
     batch: list[tuple] = []
     rows = 0  # in the batch
