@@ -200,31 +200,25 @@ def _batches(counts: list[int], cap: int, skipped: int = 0) -> list[int]:
     return batches
 
 
-def _count_reads(monkeypatch) -> list[int]:
-    """The rows each ``_columns`` call reads, filled as the parse runs; a line read fails."""
-    calls = []
-    reader = corpus._columns
-
-    def counted(cells):
-        calls.append((len(cells) - 1) // 10)  # rows read by this call
-        return reader(cells)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a batch was read block by block")
-
-    monkeypatch.setattr(corpus, "_columns", counted)
-    for name in ("_read_lines", "_check_tokens"):
-        monkeypatch.setattr(corpus, name, forbidden)
-    return calls
-
-
 @pytest.mark.parametrize("between", [False, True], ids=["clean", "comment-between"])
 def test_a_clean_document_is_read_with_one_reader_call_per_batch(between, monkeypatch):
     data, counts = _fixture_blocks(200, between)
     expected = _batches(counts, corpus._BATCH_ROWS)
     assert len(expected) >= 3 and max(expected) <= corpus._BATCH_ROWS
     if not between:  # a comment between rows sends its batch to the line reader
-        calls = _count_reads(monkeypatch)
+        calls = []
+        reader = corpus._columns
+
+        def counted(cells):
+            calls.append((len(cells) - 1) // 10)  # rows read by this call
+            return reader(cells)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a clean batch was read block by block")
+
+        monkeypatch.setattr(corpus, "_columns", counted)
+        for name in ("_read_lines", "_check_tokens"):
+            monkeypatch.setattr(corpus, name, forbidden)
         sentences = parse_conllu(data)
         assert calls == expected
         assert len(sentences) == len(counts)
@@ -243,7 +237,19 @@ def test_ranges_and_empty_nodes_in_every_block_keep_one_reader_call_per_batch(mo
     data = "\n\n".join(blocks)
     expected = _batches(counts, corpus._BATCH_ROWS, skipped=2)
     assert len(expected) >= 3
-    calls = _count_reads(monkeypatch)
+    calls = []
+    reader = corpus._columns
+
+    def counted(cells):
+        calls.append((len(cells) - 1) // 10)  # word rows read by this call
+        return reader(cells)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a batch with ranges was read block by block")
+
+    monkeypatch.setattr(corpus, "_columns", counted)
+    for name in ("_read_lines", "_check_tokens"):
+        monkeypatch.setattr(corpus, name, forbidden)
     sentences = parse_conllu(data)
     assert calls == expected
     assert len(sentences) == len(counts)
