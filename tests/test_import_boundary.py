@@ -96,7 +96,6 @@ def test_the_package_exports_exactly_its_library_modules_all():
         for info in pkgutil.iter_modules(rhesis.__path__)
         if not info.name.startswith("_") and info.name != "cli"
     ]
-    assert len(modules) == 10
     exported = set().union(*(module.__all__ for module in modules))
     public = {
         name for name, value in vars(rhesis).items()
